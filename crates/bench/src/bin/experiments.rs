@@ -1303,8 +1303,9 @@ fn main() {
         match args[i].as_str() {
             "--list" => {
                 // The shared catalog: byte-identical to dice-serve's
-                // /v1/experiments (asserted by tests on both sides).
-                println!("{}", dice_bench::catalog_json().render());
+                // /v1/experiments (asserted by tests on both sides), so
+                // no trailing newline.
+                print!("{}", dice_bench::catalog_json().render());
                 return;
             }
             "--scale" => {

@@ -1,10 +1,14 @@
-//! The fabric coordinator: whole sweeps in, scattered cells out.
+//! The fabric coordinator: dice-serve's sweep service with a scatter
+//! executor behind it.
 //!
-//! The coordinator speaks the same sweep API as `dice-serve` —
-//! `POST /v1/sweeps`, status/report/trace documents, SSE progress — but
-//! instead of running cells locally it places each one on a worker via
-//! the consistent-hash [`HashRing`] (keyed by the order-independent
-//! [`cell_key`]) and gathers the run objects back.
+//! The coordinator is a [`dice_serve::Server`] — the same job queue,
+//! single-flight dedup, admission bound, status/report/trace documents
+//! and SSE progress as `dice-serve` — whose queue runs each sweep
+//! through a scatter executor instead of a local runner. The executor
+//! places each cell on a worker via the consistent-hash [`HashRing`]
+//! (keyed by the order-independent [`cell_key`]) and gathers the run
+//! objects back. Beside the sweep API the coordinator answers
+//! `GET /v1/fabric/membership` and `POST /v1/fabric/nodes/:name/drain`.
 //!
 //! Failure handling, per gather result:
 //!
@@ -40,35 +44,33 @@
 //! cells, and renders the same bytes — crash recovery rides on the same
 //! identity that makes fabric reports `cmp`-equal to direct runs.
 //!
-//! Report assembly rebuilds a [`SweepResult`] from the gathered outcomes
-//! and renders it through the same [`render_runs`] path a direct
-//! `dice-runner` invocation uses — byte-identical output is the
-//! invariant the end-to-end tests `cmp` for. When the fabric itself had
-//! to synthesize an outcome (no live worker ever completed the cell),
-//! the sweep completes with a typed `degraded` reason instead of
-//! pretending the bytes are canonical.
+//! The executor hands the queue a [`SweepResult`] rebuilt from the
+//! gathered outcomes, and the queue renders it through the same
+//! [`render_runs`](dice_serve::render_runs) path a direct `dice-runner`
+//! invocation uses — byte-identical output is the invariant the
+//! end-to-end tests `cmp` for. When the fabric itself had to synthesize
+//! an outcome (no live worker ever completed the cell), the sweep
+//! completes with a typed `degraded` reason instead of pretending the
+//! bytes are canonical.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
-use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dice_obs::{
-    labeled, merge_chrome, render_prometheus, Histogram, Json, MetricRegistry, TraceCtx,
-};
+use dice_obs::{labeled, Histogram, Json, MetricRegistry};
 use dice_runner::{cell_key, Cell, CellOutcome, SweepResult};
 use dice_serve::client::{http_post_timeout, http_probe, ProbeError};
 use dice_serve::http::{Request, Response};
-use dice_serve::net::{Handled, NetConfig, NetServer};
-use dice_serve::sse::stream_sse;
-use dice_serve::{render_runs, sweep_key, JobState, SweepSpec};
+use dice_serve::net::{NetConfig, NetServer};
+use dice_serve::{
+    EventLog, Executed, Handle, JobQueue, Server, SweepExecutor, SweepRun, SweepSpec,
+};
 
 use crate::breaker::{Breaker, BreakerConfig, JitteredBackoff};
-use crate::journal::{Journal, JournalRecord};
+use crate::journal::{Journal, JournalRecord, Recovery};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::wire::{cell_spec, open_run_object, parse_run_object, render_run_object};
 
@@ -87,7 +89,8 @@ pub struct CoordinatorConfig {
     pub workers: Vec<String>,
     /// Virtual nodes per worker on the placement ring.
     pub vnodes: usize,
-    /// Maximum concurrently running sweeps before submissions get 429.
+    /// Maximum queued + running sweeps before submissions get 429 (also
+    /// the number of sweeps scattered at once).
     pub capacity: usize,
     /// Parallel cell dispatches per sweep.
     pub scatter_width: usize,
@@ -230,35 +233,178 @@ impl Membership {
     }
 }
 
-/// One tracked fabric sweep (mirrors the `dice-serve` job shape so
-/// clients cannot tell the difference).
-struct FabricJob {
-    spec: SweepSpec,
-    cells: usize,
-    state: JobState,
-    body: Option<Arc<String>>,
-    error: Option<String>,
-    summary: Option<String>,
-    /// Why the finished report is not canonical (fabric-synthesized
-    /// outcomes), when it is not.
-    degraded: Option<String>,
-    coalesced: u64,
-    events: Vec<Arc<String>>,
-    trace: Option<Arc<String>>,
-}
+/// Cell outcomes replayed from the journal, keyed by `(tag, workload)`.
+type Replayed = HashMap<(String, String), CellOutcome>;
 
-struct Shared {
+/// The scatter executor: runs each sweep's cells on the worker fleet.
+struct Scatter {
     cfg: CoordinatorConfig,
     membership: Mutex<Membership>,
-    jobs: Mutex<HashMap<u64, FabricJob>>,
-    active: AtomicUsize,
-    draining: Arc<AtomicBool>,
-    metrics: Mutex<MetricRegistry>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    metrics: Arc<Mutex<MetricRegistry>>,
     journal: Option<Journal>,
+    /// Unfinished journaled sweeps and the cell outcomes the journal
+    /// holds for them, taken when each sweep runs.
+    replayed: Mutex<BTreeMap<u64, (SweepSpec, Replayed)>>,
 }
 
-impl Shared {
+impl Scatter {
+    /// Probes the configured workers — the reachable ones join the ring,
+    /// unreachable ones start dead (they are still listed in the
+    /// membership document) — and, when a journal is configured, replays
+    /// it: sweeps accepted but not completed before the last shutdown
+    /// (crash or otherwise) resume, re-dispatching only the cells the
+    /// journal has no result for.
+    ///
+    /// # Errors
+    ///
+    /// Propagates journal open/recovery failures.
+    fn new(config: CoordinatorConfig, metrics: Arc<Mutex<MetricRegistry>>) -> io::Result<Scatter> {
+        let (journal, recovery) = match &config.journal {
+            Some(path) => {
+                let (journal, recovery) = Journal::open(path)?;
+                (Some(journal), Some(recovery))
+            }
+            None => (None, None),
+        };
+
+        let mut membership = Membership {
+            nodes: Vec::new(),
+            ring: HashRing::new(config.vnodes),
+        };
+        for (i, addr) in config.workers.iter().enumerate() {
+            let name = format!("w{i}");
+            let state = match http_probe(addr, "/healthz", config.probe_connect, config.probe_read)
+            {
+                Ok(r) if r.status == 200 => NodeState::Healthy,
+                Ok(_) => NodeState::Draining,
+                Err(_) => NodeState::Dead,
+            };
+            if state == NodeState::Healthy {
+                membership.ring.add(&name);
+            }
+            membership.nodes.push(Node {
+                breaker: Breaker::new(config.breaker.clone(), i as u64 + 1),
+                name,
+                addr: addr.clone(),
+                state,
+                dispatched: 0,
+                completed: 0,
+                failed: 0,
+            });
+        }
+        let scatter = Scatter {
+            cfg: config,
+            membership: Mutex::new(membership),
+            metrics,
+            journal,
+            replayed: Mutex::new(BTreeMap::new()),
+        };
+        if let Some(recovery) = recovery {
+            scatter.replay(&recovery);
+        }
+        Ok(scatter)
+    }
+
+    /// Collects every journaled sweep with an `accepted` record but no
+    /// `done` record, with the cell outcomes the journal already holds
+    /// (sorted by id, the order they resume in).
+    fn replay(&self, recovery: &Recovery) {
+        if recovery.dropped_bytes > 0 {
+            eprintln!(
+                "dice-fabric-coordinator: journal recovery dropped {} torn trailing bytes",
+                recovery.dropped_bytes
+            );
+        }
+        let mut specs: BTreeMap<u64, &Json> = BTreeMap::new();
+        let mut cell_runs: HashMap<u64, Vec<&Json>> = HashMap::new();
+        let mut finished: HashSet<u64> = HashSet::new();
+        for record in &recovery.records {
+            match record {
+                JournalRecord::Accepted { sweep, spec } => {
+                    specs.insert(*sweep, spec);
+                }
+                JournalRecord::Cell { sweep, run } => {
+                    cell_runs.entry(*sweep).or_default().push(run);
+                }
+                JournalRecord::Done { sweep, .. } => {
+                    finished.insert(*sweep);
+                }
+            }
+        }
+        let mut replayed = self.replayed.lock().expect("replayed poisoned");
+        for (&id, &spec) in specs.iter().filter(|(id, _)| !finished.contains(id)) {
+            let spec = match SweepSpec::from_json(spec) {
+                Ok(spec) => spec,
+                Err(e) => {
+                    eprintln!("dice-fabric-coordinator: journaled spec {id:016x} unusable: {e}");
+                    self.count("fabric.journal.replay_errors");
+                    continue;
+                }
+            };
+            // Last write wins per cell: a crash between append and ack can
+            // journal the same cell twice with identical payloads.
+            let mut done_cells = Replayed::new();
+            for run in cell_runs.get(&id).into_iter().flatten() {
+                match parse_run_object(run) {
+                    Ok((tag, workload, outcome)) => {
+                        done_cells.insert((tag, workload), outcome);
+                    }
+                    Err(e) => {
+                        eprintln!(
+                            "dice-fabric-coordinator: journaled cell of {id:016x} unusable: {e}"
+                        );
+                        self.count("fabric.journal.replay_errors");
+                    }
+                }
+            }
+            self.count("fabric.journal.recovered_sweeps");
+            self.count_by("fabric.journal.recovered_cells", done_cells.len() as u64);
+            replayed.insert(id, (spec, done_cells));
+        }
+    }
+
+    /// The fabric's own endpoints: `GET /v1/fabric/membership` and
+    /// `POST /v1/fabric/nodes/:name/drain`; `None` for anything else.
+    fn route(&self, request: &Request) -> Option<Response> {
+        Some(match (request.method.as_str(), request.route()) {
+            ("GET", "/v1/fabric/membership") => {
+                let m = self.membership.lock().expect("membership poisoned");
+                Response::json(200, m.doc().render())
+            }
+            (_, "/v1/fabric/membership") => Response::error(405, "method not allowed"),
+            ("POST", p) if p.starts_with("/v1/fabric/nodes/") => self.drain_node(p),
+            _ => return None,
+        })
+    }
+
+    /// `POST /v1/fabric/nodes/:name/drain`: take a worker off the ring
+    /// without declaring it dead. New cells re-hash onto the survivors;
+    /// cells already dispatched to the node still answer. (Stopping the
+    /// worker process itself is SIGTERM's job.)
+    fn drain_node(&self, path: &str) -> Response {
+        let Some(name) = path
+            .strip_prefix("/v1/fabric/nodes/")
+            .and_then(|p| p.strip_suffix("/drain"))
+        else {
+            return Response::error(404, "no such endpoint");
+        };
+        let mut m = self.membership.lock().expect("membership poisoned");
+        if m.node_mut(name).is_none() {
+            return Response::error(404, "no such node");
+        }
+        m.retire(name, NodeState::Draining);
+        let state = m
+            .node_mut(name)
+            .map(|n| n.state.as_str())
+            .unwrap_or("unknown");
+        let doc = Json::Obj(vec![
+            ("node".into(), Json::str(name)),
+            ("state".into(), Json::str(state)),
+            ("ring_version".into(), Json::u64(m.ring.version())),
+        ]);
+        Response::json(200, doc.render())
+    }
+
     fn count(&self, name: &str) {
         let mut reg = self.metrics.lock().expect("metrics poisoned");
         let id = reg.counter(name);
@@ -328,12 +474,11 @@ impl Shared {
     /// streak (closed breakers only — open ones re-close via probes so
     /// the ring membership stays consistent).
     fn dispatch_answered(&self, name: &str) {
-        let mut m = self.membership.lock().expect("membership poisoned");
-        if let Some(node) = m.node_mut(name) {
+        self.node(name, |node| {
             if node.state == NodeState::Healthy && node.breaker.is_closed() {
                 node.breaker.record_success();
             }
-        }
+        });
     }
 
     /// One health probe against `name`, settling its breaker: 200
@@ -407,495 +552,69 @@ impl Shared {
             self.probe_node(&name, &addr);
         }
     }
+}
 
-    /// Pushes one rendered progress event onto job `id`.
-    fn push_event(&self, id: u64, event: String) {
-        let mut jobs = self.jobs.lock().expect("jobs poisoned");
-        if let Some(job) = jobs.get_mut(&id) {
-            job.events.push(Arc::new(event));
-        }
+impl SweepExecutor for Scatter {
+    /// Scatter rounds until every unique cell has an outcome, then the
+    /// gathered outcomes as the runner's [`SweepResult`]. Journal-replayed
+    /// cells are never re-dispatched.
+    fn execute(&self, run: SweepRun) -> Result<Executed, String> {
+        let replayed = self
+            .replayed
+            .lock()
+            .expect("replayed poisoned")
+            .remove(&run.id);
+        Ok(self.scatter(run, replayed.map(|(_, cells)| cells).unwrap_or_default()))
+    }
+
+    fn refusal(&self) -> Option<String> {
+        let m = self.membership.lock().expect("membership poisoned");
+        m.ring.is_empty().then(|| "no live workers".to_owned())
+    }
+
+    /// Durability point: the spec is fsync'd before the client sees 202,
+    /// so an accepted sweep survives any later crash.
+    fn accepted(&self, id: u64, spec: &SweepSpec) {
+        self.journal_append(&JournalRecord::Accepted {
+            sweep: id,
+            spec: spec.to_json(),
+        });
+    }
+
+    fn resumed(&self) -> Vec<(u64, SweepSpec)> {
+        let replayed = self.replayed.lock().expect("replayed poisoned");
+        replayed
+            .iter()
+            .map(|(&id, (spec, _))| (id, spec.clone()))
+            .collect()
     }
 }
 
 /// A handle for draining a running coordinator from another thread.
-#[derive(Clone)]
-pub struct CoordinatorHandle {
-    drain: Arc<AtomicBool>,
-}
+pub type CoordinatorHandle = Handle;
 
-impl CoordinatorHandle {
-    /// Begins a graceful drain: no new sweeps, running scatters finish,
-    /// [`Coordinator::run`] returns once they have.
-    pub fn drain(&self) {
-        self.drain.store(true, Ordering::SeqCst);
-    }
-}
-
-/// The coordinator node.
-pub struct Coordinator {
-    net: NetServer,
-    shared: Arc<Shared>,
-}
+/// The coordinator node: a dice-serve [`Server`] whose queue runs sweeps
+/// through the scatter executor, with the membership and node-drain
+/// endpoints beside the sweep API.
+pub struct Coordinator;
 
 impl Coordinator {
-    /// Binds `127.0.0.1:port` and probes the configured workers: the
-    /// reachable ones join the ring, unreachable ones start dead (they
-    /// are still listed in the membership document).
-    ///
-    /// When a journal is configured, its intact records are replayed
-    /// first: sweeps accepted but not completed before the last shutdown
-    /// (crash or otherwise) resume immediately, re-dispatching only the
-    /// cells the journal has no result for.
+    /// Binds `127.0.0.1:port`, probes the workers, replays the journal
+    /// and starts `capacity` sweep workers (so every admitted sweep
+    /// scatters at once); sweeps the journal left unfinished are queued
+    /// immediately. Serve with [`Server::run`]; drain through
+    /// [`Server::handle`].
     ///
     /// # Errors
     ///
     /// Propagates the bind failure and journal open/recovery failures.
-    pub fn bind(config: CoordinatorConfig) -> io::Result<Coordinator> {
+    pub fn bind(config: CoordinatorConfig) -> io::Result<Server> {
         let net = NetServer::bind(&config.net)?;
-        let draining = net.drain_flag();
-
-        let (journal, recovery) = match &config.journal {
-            Some(path) => {
-                let (journal, recovery) = Journal::open(path)?;
-                (Some(journal), Some(recovery))
-            }
-            None => (None, None),
-        };
-
-        let mut membership = Membership {
-            nodes: Vec::new(),
-            ring: HashRing::new(config.vnodes),
-        };
-        for (i, addr) in config.workers.iter().enumerate() {
-            let name = format!("w{i}");
-            let state = match http_probe(addr, "/healthz", config.probe_connect, config.probe_read)
-            {
-                Ok(r) if r.status == 200 => NodeState::Healthy,
-                Ok(_) => NodeState::Draining,
-                Err(_) => NodeState::Dead,
-            };
-            if state == NodeState::Healthy {
-                membership.ring.add(&name);
-            }
-            membership.nodes.push(Node {
-                breaker: Breaker::new(config.breaker.clone(), i as u64 + 1),
-                name,
-                addr: addr.clone(),
-                state,
-                dispatched: 0,
-                completed: 0,
-                failed: 0,
-            });
-        }
-        let shared = Arc::new(Shared {
-            cfg: config,
-            membership: Mutex::new(membership),
-            jobs: Mutex::new(HashMap::new()),
-            active: AtomicUsize::new(0),
-            draining,
-            metrics: Mutex::new(MetricRegistry::new()),
-            threads: Mutex::new(Vec::new()),
-            journal,
-        });
-        if let Some(recovery) = recovery {
-            resume_from_journal(&shared, &recovery);
-        }
-        Ok(Coordinator { net, shared })
-    }
-
-    /// The bound address (useful with `port: 0`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket query failure.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
-        self.net.local_addr()
-    }
-
-    /// A drain handle, safe to move to signal watchers or tests.
-    #[must_use]
-    pub fn handle(&self) -> CoordinatorHandle {
-        CoordinatorHandle {
-            drain: self.net.drain_flag(),
-        }
-    }
-
-    /// Serves until [`CoordinatorHandle::drain`], then waits for running
-    /// sweeps to gather and returns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener configuration failures.
-    pub fn run(&self) -> io::Result<()> {
-        let shared = Arc::clone(&self.shared);
-        let handler =
-            Arc::new(move |request: &Request, stream: &TcpStream| handle(request, stream, &shared));
-        let shared = Arc::clone(&self.shared);
-        let observe = Arc::new(move |status: u16, elapsed: Duration| {
-            let mut reg = shared.metrics.lock().expect("metrics poisoned");
-            let id = reg.counter("fabric.http_requests");
-            reg.inc(id);
-            let id = reg.counter(match status {
-                200..=299 => "fabric.http_2xx",
-                400..=499 => "fabric.http_4xx",
-                _ => "fabric.http_5xx",
-            });
-            reg.inc(id);
-            let hist = reg.histogram("fabric.request_micros");
-            reg.observe(hist, elapsed.as_micros() as u64);
-        });
-        let shared = Arc::clone(&self.shared);
-        let count = Arc::new(move |event: &'static str| {
-            shared.count(match event {
-                "conns_rejected" => "fabric.conns_rejected",
-                _ => "fabric.accept_errors",
-            });
-        });
-        self.net.run(handler, Some(observe), Some(count))?;
-        // Accept loop has stopped; let in-flight scatters gather.
-        while self.shared.active.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let handles = std::mem::take(&mut *self.shared.threads.lock().expect("threads poisoned"));
-        for handle in handles {
-            let _ = handle.join();
-        }
-        Ok(())
-    }
-}
-
-fn handle(request: &Request, stream: &TcpStream, shared: &Arc<Shared>) -> Handled {
-    let path = request.path.split('?').next().unwrap_or("").to_owned();
-    if let Some(id_text) = path
-        .strip_prefix("/v1/sweeps/")
-        .and_then(|p| p.strip_suffix("/events"))
-    {
-        if request.method != "GET" {
-            return Handled::Respond(Response::error(405, "method not allowed"));
-        }
-        let Ok(id) = u64::from_str_radix(id_text, 16) else {
-            return Handled::Respond(Response::error(400, "job id must be hex"));
-        };
-        let mut out = stream;
-        return Handled::Streamed(stream_sse(&mut out, |cursor| {
-            let jobs = shared.jobs.lock().expect("jobs poisoned");
-            jobs.get(&id).map(|job| {
-                let events = match job.events.get(cursor..) {
-                    Some(rest) => rest.to_vec(),
-                    None => Vec::new(),
-                };
-                let terminal = matches!(
-                    job.state,
-                    JobState::Done | JobState::Failed | JobState::Cancelled
-                )
-                .then(|| job.state.as_str());
-                (events, terminal)
-            })
-        }));
-    }
-    Handled::Respond(route(request, &path, shared))
-}
-
-fn route(request: &Request, path: &str, shared: &Arc<Shared>) -> Response {
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => {
-            if shared.draining.load(Ordering::SeqCst) {
-                Response::error(503, "draining").with_header("Retry-After", "1")
-            } else {
-                Response::text(200, "ok\n")
-            }
-        }
-        ("GET", "/version") => Response::json(
-            200,
-            Json::Obj(vec![
-                ("name".into(), Json::str("dice-fabric")),
-                ("version".into(), Json::str(env!("CARGO_PKG_VERSION"))),
-            ])
-            .render(),
-        ),
-        ("GET", "/metrics") => {
-            let reg = shared.metrics.lock().expect("metrics poisoned");
-            let body = render_prometheus(&reg);
-            drop(reg);
-            Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                extra: Vec::new(),
-                body: body.into_bytes(),
-            }
-        }
-        ("GET", "/v1/fabric/membership") => {
-            let m = shared.membership.lock().expect("membership poisoned");
-            Response::json(200, m.doc().render())
-        }
-        ("POST", p) if p.starts_with("/v1/fabric/nodes/") => drain_node(p, shared),
-        ("POST", "/v1/sweeps") => submit_sweep(request, shared),
-        ("GET", p) if p.starts_with("/v1/sweeps/") => sweep_get(p, shared),
-        (_, "/healthz" | "/version" | "/metrics" | "/v1/fabric/membership" | "/v1/sweeps") => {
-            Response::error(405, "method not allowed")
-        }
-        _ => Response::error(404, "no such endpoint"),
-    }
-}
-
-/// `POST /v1/fabric/nodes/:name/drain`: take a worker off the ring
-/// without declaring it dead. New cells re-hash onto the survivors;
-/// cells already dispatched to the node still answer. (Stopping the
-/// worker process itself is SIGTERM's job.)
-fn drain_node(path: &str, shared: &Arc<Shared>) -> Response {
-    let Some(name) = path
-        .strip_prefix("/v1/fabric/nodes/")
-        .and_then(|p| p.strip_suffix("/drain"))
-    else {
-        return Response::error(404, "no such endpoint");
-    };
-    let mut m = shared.membership.lock().expect("membership poisoned");
-    if m.node_mut(name).is_none() {
-        return Response::error(404, "no such node");
-    }
-    m.retire(name, NodeState::Draining);
-    let state = m
-        .node_mut(name)
-        .map(|n| n.state.as_str())
-        .unwrap_or("unknown");
-    let doc = Json::Obj(vec![
-        ("node".into(), Json::str(name)),
-        ("state".into(), Json::str(state)),
-        ("ring_version".into(), Json::u64(m.ring.version())),
-    ]);
-    Response::json(200, doc.render())
-}
-
-/// `POST /v1/sweeps`: parse, coalesce, admit, scatter.
-fn submit_sweep(request: &Request, shared: &Arc<Shared>) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
-        return Response::error(503, "draining");
-    }
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return Response::error(400, "body must be UTF-8 JSON");
-    };
-    let spec = match SweepSpec::parse(text) {
-        Ok(spec) => spec,
-        Err(e) => return Response::error(400, &e.to_string()),
-    };
-    let cells = spec.to_cells();
-    let id = sweep_key(&cells);
-
-    let mut jobs = shared.jobs.lock().expect("jobs poisoned");
-    if let Some(job) = jobs.get_mut(&id) {
-        if !matches!(job.state, JobState::Failed | JobState::Cancelled) {
-            job.coalesced += 1;
-            let state = job.state;
-            drop(jobs);
-            shared.count("fabric.sweeps_coalesced");
-            return accepted(id, true, state);
-        }
-    }
-    if shared.active.load(Ordering::SeqCst) >= shared.cfg.capacity {
-        drop(jobs);
-        shared.count("fabric.sweeps_rejected");
-        return Response::error(429, "sweep queue full").with_header("Retry-After", "1");
-    }
-    if shared
-        .membership
-        .lock()
-        .expect("membership poisoned")
-        .ring
-        .is_empty()
-    {
-        drop(jobs);
-        return Response::error(503, "no live workers");
-    }
-    jobs.insert(
-        id,
-        FabricJob {
-            cells: cells.len(),
-            spec: spec.clone(),
-            state: JobState::Queued,
-            body: None,
-            error: None,
-            summary: None,
-            degraded: None,
-            coalesced: 0,
-            events: Vec::new(),
-            trace: None,
-        },
-    );
-    shared.active.fetch_add(1, Ordering::SeqCst);
-    drop(jobs);
-    shared.count("fabric.sweeps_submitted");
-    // Durability point: the spec is fsync'd before the client sees 202,
-    // so an accepted sweep survives any later crash.
-    shared.journal_append(&JournalRecord::Accepted {
-        sweep: id,
-        spec: spec.to_json(),
-    });
-
-    let worker_shared = Arc::clone(shared);
-    let thread = std::thread::spawn(move || {
-        run_fabric_sweep(&worker_shared, id, &spec, cells, HashMap::new());
-        worker_shared.active.fetch_sub(1, Ordering::SeqCst);
-    });
-    let mut threads = shared.threads.lock().expect("threads poisoned");
-    threads.retain(|t| !t.is_finished());
-    threads.push(thread);
-    drop(threads);
-    accepted(id, false, JobState::Queued)
-}
-
-/// Replays journal recovery at bind time: every sweep with an `accepted`
-/// record but no `done` record gets its job entry rebuilt, its journaled
-/// cell results pre-filled, and a scatter thread spawned to finish only
-/// the cells the journal has no outcome for.
-fn resume_from_journal(shared: &Arc<Shared>, recovery: &crate::journal::Recovery) {
-    if recovery.dropped_bytes > 0 {
-        eprintln!(
-            "dice-fabric-coordinator: journal recovery dropped {} torn trailing bytes",
-            recovery.dropped_bytes
-        );
-    }
-    let mut specs: HashMap<u64, &Json> = HashMap::new();
-    let mut cell_runs: HashMap<u64, Vec<&Json>> = HashMap::new();
-    let mut finished: HashSet<u64> = HashSet::new();
-    for record in &recovery.records {
-        match record {
-            JournalRecord::Accepted { sweep, spec } => {
-                specs.insert(*sweep, spec);
-            }
-            JournalRecord::Cell { sweep, run } => {
-                cell_runs.entry(*sweep).or_default().push(run);
-            }
-            JournalRecord::Done { sweep, .. } => {
-                finished.insert(*sweep);
-            }
-        }
-    }
-    let mut unfinished: Vec<u64> = specs
-        .keys()
-        .filter(|sweep| !finished.contains(sweep))
-        .copied()
-        .collect();
-    unfinished.sort_unstable();
-    for id in unfinished {
-        let spec = match SweepSpec::from_json(specs[&id]) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("dice-fabric-coordinator: journaled spec {id:016x} unusable: {e}");
-                shared.count("fabric.journal.replay_errors");
-                continue;
-            }
-        };
-        // Last write wins per cell: a crash between append and ack can
-        // journal the same cell twice with identical payloads.
-        let mut done_cells: HashMap<(String, String), CellOutcome> = HashMap::new();
-        for run in cell_runs.get(&id).into_iter().flatten() {
-            match parse_run_object(run) {
-                Ok((tag, workload, outcome)) => {
-                    done_cells.insert((tag, workload), outcome);
-                }
-                Err(e) => {
-                    eprintln!("dice-fabric-coordinator: journaled cell of {id:016x} unusable: {e}");
-                    shared.count("fabric.journal.replay_errors");
-                }
-            }
-        }
-        let cells = spec.to_cells();
-        {
-            let mut jobs = shared.jobs.lock().expect("jobs poisoned");
-            jobs.insert(
-                id,
-                FabricJob {
-                    cells: cells.len(),
-                    spec: spec.clone(),
-                    state: JobState::Running,
-                    body: None,
-                    error: None,
-                    summary: None,
-                    degraded: None,
-                    coalesced: 0,
-                    events: Vec::new(),
-                    trace: None,
-                },
-            );
-        }
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        shared.count("fabric.journal.recovered_sweeps");
-        shared.count_by("fabric.journal.recovered_cells", done_cells.len() as u64);
-        let worker_shared = Arc::clone(shared);
-        let thread = std::thread::spawn(move || {
-            run_fabric_sweep(&worker_shared, id, &spec, cells, done_cells);
-            worker_shared.active.fetch_sub(1, Ordering::SeqCst);
-        });
-        shared
-            .threads
-            .lock()
-            .expect("threads poisoned")
-            .push(thread);
-    }
-}
-
-fn accepted(id: u64, coalesced: bool, state: JobState) -> Response {
-    Response::json(
-        202,
-        Json::Obj(vec![
-            ("id".into(), Json::str(format!("{id:016x}"))),
-            ("state".into(), Json::str(state.as_str())),
-            ("coalesced".into(), Json::Bool(coalesced)),
-        ])
-        .render(),
-    )
-}
-
-/// `GET /v1/sweeps/:id[/report|/trace]` — same shapes as `dice-serve`.
-fn sweep_get(path: &str, shared: &Arc<Shared>) -> Response {
-    let rest = path.trim_start_matches("/v1/sweeps/");
-    let (id_text, want) = if let Some(id) = rest.strip_suffix("/report") {
-        (id, Some("report"))
-    } else if let Some(id) = rest.strip_suffix("/trace") {
-        (id, Some("trace"))
-    } else {
-        (rest, None)
-    };
-    let Ok(id) = u64::from_str_radix(id_text, 16) else {
-        return Response::error(400, "job id must be hex");
-    };
-    let jobs = shared.jobs.lock().expect("jobs poisoned");
-    let Some(job) = jobs.get(&id) else {
-        return Response::error(404, "no such job");
-    };
-    match want {
-        Some(doc) => {
-            let body = if doc == "report" {
-                &job.body
-            } else {
-                &job.trace
-            };
-            match (body, job.state) {
-                (Some(body), JobState::Done) => Response::json(200, body.as_str()),
-                (_, JobState::Failed) => Response::error(500, "sweep failed"),
-                (_, JobState::Cancelled) => Response::error(409, "sweep cancelled"),
-                (_, _) => Response::error(409, "sweep not finished"),
-            }
-        }
-        None => {
-            let mut pairs = vec![
-                ("id".to_owned(), Json::str(format!("{id:016x}"))),
-                ("state".to_owned(), Json::str(job.state.as_str())),
-                ("cells".to_owned(), Json::u64(job.cells as u64)),
-                ("coalesced".to_owned(), Json::u64(job.coalesced)),
-                ("spec".to_owned(), job.spec.to_json()),
-            ];
-            if let Some(summary) = &job.summary {
-                pairs.push(("summary".to_owned(), Json::str(summary)));
-            }
-            if let Some(error) = &job.error {
-                pairs.push(("error".to_owned(), Json::str(error)));
-            }
-            if let Some(degraded) = &job.degraded {
-                pairs.push(("degraded".to_owned(), Json::str(degraded)));
-            }
-            Response::json(200, Json::Obj(pairs).render())
-        }
+        let capacity = config.capacity;
+        let scatter = Arc::new(Scatter::new(config, net.metrics())?);
+        let queue = JobQueue::start(capacity, capacity, Arc::clone(&scatter) as _, net.metrics());
+        let routes = Arc::new(move |request: &Request| scatter.route(request));
+        Ok(Server::new(net, "dice-fabric", queue, Some(routes)))
     }
 }
 
@@ -907,9 +626,9 @@ struct Item {
     key: u64,
     /// Nodes that answered with a cell-level failure for this cell.
     tried: Vec<String>,
-    /// Last worker-reported failure, kept if every retry avenue runs out.
-    fallback: Option<CellOutcome>,
-    fallback_node: Option<String>,
+    /// Last worker-reported failure and the node that reported it, kept
+    /// if every retry avenue runs out.
+    fallback: Option<(CellOutcome, String)>,
     outcome: Option<CellOutcome>,
 }
 
@@ -941,424 +660,377 @@ fn fetch_cell(addr: &str, body: &str, timeout: Duration) -> Fetch {
     }
 }
 
-/// Dispatches one cell with optional hedging: if the primary worker has
-/// not answered within `hedge_after`, a duplicate goes to the hedge
-/// target and the first usable (200 + body) response wins. Returns the
-/// node whose response was used.
-fn dispatch_cell(
-    shared: &Arc<Shared>,
-    body: &str,
-    node: &str,
-    addr: &str,
-    hedge: Option<&(String, String)>,
-) -> (String, Fetch) {
-    let timeout = shared.cfg.cell_timeout;
-    let (Some(delay), Some((hedge_node, hedge_addr))) = (shared.cfg.hedge_after, hedge) else {
-        return (node.to_owned(), fetch_cell(addr, body, timeout));
-    };
-    let (tx, rx) = mpsc::channel::<Fetch>();
-    let primary_addr = addr.to_owned();
-    let primary_body = body.to_owned();
-    std::thread::spawn(move || {
-        let _ = tx.send(fetch_cell(&primary_addr, &primary_body, timeout));
-    });
-    match rx.recv_timeout(delay) {
-        Ok(fetch) => (node.to_owned(), fetch),
-        Err(mpsc::RecvTimeoutError::Disconnected) => (node.to_owned(), Fetch::Transport),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            shared.count("fabric.hedge.dispatched");
-            let hedged = fetch_cell(hedge_addr, body, timeout);
-            // The primary may have raced us while the hedge ran; a real
-            // answer from it beats anything, a real answer from the
-            // hedge beats waiting.
-            if let Ok(fetch @ Fetch::Body(_)) = rx.try_recv() {
-                return (node.to_owned(), fetch);
-            }
-            if matches!(hedged, Fetch::Body(_)) {
-                shared.count("fabric.hedge.wins");
-                return (hedge_node.clone(), hedged);
-            }
-            match rx.recv_timeout(timeout) {
-                Ok(fetch) => (node.to_owned(), fetch),
-                Err(_) => (node.to_owned(), Fetch::Transport),
-            }
-        }
-    }
-}
-
 /// One planned dispatch: `(item index, node, addr, hedge (node, addr))`.
 type Assignment = (usize, String, String, Option<(String, String)>);
 
-/// Runs one sweep: scatter rounds until every unique cell has an
-/// outcome, then reassemble and render through [`render_runs`].
-/// `resume` carries journal-replayed outcomes keyed by `(tag,
-/// workload)`; those cells are never re-dispatched.
-fn run_fabric_sweep(
-    shared: &Arc<Shared>,
-    id: u64,
-    spec: &SweepSpec,
-    cells: Vec<Cell>,
-    mut resume: HashMap<(String, String), CellOutcome>,
-) {
-    {
-        let mut jobs = shared.jobs.lock().expect("jobs poisoned");
-        if let Some(job) = jobs.get_mut(&id) {
-            job.state = JobState::Running;
-        }
+impl Scatter {
+    /// Applies `f` to node `name`'s membership entry, if there is one.
+    fn node<T>(&self, name: &str, f: impl FnOnce(&mut Node) -> T) -> Option<T> {
+        let mut m = self.membership.lock().expect("membership poisoned");
+        m.node_mut(name).map(f)
     }
-    let started = Instant::now();
-    let ctx = TraceCtx::enabled();
-    let sweep_name = format!("fabric sweep {id:016x}");
-    let root = ctx.span(&sweep_name, None).expect("enabled context");
 
-    // Dedupe duplicate memo keys up front, exactly like the runner does
-    // (first declaration wins; the count feeds the summary line).
-    let declared = cells.len();
-    let mut seen = std::collections::HashSet::new();
-    let mut items: Vec<Item> = Vec::with_capacity(cells.len());
-    let mut replayed = 0usize;
-    for cell in cells {
-        if !seen.insert(cell.memo_key()) {
-            continue;
-        }
-        let key = cell_key(&cell.cfg, &cell.workload);
-        // A journal-replayed outcome settles the cell without dispatch
-        // (and without re-journaling it).
-        let outcome = resume.remove(&cell.memo_key());
-        replayed += usize::from(outcome.is_some());
-        items.push(Item {
-            cell,
-            key,
-            tried: Vec::new(),
-            fallback: None,
-            fallback_node: None,
-            outcome,
+    /// Dispatches one cell with optional hedging: if the primary worker has
+    /// not answered within `hedge_after`, a duplicate goes to the hedge
+    /// target and the first usable (200 + body) response wins. Returns the
+    /// node whose response was used.
+    fn dispatch_cell(
+        &self,
+        body: &str,
+        node: &str,
+        addr: &str,
+        hedge: Option<&(String, String)>,
+    ) -> (String, Fetch) {
+        let timeout = self.cfg.cell_timeout;
+        let (Some(delay), Some((hedge_node, hedge_addr))) = (self.cfg.hedge_after, hedge) else {
+            return (node.to_owned(), fetch_cell(addr, body, timeout));
+        };
+        let (tx, rx) = mpsc::channel::<Fetch>();
+        let primary_addr = addr.to_owned();
+        let primary_body = body.to_owned();
+        std::thread::spawn(move || {
+            let _ = tx.send(fetch_cell(&primary_addr, &primary_body, timeout));
         });
-    }
-    let deduped = declared - items.len();
-    let total = items.len();
-    let mut seq = 0usize;
-    if replayed > 0 {
-        let event = Json::Obj(vec![
-            ("event".into(), Json::str("resumed")),
-            ("replayed".into(), Json::u64(replayed as u64)),
-            ("total".into(), Json::u64(total as u64)),
-        ])
-        .render();
-        shared.push_event(id, event);
+        match rx.recv_timeout(delay) {
+            Ok(fetch) => (node.to_owned(), fetch),
+            Err(mpsc::RecvTimeoutError::Disconnected) => (node.to_owned(), Fetch::Transport),
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                self.count("fabric.hedge.dispatched");
+                let hedged = fetch_cell(hedge_addr, body, timeout);
+                // The primary may have raced us while the hedge ran; a real
+                // answer from it beats anything, a real answer from the
+                // hedge beats waiting.
+                if let Ok(fetch @ Fetch::Body(_)) = rx.try_recv() {
+                    return (node.to_owned(), fetch);
+                }
+                if matches!(hedged, Fetch::Body(_)) {
+                    self.count("fabric.hedge.wins");
+                    return (hedge_node.clone(), hedged);
+                }
+                match rx.recv_timeout(timeout) {
+                    Ok(fetch) => (node.to_owned(), fetch),
+                    Err(_) => (node.to_owned(), Fetch::Transport),
+                }
+            }
+        }
     }
 
-    let mut backoff = JitteredBackoff::new(shared.cfg.backoff, shared.cfg.backoff_cap, id);
-    let mut round = 0usize;
-    loop {
-        let pending: Vec<usize> = (0..items.len())
-            .filter(|&i| items[i].outcome.is_none())
-            .collect();
-        if pending.is_empty() {
-            break;
+    /// Runs one sweep: scatter rounds until every unique cell has an
+    /// outcome, then the outcomes reassembled into exactly the structure
+    /// a direct runner invocation produces. `replayed` carries the
+    /// journal's outcomes; those cells are never re-dispatched.
+    fn scatter(&self, run: SweepRun, mut replayed: Replayed) -> Executed {
+        let SweepRun {
+            id,
+            spec,
+            trace,
+            parent,
+            events,
+            ..
+        } = run;
+        let started = Instant::now();
+
+        // Dedupe duplicate memo keys up front, exactly like the runner does
+        // (first declaration wins; the count feeds the summary line).
+        let cells = spec.to_cells();
+        let declared = cells.len();
+        let mut seen = HashSet::new();
+        let mut items: Vec<Item> = Vec::with_capacity(declared);
+        let mut resumed = 0usize;
+        for cell in cells {
+            if !seen.insert(cell.memo_key()) {
+                continue;
+            }
+            let key = cell_key(&cell.cfg, &cell.workload);
+            // A journal-replayed outcome settles the cell without dispatch
+            // (and without re-journaling it).
+            let outcome = replayed.remove(&cell.memo_key());
+            resumed += usize::from(outcome.is_some());
+            items.push(Item {
+                cell,
+                key,
+                tried: Vec::new(),
+                fallback: None,
+                outcome,
+            });
         }
-        if round > shared.cfg.retry_rounds {
+        let deduped = declared - items.len();
+        let total = items.len();
+        let mut gather = Gather {
+            scatter: self,
+            id,
+            events,
+            total,
+            seq: 0,
+        };
+        if resumed > 0 {
+            let event = Json::Obj(vec![
+                ("event".into(), Json::str("resumed")),
+                ("replayed".into(), Json::u64(resumed as u64)),
+                ("total".into(), Json::u64(total as u64)),
+            ])
+            .render();
+            gather.events.push(event);
+        }
+
+        let mut backoff = JitteredBackoff::new(self.cfg.backoff, self.cfg.backoff_cap, id);
+        let mut round = 0usize;
+        loop {
+            let pending: Vec<usize> = (0..items.len())
+                .filter(|&i| items[i].outcome.is_none())
+                .collect();
+            if pending.is_empty() {
+                break;
+            }
+            if round > self.cfg.retry_rounds {
+                for idx in pending {
+                    gather.fall_back(&mut items[idx]);
+                }
+                break;
+            }
+            if round > 0 {
+                self.count("fabric.rescatter_rounds");
+                // Decorrelated jitter, seeded by the sweep id: concurrent
+                // sweeps retrying after the same worker failure wake at
+                // different instants instead of storming the survivors.
+                std::thread::sleep(backoff.next_delay());
+            }
+            // Give tripped breakers whose open interval has expired their
+            // half-open probe, so nodes can rejoin the ring mid-sweep.
+            self.probe_due_breakers();
+
+            let (ring, addrs) = self
+                .membership
+                .lock()
+                .expect("membership poisoned")
+                .snapshot();
+            let mut assignments: Vec<Assignment> = Vec::new();
             for idx in pending {
-                let outcome = items[idx].fallback.take().unwrap_or(CellOutcome::Failed {
-                    error: SYNTHETIC_ERROR.to_owned(),
-                });
-                let node = items[idx].fallback_node.take().unwrap_or_default();
-                finalize(shared, id, total, &mut seq, &mut items[idx], outcome, &node);
-            }
-            break;
-        }
-        if round > 0 {
-            shared.count("fabric.rescatter_rounds");
-            // Decorrelated jitter, seeded by the sweep id: concurrent
-            // sweeps retrying after the same worker failure wake at
-            // different instants instead of storming the survivors.
-            std::thread::sleep(backoff.next_delay());
-        }
-        // Give tripped breakers whose open interval has expired their
-        // half-open probe, so nodes can rejoin the ring mid-sweep.
-        shared.probe_due_breakers();
-
-        let (ring, addrs) = shared
-            .membership
-            .lock()
-            .expect("membership poisoned")
-            .snapshot();
-        let mut assignments: Vec<Assignment> = Vec::new();
-        for idx in pending {
-            let tried: Vec<&str> = items[idx].tried.iter().map(String::as_str).collect();
-            let placed = ring
-                .owner_excluding(items[idx].key, &tried)
-                .and_then(|node| addrs.get(node).map(|addr| (node.to_owned(), addr.clone())));
-            match placed {
-                Some((node, addr)) => {
-                    // The hedge target is the next distinct owner — the
-                    // node a re-scatter would pick anyway, just asked
-                    // `hedge_after` early.
-                    let hedge = shared.cfg.hedge_after.and_then(|_| {
-                        let mut excluded = tried.clone();
-                        excluded.push(node.as_str());
-                        ring.owner_excluding(items[idx].key, &excluded)
-                            .and_then(|h| addrs.get(h).map(|haddr| (h.to_owned(), haddr.clone())))
-                    });
-                    assignments.push((idx, node, addr, hedge));
-                }
-                None => {
-                    // Every surviving node already failed this cell (or
-                    // the ring is empty): keep the worker-reported
-                    // outcome — it is what a direct run would render.
-                    let outcome = items[idx].fallback.take().unwrap_or(CellOutcome::Failed {
-                        error: SYNTHETIC_ERROR.to_owned(),
-                    });
-                    let node = items[idx].fallback_node.take().unwrap_or_default();
-                    finalize(shared, id, total, &mut seq, &mut items[idx], outcome, &node);
-                }
-            }
-        }
-        if assignments.is_empty() {
-            round += 1;
-            continue;
-        }
-
-        let round_span = ctx.span(&format!("scatter round {round}"), Some(root.id()));
-        let parent = round_span.as_ref().map(dice_obs::SpanGuard::id);
-        let next = AtomicUsize::new(0);
-        let width = shared.cfg.scatter_width.clamp(1, assignments.len());
-        let (tx, rx) = mpsc::channel::<(usize, String, Fetch)>();
-        let mut results: Vec<(usize, String, Fetch)> = Vec::with_capacity(assignments.len());
-        std::thread::scope(|s| {
-            for _ in 0..width {
-                let tx = tx.clone();
-                let next = &next;
-                let assignments = &assignments;
-                let items = &items;
-                let ctx = ctx.clone();
-                s.spawn(move || loop {
-                    let slot = next.fetch_add(1, Ordering::SeqCst);
-                    let Some((idx, node, addr, hedge)) = assignments.get(slot) else {
-                        break;
-                    };
-                    let cell = &items[*idx].cell;
-                    let _span = ctx.span(
-                        &format!("cell:{}/{}@{}", cell.tag, cell.workload.name, node),
-                        parent,
-                    );
-                    let body = cell_spec(spec, &cell.tag, &cell.workload.name);
-                    let (used, fetch) = dispatch_cell(shared, &body, node, addr, hedge.as_ref());
-                    if tx.send((slot, used, fetch)).is_err() {
-                        break;
+                let tried: Vec<&str> = items[idx].tried.iter().map(String::as_str).collect();
+                let placed = ring
+                    .owner_excluding(items[idx].key, &tried)
+                    .and_then(|node| addrs.get(node).map(|addr| (node.to_owned(), addr.clone())));
+                match placed {
+                    Some((node, addr)) => {
+                        // The hedge target is the next distinct owner — the
+                        // node a re-scatter would pick anyway, just asked
+                        // `hedge_after` early.
+                        let hedge = self.cfg.hedge_after.and_then(|_| {
+                            let mut excluded = tried.clone();
+                            excluded.push(node.as_str());
+                            ring.owner_excluding(items[idx].key, &excluded)
+                                .and_then(|h| {
+                                    addrs.get(h).map(|haddr| (h.to_owned(), haddr.clone()))
+                                })
+                        });
+                        assignments.push((idx, node, addr, hedge));
                     }
-                });
-            }
-            drop(tx);
-            for msg in rx {
-                results.push(msg);
-            }
-        });
-        drop(round_span);
-
-        for (slot, node, fetch) in results {
-            let (idx, _, _, _) = &assignments[slot];
-            shared.count_node("fabric.cells_dispatched", &node);
-            {
-                let mut m = shared.membership.lock().expect("membership poisoned");
-                if let Some(n) = m.node_mut(&node) {
-                    n.dispatched += 1;
+                    // Every surviving node already failed this cell (or
+                    // the ring is empty).
+                    None => gather.fall_back(&mut items[idx]),
                 }
             }
-            let addr = {
-                let m = shared.membership.lock().expect("membership poisoned");
-                m.nodes
-                    .iter()
-                    .find(|n| n.name == node)
-                    .map(|n| n.addr.clone())
-                    .unwrap_or_default()
-            };
-            apply_fetch(
-                shared,
-                id,
-                total,
-                &mut seq,
-                &mut items[*idx],
-                &node,
-                &addr,
-                fetch,
-            );
-        }
-        round += 1;
-    }
+            if assignments.is_empty() {
+                round += 1;
+                continue;
+            }
 
-    // Reassemble exactly the structure a direct runner invocation
-    // produces and render through the same code path. Cells whose final
-    // outcome the fabric had to synthesize (`fabric:` errors) make the
-    // sweep *degraded*: it still terminates with a typed reason instead
-    // of hanging or passing off non-canonical bytes as canonical.
-    let mut outcomes = BTreeMap::new();
-    let mut retried = 0usize;
-    let mut synthetic = 0usize;
-    for item in &mut items {
-        retried += item.tried.len();
-        let outcome = item.outcome.take().unwrap_or(CellOutcome::Failed {
-            error: "fabric: cell never gathered".to_owned(),
+            let round_span = trace.span(&format!("scatter round {round}"), Some(parent));
+            let round_id = round_span.as_ref().map(dice_obs::SpanGuard::id);
+            let next = AtomicUsize::new(0);
+            let width = self.cfg.scatter_width.clamp(1, assignments.len());
+            let (tx, rx) = mpsc::channel::<(usize, String, Fetch)>();
+            let mut results: Vec<(usize, String, Fetch)> = Vec::with_capacity(assignments.len());
+            std::thread::scope(|s| {
+                for _ in 0..width {
+                    let tx = tx.clone();
+                    let next = &next;
+                    let assignments = &assignments;
+                    let items = &items;
+                    let trace = &trace;
+                    let spec = &spec;
+                    s.spawn(move || loop {
+                        let slot = next.fetch_add(1, Ordering::SeqCst);
+                        let Some((idx, node, addr, hedge)) = assignments.get(slot) else {
+                            break;
+                        };
+                        let cell = &items[*idx].cell;
+                        let _span = trace.span(
+                            &format!("cell:{}/{}@{}", cell.tag, cell.workload.name, node),
+                            round_id,
+                        );
+                        let body = cell_spec(spec, &cell.tag, &cell.workload.name);
+                        let (used, fetch) = self.dispatch_cell(&body, node, addr, hedge.as_ref());
+                        if tx.send((slot, used, fetch)).is_err() {
+                            break;
+                        }
+                    });
+                }
+                drop(tx);
+                for msg in rx {
+                    results.push(msg);
+                }
+            });
+            drop(round_span);
+
+            for (slot, node, fetch) in results {
+                let idx = assignments[slot].0;
+                self.count_node("fabric.cells_dispatched", &node);
+                let addr = self
+                    .node(&node, |n| {
+                        n.dispatched += 1;
+                        n.addr.clone()
+                    })
+                    .unwrap_or_default();
+                gather.apply(&mut items[idx], &node, &addr, fetch);
+            }
+            round += 1;
+        }
+
+        // Cells whose final outcome the fabric had to synthesize
+        // (`fabric:` errors) make the sweep *degraded*: it still
+        // terminates with a typed reason instead of hanging or passing off
+        // non-canonical bytes as canonical.
+        let mut outcomes = BTreeMap::new();
+        let mut retried = 0usize;
+        let mut synthetic = 0usize;
+        for item in &mut items {
+            retried += item.tried.len();
+            let outcome = item.outcome.take().unwrap_or(CellOutcome::Failed {
+                error: "fabric: cell never gathered".to_owned(),
+            });
+            if matches!(&outcome, CellOutcome::Failed { error } if error.starts_with("fabric:")) {
+                synthetic += 1;
+            }
+            outcomes.insert(item.cell.memo_key(), outcome);
+        }
+        let degraded = (synthetic > 0).then(|| {
+            format!("{synthetic} of {total} cells completed on no live worker (fabric-synthesized failures)")
         });
-        if matches!(&outcome, CellOutcome::Failed { error } if error.starts_with("fabric:")) {
-            synthetic += 1;
+        self.journal_append(&JournalRecord::Done {
+            sweep: id,
+            degraded: degraded.clone(),
+        });
+        Executed {
+            result: SweepResult {
+                outcomes,
+                deduped,
+                jobs: self.cfg.scatter_width,
+                wall: started.elapsed(),
+                cell_wall_ms: Histogram::new(),
+                retried,
+                cache_discarded: 0,
+                cancelled: 0,
+                steals: 0,
+                tail_idle_ms: 0,
+            },
+            degraded,
         }
-        outcomes.insert(item.cell.memo_key(), outcome);
-    }
-    let degraded = (synthetic > 0).then(|| {
-        format!("{synthetic} of {total} cells completed on no live worker (fabric-synthesized failures)")
-    });
-    let result = SweepResult {
-        outcomes,
-        deduped,
-        jobs: shared.cfg.scatter_width,
-        wall: started.elapsed(),
-        cell_wall_ms: Histogram::new(),
-        retried,
-        cache_discarded: 0,
-        cancelled: 0,
-        steals: 0,
-        tail_idle_ms: 0,
-    };
-    let body = render_runs(&result).render();
-    let summary = result.summary();
-    drop(root);
-    let trace = merge_chrome(vec![ctx.export_chrome(&sweep_name, 0)]).render();
-
-    {
-        let mut reg = shared.metrics.lock().expect("metrics poisoned");
-        let mid = reg.counter("fabric.sweeps_completed");
-        reg.inc(mid);
-        if degraded.is_some() {
-            let did = reg.counter("fabric.sweeps_degraded");
-            reg.inc(did);
-        }
-        let hist = reg.histogram("fabric.sweep_wall_ms");
-        reg.observe(hist, started.elapsed().as_millis() as u64);
-    }
-    shared.journal_append(&JournalRecord::Done {
-        sweep: id,
-        degraded: degraded.clone(),
-    });
-    let mut jobs = shared.jobs.lock().expect("jobs poisoned");
-    if let Some(job) = jobs.get_mut(&id) {
-        job.state = JobState::Done;
-        job.body = Some(Arc::new(body));
-        job.summary = Some(summary);
-        job.degraded = degraded;
-        job.trace = Some(Arc::new(trace));
     }
 }
 
-/// Applies one gather result to its item and the membership table.
-#[allow(clippy::too_many_arguments)]
-fn apply_fetch(
-    shared: &Arc<Shared>,
+/// One sweep's gather state: finalized cells are journaled and announced
+/// on the job's event log in completion order.
+struct Gather<'a> {
+    scatter: &'a Scatter,
     id: u64,
+    events: EventLog,
     total: usize,
-    seq: &mut usize,
-    item: &mut Item,
-    node: &str,
-    addr: &str,
-    fetch: Fetch,
-) {
-    match fetch {
-        Fetch::Transport | Fetch::BadBody => shared.dispatch_failed(node),
-        Fetch::Status(503) => {
-            // Draining worker or merely a full accept backlog — probe to
-            // tell them apart. A draining node leaves the ring (its
-            // in-flight cells still answer); a busy one stays and the
-            // cell simply retries next round.
-            let draining = !matches!(
-                http_probe(addr, "/healthz", shared.cfg.probe_connect, shared.cfg.probe_read),
-                Ok(ref r) if r.status == 200
-            );
-            if draining {
-                let mut m = shared.membership.lock().expect("membership poisoned");
-                m.retire(node, NodeState::Draining);
+    seq: usize,
+}
+
+impl Gather<'_> {
+    /// Applies one gather result to its item and the membership table.
+    fn apply(&mut self, item: &mut Item, node: &str, addr: &str, fetch: Fetch) {
+        let scatter = self.scatter;
+        match fetch {
+            Fetch::Transport | Fetch::BadBody => scatter.dispatch_failed(node),
+            Fetch::Status(503) => {
+                // Draining worker or merely a full accept backlog — probe to
+                // tell them apart. A draining node leaves the ring (its
+                // in-flight cells still answer); a busy one stays and the
+                // cell simply retries next round.
+                let cfg = &scatter.cfg;
+                let draining = !matches!(
+                    http_probe(addr, "/healthz", cfg.probe_connect, cfg.probe_read),
+                    Ok(ref r) if r.status == 200
+                );
+                if draining {
+                    let mut m = scatter.membership.lock().expect("membership poisoned");
+                    m.retire(node, NodeState::Draining);
+                }
             }
-        }
-        Fetch::Status(_) => shared.dispatch_failed(node),
-        Fetch::Body(doc) => {
-            // Two gates before the body is believed: the envelope
-            // checksum (bytes arrived as sent) and the cell identity
-            // (the worker answered for the right cell).
-            let expected = item.cell.memo_key();
-            let parsed = open_run_object(&doc).and_then(parse_run_object);
-            match parsed {
-                Ok((tag, wl, outcome)) if tag == expected.0 && wl == expected.1 => {
-                    shared.dispatch_answered(node);
-                    match outcome {
-                        CellOutcome::Completed { .. } => {
-                            {
-                                let mut m = shared.membership.lock().expect("membership poisoned");
-                                if let Some(n) = m.node_mut(node) {
-                                    n.completed += 1;
-                                }
-                            }
-                            shared.count_node("fabric.cells_completed", node);
-                            finalize(shared, id, total, seq, item, outcome, node);
-                        }
-                        CellOutcome::Failed { .. } | CellOutcome::TimedOut { .. } => {
+            Fetch::Status(_) => scatter.dispatch_failed(node),
+            Fetch::Body(doc) => {
+                // Two gates before the body is believed: the envelope
+                // checksum (bytes arrived as sent) and the cell identity
+                // (the worker answered for the right cell).
+                let expected = item.cell.memo_key();
+                let parsed = open_run_object(&doc).and_then(parse_run_object);
+                match parsed {
+                    Ok((tag, wl, outcome)) if tag == expected.0 && wl == expected.1 => {
+                        scatter.dispatch_answered(node);
+                        if let CellOutcome::Completed { .. } = outcome {
+                            scatter.node(node, |n| n.completed += 1);
+                            scatter.count_node("fabric.cells_completed", node);
+                            self.finalize(item, outcome, node);
+                        } else {
                             // Cell-level failure: remember it, try the next
                             // distinct surviving node next round.
-                            {
-                                let mut m = shared.membership.lock().expect("membership poisoned");
-                                if let Some(n) = m.node_mut(node) {
-                                    n.failed += 1;
-                                }
-                            }
-                            shared.count_node("fabric.cells_failed", node);
+                            scatter.node(node, |n| n.failed += 1);
+                            scatter.count_node("fabric.cells_failed", node);
                             item.tried.push(node.to_owned());
-                            item.fallback = Some(outcome);
-                            item.fallback_node = Some(node.to_owned());
+                            item.fallback = Some((outcome, node.to_owned()));
                         }
                     }
-                }
-                // Wrong cell, bad checksum, or unparseable: protocol
-                // violation — a dispatch failure for the breaker.
-                _ => {
-                    shared.count("fabric.envelope_rejected");
-                    shared.dispatch_failed(node);
+                    // Wrong cell, bad checksum, or unparseable: protocol
+                    // violation — a dispatch failure for the breaker.
+                    _ => {
+                        scatter.count("fabric.envelope_rejected");
+                        scatter.dispatch_failed(node);
+                    }
                 }
             }
         }
     }
-}
 
-/// Records a final outcome for an item, journals it, and emits its
-/// progress event.
-fn finalize(
-    shared: &Arc<Shared>,
-    id: u64,
-    total: usize,
-    seq: &mut usize,
-    item: &mut Item,
-    outcome: CellOutcome,
-    node: &str,
-) {
-    // Journal before the in-memory finalize: a crash between the two
-    // replays the cell (idempotent), the reverse order would lose it.
-    shared.journal_append(&JournalRecord::Cell {
-        sweep: id,
-        run: render_run_object(&item.cell.tag, &item.cell.workload.name, &outcome),
-    });
-    *seq += 1;
-    let status = match &outcome {
-        CellOutcome::Completed { .. } => "completed",
-        CellOutcome::Failed { .. } => "failed",
-        CellOutcome::TimedOut { .. } => "timed_out",
-    };
-    let event = Json::Obj(vec![
-        ("event".into(), Json::str("cell")),
-        ("seq".into(), Json::u64(*seq as u64)),
-        ("total".into(), Json::u64(total as u64)),
-        ("tag".into(), Json::str(&item.cell.tag)),
-        ("workload".into(), Json::str(&item.cell.workload.name)),
-        ("status".into(), Json::str(status)),
-        ("node".into(), Json::str(node)),
-    ])
-    .render();
-    shared.push_event(id, event);
-    item.outcome = Some(outcome);
+    /// Settles an item no live worker will still complete: its last
+    /// worker-reported outcome (what a direct run would render), or a
+    /// synthesized failure if no worker ever completed it.
+    fn fall_back(&mut self, item: &mut Item) {
+        let (outcome, node) = item.fallback.take().unwrap_or_else(|| {
+            let error = SYNTHETIC_ERROR.to_owned();
+            (CellOutcome::Failed { error }, String::new())
+        });
+        self.finalize(item, outcome, &node);
+    }
+
+    /// Records a final outcome for an item, journals it, and emits its
+    /// progress event.
+    fn finalize(&mut self, item: &mut Item, outcome: CellOutcome, node: &str) {
+        // Journal before the in-memory finalize: a crash between the two
+        // replays the cell (idempotent), the reverse order would lose it.
+        self.scatter.journal_append(&JournalRecord::Cell {
+            sweep: self.id,
+            run: render_run_object(&item.cell.tag, &item.cell.workload.name, &outcome),
+        });
+        self.seq += 1;
+        let status = match &outcome {
+            CellOutcome::Completed { .. } => "completed",
+            CellOutcome::Failed { .. } => "failed",
+            CellOutcome::TimedOut { .. } => "timed_out",
+        };
+        let event = Json::Obj(vec![
+            ("event".into(), Json::str("cell")),
+            ("seq".into(), Json::u64(self.seq as u64)),
+            ("total".into(), Json::u64(self.total as u64)),
+            ("tag".into(), Json::str(&item.cell.tag)),
+            ("workload".into(), Json::str(&item.cell.workload.name)),
+            ("status".into(), Json::str(status)),
+            ("node".into(), Json::str(node)),
+        ])
+        .render();
+        self.events.push(event);
+        item.outcome = Some(outcome);
+    }
 }

@@ -1,14 +1,14 @@
 //! `dice-fabric`: the DICE sweep harness as a sharded fabric.
 //!
-//! One **coordinator** speaks the same sweep API as `dice-serve`
-//! (`POST /v1/sweeps`, status/report/trace, SSE progress) but executes
-//! nothing locally: it expands the spec to cells, places each cell on a
-//! **worker** via a consistent-hash ring with virtual nodes
-//! ([`ring::HashRing`], keyed by the order-independent
-//! [`dice_runner::cell_key`]), and gathers the per-cell run objects back
-//! into a report **byte-identical** to what a direct single-node
-//! `dice-runner` invocation renders — that identity is the fabric's
-//! correctness contract, `cmp`-checked in CI.
+//! One **coordinator** is `dice-serve`'s sweep service — its job queue
+//! and HTTP layer (`POST /v1/sweeps`, status/report/trace, SSE progress)
+//! — with a scatter executor in place of the local runner: it expands
+//! the spec to cells, places each cell on a **worker** via a
+//! consistent-hash ring with virtual nodes ([`ring::HashRing`], keyed by
+//! the order-independent [`dice_runner::cell_key`]), and gathers the
+//! per-cell run objects back into a report **byte-identical** to what a
+//! direct single-node `dice-runner` invocation renders — that identity
+//! is the fabric's correctness contract, `cmp`-checked in CI.
 //!
 //! Workers are thin: one `POST /v1/cells` runs one cell through the
 //! runner engine and its local persistent cache. Worker death and

@@ -4,8 +4,9 @@
 //! **single-cell** [`SweepSpec`] (`orgs` and `workloads` each hold
 //! exactly one entry) — reusing the validated spec grammar means a worker
 //! rejects malformed cells with the same errors `dice-serve` would. The
-//! response body is the cell's *run object*, exactly the element
-//! [`render_runs`] would place in the canonical document:
+//! response body is the cell's *run object*, rendered by
+//! [`render_run_object`] — the function `dice-serve`'s `render_runs`
+//! builds the canonical document from:
 //!
 //! ```json
 //! {"tag": "dice36", "workload": "gcc", "report": { … }}
@@ -15,7 +16,8 @@
 //!
 //! [`RunReport::to_json`]/[`RunReport::from_json`] are lossless, so the
 //! coordinator can rebuild the [`CellOutcome`] and re-render the
-//! assembled sweep through the same [`render_runs`] code path a direct
+//! assembled sweep through the same
+//! [`render_runs`](dice_serve::render_runs) code path a direct
 //! single-node run uses — which is what makes fabric reports
 //! byte-identical to direct ones.
 //!
@@ -34,6 +36,7 @@ use std::time::Duration;
 
 use dice_obs::Json;
 use dice_runner::{fnv1a64, CellOutcome};
+pub use dice_serve::render_run_object;
 use dice_serve::SweepSpec;
 use dice_sim::RunReport;
 
@@ -50,31 +53,6 @@ pub fn cell_spec(spec: &SweepSpec, tag: &str, workload: &str) -> String {
         ("seed".into(), Json::u64(spec.seed)),
     ])
     .render()
-}
-
-/// Renders one run object — the worker's response body for a finished
-/// cell, identical to the element `render_runs` emits for it.
-#[must_use]
-pub fn render_run_object(tag: &str, workload: &str, outcome: &CellOutcome) -> Json {
-    let mut pairs = vec![
-        ("tag".to_owned(), Json::str(tag)),
-        ("workload".to_owned(), Json::str(workload)),
-    ];
-    match outcome {
-        CellOutcome::Completed { report, .. } => {
-            pairs.push(("report".to_owned(), report.to_json()));
-        }
-        CellOutcome::Failed { error } => {
-            pairs.push(("error".to_owned(), Json::str(error)));
-        }
-        CellOutcome::TimedOut { budget } => {
-            pairs.push((
-                "timed_out_ms".to_owned(),
-                Json::u64(budget.as_millis() as u64),
-            ));
-        }
-    }
-    Json::Obj(pairs)
 }
 
 /// Wraps a run object in the checksummed envelope a worker ships back:

@@ -19,10 +19,9 @@ use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use dice_core::{FaultKind, FaultPlan};
-use dice_obs::{render_prometheus, Json, MetricRegistry};
+use dice_obs::MetricRegistry;
 use dice_runner::{CellOutcome, Runner, RunnerConfig};
 use dice_serve::http::{Request, Response};
 use dice_serve::net::{Handled, NetConfig, NetServer};
@@ -75,7 +74,7 @@ impl WorkerHandle {
 struct WorkerShared {
     runner_cfg: RunnerConfig,
     inject: Option<FaultKind>,
-    metrics: Mutex<MetricRegistry>,
+    metrics: Arc<Mutex<MetricRegistry>>,
     draining: Arc<AtomicBool>,
 }
 
@@ -93,16 +92,13 @@ impl Worker {
     /// Propagates the bind failure.
     pub fn bind(config: WorkerConfig) -> io::Result<Worker> {
         let net = NetServer::bind(&config.net)?;
-        let draining = net.drain_flag();
-        Ok(Worker {
-            net,
-            shared: Arc::new(WorkerShared {
-                runner_cfg: config.runner,
-                inject: config.inject,
-                metrics: Mutex::new(MetricRegistry::new()),
-                draining,
-            }),
-        })
+        let shared = Arc::new(WorkerShared {
+            runner_cfg: config.runner,
+            inject: config.inject,
+            metrics: net.metrics(),
+            draining: net.drain_flag(),
+        });
+        Ok(Worker { net, shared })
     }
 
     /// The bound address (useful with `port: 0`).
@@ -131,58 +127,13 @@ impl Worker {
     pub fn run(&self) -> io::Result<()> {
         let shared = Arc::clone(&self.shared);
         let handler = Arc::new(move |request: &Request, _stream: &TcpStream| {
-            Handled::Respond(route(request, &shared))
+            Handled::Respond(match (request.method.as_str(), request.route()) {
+                ("POST", "/v1/cells") => run_cell(request, &shared),
+                (_, "/v1/cells") => Response::error(405, "method not allowed"),
+                _ => Response::error(404, "no such endpoint"),
+            })
         });
-        let shared = Arc::clone(&self.shared);
-        let observe = Arc::new(move |status: u16, _elapsed: Duration| {
-            let mut reg = shared.metrics.lock().expect("metrics poisoned");
-            let id = reg.counter("worker.http_requests");
-            reg.inc(id);
-            let id = reg.counter(match status {
-                200..=299 => "worker.http_2xx",
-                400..=499 => "worker.http_4xx",
-                _ => "worker.http_5xx",
-            });
-            reg.inc(id);
-        });
-        self.net.run(handler, Some(observe), None)
-    }
-}
-
-fn route(request: &Request, shared: &Arc<WorkerShared>) -> Response {
-    let path = request.path.split('?').next().unwrap_or("");
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => {
-            if shared.draining.load(Ordering::SeqCst) {
-                Response::error(503, "draining").with_header("Retry-After", "1")
-            } else {
-                Response::text(200, "ok\n")
-            }
-        }
-        ("GET", "/version") => Response::json(
-            200,
-            Json::Obj(vec![
-                ("name".into(), Json::str("dice-fabric-worker")),
-                ("version".into(), Json::str(env!("CARGO_PKG_VERSION"))),
-            ])
-            .render(),
-        ),
-        ("GET", "/metrics") => {
-            let reg = shared.metrics.lock().expect("metrics poisoned");
-            let body = render_prometheus(&reg);
-            drop(reg);
-            Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                extra: Vec::new(),
-                body: body.into_bytes(),
-            }
-        }
-        ("POST", "/v1/cells") => run_cell(request, shared),
-        (_, "/healthz" | "/version" | "/metrics" | "/v1/cells") => {
-            Response::error(405, "method not allowed")
-        }
-        _ => Response::error(404, "no such endpoint"),
+        self.net.run("dice-fabric-worker", handler)
     }
 }
 

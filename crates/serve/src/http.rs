@@ -42,6 +42,12 @@ impl Request {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
+
+    /// The path with any query string stripped — what routes match on.
+    #[must_use]
+    pub fn route(&self) -> &str {
+        self.path.split('?').next().unwrap_or("")
+    }
 }
 
 /// What went wrong reading a request, mapped to a response status.

@@ -1,5 +1,15 @@
-//! The sweep job queue: bounded admission, single-flight dedup, and a
-//! worker pool that drives [`dice_runner::Runner`].
+//! The sweep job queue: bounded admission, single-flight dedup, a byte
+//! budget on finished jobs, and a worker pool that runs each admitted
+//! sweep through a [`SweepExecutor`].
+//!
+//! The queue owns everything about a sweep except how its cells run: the
+//! job table, the per-sweep [`TraceCtx`] root and merged Chrome trace,
+//! the canonical report ([`render_runs`]) and summary, the progress-event
+//! log SSE readers replay, and the `serve.sweeps_*` metrics. A
+//! [`SweepExecutor`] runs the cells — [`JobQueue::new`]'s through
+//! [`dice_runner`] on this host, the fabric coordinator's on remote
+//! workers — and every report is rendered by this one code path,
+//! whichever executor ran it.
 //!
 //! Invariants the HTTP layer builds on:
 //!
@@ -11,23 +21,34 @@
 //!   running; beyond that [`JobQueue::submit`] answers
 //!   [`Submission::Overloaded`] (HTTP 429) immediately. The backlog can
 //!   never grow without bound.
+//! * **Bounded retention** — finished jobs (done, failed or cancelled)
+//!   keep their report, trace and events only while those bytes fit
+//!   [`FINISHED_BUDGET`]. The oldest-finished job is evicted first; a
+//!   queued or running job never is. An evicted id is unknown again, and
+//!   resubmitting it runs the sweep anew — the result caches answer it
+//!   with the same bytes.
 //! * **Graceful drain** — [`JobQueue::drain`] cancels jobs that have not
 //!   started, lets running sweeps finish (every completed cell is already
 //!   persisted by the runner's [`DiskCache`](dice_runner::DiskCache)),
 //!   and [`JobQueue::join`] waits for the workers to exit.
 //!   [`JobQueue::force_cancel`] additionally flips the cooperative
-//!   [`RunnerConfig::cancel`] flag so in-flight sweeps stop claiming
-//!   cells.
+//!   [`SweepRun::cancel`] flag so in-flight sweeps stop claiming cells.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
-use dice_obs::{merge_chrome, Json, MetricRegistry, TraceCtx};
-use dice_runner::{Cell, CellProgress, ProgressSink, Runner, RunnerConfig};
+use dice_obs::{merge_chrome, Json, MetricRegistry, SpanId, TraceCtx};
+use dice_runner::{CellProgress, ProgressSink, Runner, RunnerConfig, SweepResult};
 
+use crate::net::count;
 use crate::spec::{render_runs, sweep_key, SweepSpec};
+
+/// Bytes of report, trace and events that finished jobs may hold before
+/// the oldest-finished ones are evicted.
+pub const FINISHED_BUDGET: usize = 64 << 20;
 
 /// Where one job stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +59,8 @@ pub enum JobState {
     Running,
     /// Finished; the canonical report body is available.
     Done,
-    /// The runner could not start (e.g. cache directory I/O failure).
+    /// The executor could not run the sweep (e.g. cache directory I/O
+    /// failure).
     Failed,
     /// Cancelled by drain before a worker picked it up.
     Cancelled,
@@ -56,6 +78,124 @@ impl JobState {
             JobState::Cancelled => "cancelled",
         }
     }
+
+    /// Whether the job has finished (done, failed or cancelled).
+    #[must_use]
+    pub fn is_terminal(self) -> bool {
+        matches!(
+            self,
+            JobState::Done | JobState::Failed | JobState::Cancelled
+        )
+    }
+}
+
+/// How admitted sweeps run. One executor serves a whole queue, shared by
+/// all of its sweep workers.
+pub trait SweepExecutor: Send + Sync {
+    /// Runs one sweep to completion. Per-cell failures belong in the
+    /// result; an error means the sweep could not run at all.
+    ///
+    /// # Errors
+    ///
+    /// Why the sweep could not run; the job fails with that reason.
+    fn execute(&self, run: SweepRun) -> Result<Executed, String>;
+
+    /// Why a fresh sweep cannot be admitted now (answered as HTTP 503),
+    /// or `None` to admit it. Called under the queue lock: keep it cheap
+    /// and never call back into the queue.
+    fn refusal(&self) -> Option<String> {
+        None
+    }
+
+    /// A fresh sweep was admitted as job `id`. Called outside the queue
+    /// lock and before the submitter hears back, so an executor that
+    /// journals can make the acceptance durable before the 202 leaves.
+    fn accepted(&self, _id: u64, _spec: &SweepSpec) {}
+
+    /// Sweeps to enqueue at startup without a `POST` (e.g. replayed from
+    /// a journal), as `(job id, spec)`. Called once, before any worker
+    /// starts.
+    fn resumed(&self) -> Vec<(u64, SweepSpec)> {
+        Vec::new()
+    }
+}
+
+/// One admitted sweep, as handed to [`SweepExecutor::execute`].
+pub struct SweepRun {
+    /// Job id (the sweep key).
+    pub id: u64,
+    /// The sweep as submitted.
+    pub spec: SweepSpec,
+    /// The sweep's span tree; executor spans go under `parent`.
+    pub trace: TraceCtx,
+    /// The `sweep {id}` root span.
+    pub parent: SpanId,
+    /// The job's progress-event log.
+    pub events: EventLog,
+    /// The queue's cooperative cancel flag ([`JobQueue::force_cancel`]).
+    pub cancel: Arc<AtomicBool>,
+}
+
+/// What an executor made of one sweep.
+pub struct Executed {
+    /// Per-cell outcomes; the queue renders the report from them.
+    pub result: SweepResult,
+    /// Why the report is not canonical, when it is not (the status
+    /// document's `degraded` field).
+    pub degraded: Option<String>,
+}
+
+/// Appends progress events (rendered JSON objects) to one running job's
+/// log, which its SSE stream replays. Cheap to clone.
+#[derive(Clone)]
+pub struct EventLog {
+    shared: Arc<Shared>,
+    id: u64,
+}
+
+impl EventLog {
+    /// Appends one event.
+    pub fn push(&self, event: String) {
+        let mut inner = self.shared.inner.lock().expect("job queue poisoned");
+        if let Some(job) = inner.jobs.get_mut(&self.id) {
+            if job.state == JobState::Running {
+                job.events.push(Arc::new(event));
+            }
+        }
+    }
+}
+
+/// The in-process executor: [`dice_runner::Runner`] over the configured
+/// [`DiskCache`](dice_runner::DiskCache), streaming one event per
+/// finished cell and registering each sweep's `runner.*` metrics.
+struct Local {
+    /// Applied to every sweep, with `cancel`, `trace` and `progress` set
+    /// per sweep.
+    runner: RunnerConfig,
+    metrics: Arc<Mutex<MetricRegistry>>,
+}
+
+impl SweepExecutor for Local {
+    /// The runner opens per-cell spans under the sweep root and the
+    /// simulator nests its phase spans beneath them. The only error is
+    /// runner construction (cache directory I/O).
+    fn execute(&self, run: SweepRun) -> Result<Executed, String> {
+        let mut cfg = self.runner.clone();
+        cfg.cancel = Some(run.cancel);
+        cfg.trace = Some(run.trace);
+        cfg.trace_parent = Some(run.parent);
+        let events = run.events;
+        cfg.progress = Some(ProgressSink::new(move |p: CellProgress| {
+            events.push(render_event(&p));
+        }));
+        let runner = Runner::new(cfg).map_err(|e| format!("runner setup: {e}"))?;
+        let result = runner.run(run.spec.to_cells());
+        result.register(&mut self.metrics.lock().expect("metrics poisoned"));
+        Ok(Executed {
+            result,
+            degraded: None,
+        })
+    }
 }
 
 /// One tracked sweep job.
@@ -63,20 +203,47 @@ struct Job {
     spec: SweepSpec,
     cells: usize,
     state: JobState,
-    /// `render_runs` output once [`JobState::Done`].
-    body: Option<Arc<String>>,
-    /// Failure reason once [`JobState::Failed`].
-    error: Option<String>,
-    /// Runner summary line once finished.
-    summary: Option<String>,
     /// Identical submissions that attached to this job after the first.
     coalesced: u64,
-    /// Per-cell progress events (rendered JSON objects), appended in
-    /// completion order while the sweep runs. SSE readers poll these via
-    /// [`JobQueue::poll_events`].
+    /// Progress events, appended in completion order while the sweep
+    /// runs. SSE readers poll these via [`JobQueue::poll_events`].
     events: Vec<Arc<String>>,
-    /// Merged Chrome `trace_event` document once [`JobState::Done`].
-    trace: Option<Arc<String>>,
+    /// The documents once [`JobState::Done`], the failure reason once
+    /// [`JobState::Failed`].
+    outcome: Option<Result<Rendered, String>>,
+}
+
+/// A finished sweep's documents.
+struct Rendered {
+    /// `render_runs` output.
+    body: Arc<String>,
+    summary: String,
+    /// Why the report is not canonical, when it is not.
+    degraded: Option<String>,
+    /// Merged Chrome `trace_event` document.
+    trace: Arc<String>,
+}
+
+impl Job {
+    fn queued(spec: SweepSpec, cells: usize) -> Job {
+        Job {
+            spec,
+            cells,
+            state: JobState::Queued,
+            coalesced: 0,
+            events: Vec::new(),
+            outcome: None,
+        }
+    }
+
+    /// What the job holds against [`FINISHED_BUDGET`] once finished.
+    fn bytes(&self) -> usize {
+        let docs = match &self.outcome {
+            Some(Ok(done)) => done.body.len() + done.trace.len(),
+            _ => 0,
+        };
+        docs + self.events.iter().map(|e| e.len()).sum::<usize>()
+    }
 }
 
 /// Outcome of [`JobQueue::submit`].
@@ -96,11 +263,13 @@ pub enum Submission {
         /// `Retry-After` hint in seconds.
         retry_after_s: u64,
     },
+    /// The executor refused admission ([`SweepExecutor::refusal`]).
+    Refused(String),
     /// The service is draining and accepts no new work.
     Draining,
 }
 
-/// Queue construction knobs.
+/// Queue construction knobs for [`JobQueue::new`].
 #[derive(Debug, Clone)]
 pub struct JobQueueConfig {
     /// Maximum jobs queued + running before submissions get 429.
@@ -127,6 +296,40 @@ struct Inner {
     queue: VecDeque<u64>,
     /// Jobs currently being executed by a worker.
     active: usize,
+    /// Finished job ids, oldest first.
+    finished: VecDeque<u64>,
+    /// Bytes the finished jobs hold.
+    retained: usize,
+    /// The ceiling on `retained` ([`FINISHED_BUDGET`]).
+    budget: usize,
+}
+
+impl Inner {
+    /// Books job `id`, just finished, against the budget and evicts the
+    /// oldest-finished jobs until the retained bytes fit again.
+    fn retire(&mut self, id: u64) {
+        let Some(job) = self.jobs.get(&id) else {
+            return;
+        };
+        self.retained += job.bytes();
+        self.finished.push_back(id);
+        while self.retained > self.budget {
+            let Some(old) = self.finished.pop_front() else {
+                break;
+            };
+            if let Some(job) = self.jobs.remove(&old) {
+                self.retained -= job.bytes();
+            }
+        }
+    }
+
+    /// Drops finished job `id` (ahead of a resubmission replacing it).
+    fn forget(&mut self, id: u64) {
+        if let Some(job) = self.jobs.remove(&id) {
+            self.retained -= job.bytes();
+            self.finished.retain(|&f| f != id);
+        }
+    }
 }
 
 struct Shared {
@@ -134,6 +337,7 @@ struct Shared {
     work_ready: Condvar,
     draining: AtomicBool,
     cancel: Arc<AtomicBool>,
+    executor: Arc<dyn SweepExecutor>,
     metrics: Arc<Mutex<MetricRegistry>>,
 }
 
@@ -146,33 +350,59 @@ pub struct JobQueue {
 }
 
 impl JobQueue {
-    /// Spawns `config.workers` worker threads and returns the queue.
+    /// A queue running sweeps in-process through the runner (its
+    /// `DiskCache` included): spawns `config.workers` worker threads and
+    /// returns the queue.
     #[must_use]
     pub fn new(config: JobQueueConfig, metrics: Arc<Mutex<MetricRegistry>>) -> Arc<JobQueue> {
-        let cancel = Arc::new(AtomicBool::new(false));
-        let mut runner_cfg = config.runner;
-        runner_cfg.cancel = Some(Arc::clone(&cancel));
+        let local = Local {
+            runner: config.runner,
+            metrics: Arc::clone(&metrics),
+        };
+        JobQueue::start(config.capacity, config.workers, Arc::new(local), metrics)
+    }
+
+    /// A queue admitting at most `capacity` queued + running jobs and
+    /// running them on `workers` threads through `executor`. The
+    /// executor's [`resumed`](SweepExecutor::resumed) sweeps are queued
+    /// first; they count against capacity like any other job.
+    #[must_use]
+    pub fn start(
+        capacity: usize,
+        workers: usize,
+        executor: Arc<dyn SweepExecutor>,
+        metrics: Arc<Mutex<MetricRegistry>>,
+    ) -> Arc<JobQueue> {
+        let mut inner = Inner {
+            jobs: HashMap::new(),
+            queue: VecDeque::new(),
+            active: 0,
+            finished: VecDeque::new(),
+            retained: 0,
+            budget: FINISHED_BUDGET,
+        };
+        for (id, spec) in executor.resumed() {
+            let cells = spec.to_cells().len();
+            inner.jobs.insert(id, Job::queued(spec, cells));
+            inner.queue.push_back(id);
+        }
         let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner {
-                jobs: HashMap::new(),
-                queue: VecDeque::new(),
-                active: 0,
-            }),
+            inner: Mutex::new(inner),
             work_ready: Condvar::new(),
             draining: AtomicBool::new(false),
-            cancel,
+            cancel: Arc::new(AtomicBool::new(false)),
+            executor,
             metrics,
         });
-        let workers = (0..config.workers.max(1))
+        let workers = (0..workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let runner_cfg = runner_cfg.clone();
-                std::thread::spawn(move || worker_loop(&shared, &runner_cfg))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
         Arc::new(JobQueue {
             shared,
-            capacity: config.capacity.max(1),
+            capacity: capacity.max(1),
             workers: Mutex::new(workers),
         })
     }
@@ -192,7 +422,7 @@ impl JobQueue {
                 job.coalesced += 1;
                 let state = job.state;
                 drop(inner);
-                self.count("serve.sweeps_coalesced");
+                count(&self.shared.metrics, "serve.sweeps_coalesced");
                 return Submission::Accepted {
                     id,
                     coalesced: true,
@@ -202,27 +432,24 @@ impl JobQueue {
         }
         if inner.queue.len() + inner.active >= self.capacity {
             drop(inner);
-            self.count("serve.sweeps_rejected");
+            count(&self.shared.metrics, "serve.sweeps_rejected");
             return Submission::Overloaded { retry_after_s: 1 };
         }
-        inner.jobs.insert(
-            id,
-            Job {
-                cells: cells.len(),
-                spec,
-                state: JobState::Queued,
-                body: None,
-                error: None,
-                summary: None,
-                coalesced: 0,
-                events: Vec::new(),
-                trace: None,
-            },
-        );
+        if let Some(reason) = self.shared.executor.refusal() {
+            return Submission::Refused(reason);
+        }
+        inner.forget(id);
+        inner
+            .jobs
+            .insert(id, Job::queued(spec.clone(), cells.len()));
         inner.queue.push_back(id);
         drop(inner);
-        self.count("serve.sweeps_submitted");
+        count(&self.shared.metrics, "serve.sweeps_submitted");
         self.shared.work_ready.notify_one();
+        // The submitter hears back only once the executor has recorded the
+        // acceptance. A worker may start the sweep meanwhile; a journal
+        // replays its records as sets, so their order does not matter.
+        self.shared.executor.accepted(id, &spec);
         Submission::Accepted {
             id,
             coalesced: false,
@@ -242,11 +469,15 @@ impl JobQueue {
             ("coalesced".to_owned(), Json::u64(job.coalesced)),
             ("spec".to_owned(), job.spec.to_json()),
         ];
-        if let Some(summary) = &job.summary {
-            pairs.push(("summary".to_owned(), Json::str(summary)));
-        }
-        if let Some(error) = &job.error {
-            pairs.push(("error".to_owned(), Json::str(error)));
+        match &job.outcome {
+            Some(Ok(done)) => {
+                pairs.push(("summary".to_owned(), Json::str(&done.summary)));
+                if let Some(degraded) = &done.degraded {
+                    pairs.push(("degraded".to_owned(), Json::str(degraded)));
+                }
+            }
+            Some(Err(error)) => pairs.push(("error".to_owned(), Json::str(error))),
+            None => {}
         }
         Some(Json::Obj(pairs))
     }
@@ -255,11 +486,26 @@ impl JobQueue {
     /// `Err(state)` while not, `None` if unknown.
     #[must_use]
     pub fn report(&self, id: u64) -> Option<Result<Arc<String>, JobState>> {
+        self.document(id, |done| &done.body)
+    }
+
+    /// The merged Chrome trace for job `id`: `Ok(body)` once done,
+    /// `Err(state)` while not, `None` if unknown.
+    #[must_use]
+    pub fn trace(&self, id: u64) -> Option<Result<Arc<String>, JobState>> {
+        self.document(id, |done| &done.trace)
+    }
+
+    fn document(
+        &self,
+        id: u64,
+        doc: impl Fn(&Rendered) -> &Arc<String>,
+    ) -> Option<Result<Arc<String>, JobState>> {
         let inner = self.shared.inner.lock().expect("job queue poisoned");
         let job = inner.jobs.get(&id)?;
-        Some(match (&job.body, job.state) {
-            (Some(body), JobState::Done) => Ok(Arc::clone(body)),
-            (_, state) => Err(state),
+        Some(match &job.outcome {
+            Some(Ok(done)) => Ok(Arc::clone(doc(done))),
+            _ => Err(job.state),
         })
     }
 
@@ -278,18 +524,6 @@ impl JobQueue {
         Some((events, job.state))
     }
 
-    /// The merged Chrome trace for job `id`: `Ok(body)` once done,
-    /// `Err(state)` while not, `None` if unknown.
-    #[must_use]
-    pub fn trace(&self, id: u64) -> Option<Result<Arc<String>, JobState>> {
-        let inner = self.shared.inner.lock().expect("job queue poisoned");
-        let job = inner.jobs.get(&id)?;
-        Some(match (&job.trace, job.state) {
-            (Some(trace), JobState::Done) => Ok(Arc::clone(trace)),
-            (_, state) => Err(state),
-        })
-    }
-
     /// Stops accepting work and cancels jobs no worker has started.
     /// Running sweeps finish normally; call [`JobQueue::join`] to wait.
     pub fn drain(&self) {
@@ -299,6 +533,7 @@ impl JobQueue {
             if let Some(job) = inner.jobs.get_mut(&id) {
                 job.state = JobState::Cancelled;
             }
+            inner.retire(id);
         }
         drop(inner);
         self.shared.work_ready.notify_all();
@@ -320,17 +555,11 @@ impl JobQueue {
             let _ = handle.join();
         }
     }
-
-    fn count(&self, name: &str) {
-        let mut reg = self.shared.metrics.lock().expect("metrics poisoned");
-        let id = reg.counter(name);
-        reg.inc(id);
-    }
 }
 
-fn worker_loop(shared: &Arc<Shared>, runner_cfg: &RunnerConfig) {
+fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let (id, cells) = {
+        let (id, spec) = {
             let mut inner = shared.inner.lock().expect("job queue poisoned");
             loop {
                 if let Some(id) = inner.queue.pop_front() {
@@ -338,9 +567,9 @@ fn worker_loop(shared: &Arc<Shared>, runner_cfg: &RunnerConfig) {
                         continue;
                     };
                     job.state = JobState::Running;
-                    let cells = job.spec.to_cells();
+                    let spec = job.spec.clone();
                     inner.active += 1;
-                    break (id, cells);
+                    break (id, spec);
                 }
                 if shared.draining.load(Ordering::SeqCst) {
                     return;
@@ -349,23 +578,17 @@ fn worker_loop(shared: &Arc<Shared>, runner_cfg: &RunnerConfig) {
             }
         };
 
-        let finished = run_sweep(shared, runner_cfg, id, cells);
+        let outcome = run_sweep(shared, id, spec);
 
         let mut inner = shared.inner.lock().expect("job queue poisoned");
         inner.active -= 1;
         if let Some(job) = inner.jobs.get_mut(&id) {
-            match finished {
-                Ok((body, summary, trace)) => {
-                    job.state = JobState::Done;
-                    job.body = Some(Arc::new(body));
-                    job.summary = Some(summary);
-                    job.trace = Some(Arc::new(trace));
-                }
-                Err(error) => {
-                    job.state = JobState::Failed;
-                    job.error = Some(error);
-                }
-            }
+            job.state = match outcome {
+                Ok(_) => JobState::Done,
+                Err(_) => JobState::Failed,
+            };
+            job.outcome = Some(outcome);
+            inner.retire(id);
         }
     }
 }
@@ -385,48 +608,43 @@ fn render_event(p: &CellProgress) -> String {
     .render()
 }
 
-/// Runs one sweep and renders the canonical body, summary and Chrome
-/// trace. Every sweep runs under its own [`TraceCtx`]: the runner opens
-/// per-cell spans under the sweep root and the simulator nests its phase
-/// spans beneath them, so the exported trace is one causally-linked tree.
-/// The canonical report body stays untouched by tracing — spans live only
-/// in the separate trace document. The only error path is runner
-/// construction (cache directory I/O) — per-cell failures are part of the
-/// rendered document, not a job failure.
-fn run_sweep(
-    shared: &Arc<Shared>,
-    runner_cfg: &RunnerConfig,
-    job_id: u64,
-    cells: Vec<Cell>,
-) -> Result<(String, String, String), String> {
+/// Runs one sweep through the executor under its own [`TraceCtx`] and
+/// renders the canonical body, summary and Chrome trace. The executor's
+/// spans nest under the `sweep {id}` root, so the exported trace is one
+/// causally-linked tree; the report body stays untouched by tracing.
+fn run_sweep(shared: &Arc<Shared>, id: u64, spec: SweepSpec) -> Result<Rendered, String> {
     let ctx = TraceCtx::enabled();
-    let sweep_name = format!("sweep {job_id:016x}");
+    let sweep_name = format!("sweep {id:016x}");
     let root = ctx.span(&sweep_name, None).expect("enabled context");
-    let mut cfg = runner_cfg.clone();
-    cfg.trace = Some(ctx.clone());
-    cfg.trace_parent = Some(root.id());
-    let sink_shared = Arc::clone(shared);
-    cfg.progress = Some(ProgressSink::new(move |p: CellProgress| {
-        let event = render_event(&p);
-        let mut inner = sink_shared.inner.lock().expect("job queue poisoned");
-        if let Some(job) = inner.jobs.get_mut(&job_id) {
-            job.events.push(Arc::new(event));
-        }
-    }));
-    let runner = Runner::new(cfg).map_err(|e| format!("runner setup: {e}"))?;
-    let started = std::time::Instant::now();
-    let result = runner.run(cells);
-    let body = render_runs(&result).render();
-    let summary = result.summary();
+    let started = Instant::now();
+    let executed = shared.executor.execute(SweepRun {
+        id,
+        spec,
+        trace: ctx.clone(),
+        parent: root.id(),
+        events: EventLog {
+            shared: Arc::clone(shared),
+            id,
+        },
+        cancel: Arc::clone(&shared.cancel),
+    })?;
+    let body = Arc::new(render_runs(&executed.result).render());
+    let summary = executed.result.summary();
     drop(root);
-    let trace = merge_chrome(vec![ctx.export_chrome(&sweep_name, 0)]).render();
+    let trace = Arc::new(merge_chrome(vec![ctx.export_chrome(&sweep_name, 0)]).render());
+    count(&shared.metrics, "serve.sweeps_completed");
+    if executed.degraded.is_some() {
+        count(&shared.metrics, "serve.sweeps_degraded");
+    }
     let mut reg = shared.metrics.lock().expect("metrics poisoned");
-    let id = reg.counter("serve.sweeps_completed");
-    reg.inc(id);
     let hist = reg.histogram("serve.sweep_wall_ms");
     reg.observe(hist, started.elapsed().as_millis() as u64);
-    result.register(&mut reg);
-    Ok((body, summary, trace))
+    Ok(Rendered {
+        body,
+        summary,
+        degraded: executed.degraded,
+        trace,
+    })
 }
 
 #[cfg(test)]
@@ -463,6 +681,251 @@ mod tests {
             }
         }
         panic!("job {id:016x} never finished");
+    }
+
+    /// A scripted executor for the seam tests: every sweep logs one event
+    /// of `event_bytes` and returns no runs, and every hook call is
+    /// recorded.
+    #[derive(Default)]
+    struct Fake {
+        refusal: Option<String>,
+        degraded: Option<String>,
+        event_bytes: usize,
+        resumed: Mutex<Vec<(u64, SweepSpec)>>,
+        accepted: Mutex<Vec<u64>>,
+        executed: Mutex<Vec<u64>>,
+        /// The sweep with this id blocks in `execute` until released.
+        hold: Mutex<Option<u64>>,
+        released: Condvar,
+    }
+
+    impl Fake {
+        fn release(&self) {
+            *self.hold.lock().expect("hold") = None;
+            self.released.notify_all();
+        }
+    }
+
+    impl SweepExecutor for Fake {
+        fn execute(&self, run: SweepRun) -> Result<Executed, String> {
+            self.executed.lock().expect("executed").push(run.id);
+            run.events.push("x".repeat(self.event_bytes));
+            let mut hold = self.hold.lock().expect("hold");
+            while *hold == Some(run.id) {
+                hold = self.released.wait(hold).expect("hold");
+            }
+            Ok(Executed {
+                result: SweepResult {
+                    outcomes: std::collections::BTreeMap::new(),
+                    deduped: 0,
+                    jobs: 1,
+                    wall: std::time::Duration::ZERO,
+                    cell_wall_ms: dice_obs::Histogram::new(),
+                    retried: 0,
+                    cache_discarded: 0,
+                    cancelled: 0,
+                    steals: 0,
+                    tail_idle_ms: 0,
+                },
+                degraded: self.degraded.clone(),
+            })
+        }
+
+        fn refusal(&self) -> Option<String> {
+            self.refusal.clone()
+        }
+
+        fn accepted(&self, id: u64, _spec: &SweepSpec) {
+            self.accepted.lock().expect("accepted").push(id);
+        }
+
+        fn resumed(&self) -> Vec<(u64, SweepSpec)> {
+            std::mem::take(&mut *self.resumed.lock().expect("resumed"))
+        }
+    }
+
+    fn fake_queue(
+        fake: &Arc<Fake>,
+        capacity: usize,
+        workers: usize,
+    ) -> (Arc<JobQueue>, Arc<Mutex<MetricRegistry>>) {
+        let metrics = Arc::new(Mutex::new(MetricRegistry::new()));
+        let executor: Arc<dyn SweepExecutor> = Arc::clone(fake) as _;
+        let q = JobQueue::start(capacity, workers, executor, Arc::clone(&metrics));
+        (q, metrics)
+    }
+
+    fn id_of(spec: &SweepSpec) -> u64 {
+        sweep_key(&spec.to_cells())
+    }
+
+    fn state_of(q: &JobQueue, id: u64) -> Option<String> {
+        let status = q.status(id)?;
+        status
+            .get("state")
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+    }
+
+    fn wait_for(what: &str, ready: impl Fn() -> bool) {
+        for _ in 0..2_000 {
+            if ready() {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        panic!("timed out waiting for {what}");
+    }
+
+    #[test]
+    fn executor_degraded_reason_reaches_the_status_document() {
+        let reason = "1 of 1 cells completed on no live worker";
+        let fake = Arc::new(Fake {
+            degraded: Some(reason.to_owned()),
+            ..Fake::default()
+        });
+        let (q, metrics) = fake_queue(&fake, 4, 1);
+        let Submission::Accepted { id, .. } = q.submit(tiny_spec(1)) else {
+            panic!("rejected");
+        };
+        wait_done(&q, id);
+        let status = q.status(id).expect("known job");
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+        assert_eq!(status.get("degraded").and_then(Json::as_str), Some(reason));
+        assert_eq!(*fake.accepted.lock().expect("accepted"), vec![id]);
+        let reg = metrics.lock().expect("metrics");
+        assert_eq!(reg.counter_value("serve.sweeps_degraded"), Some(1));
+        assert_eq!(reg.counter_value("serve.sweeps_completed"), Some(1));
+        drop(reg);
+        q.drain();
+        q.join();
+    }
+
+    #[test]
+    fn refused_admission_answers_503_and_records_nothing() {
+        let fake = Arc::new(Fake {
+            refusal: Some("no live workers".to_owned()),
+            ..Fake::default()
+        });
+        let (q, _) = fake_queue(&fake, 4, 1);
+        let spec = tiny_spec(2);
+        let submission = q.submit(spec.clone());
+        assert_eq!(
+            submission,
+            Submission::Refused("no live workers".to_owned())
+        );
+        let response = crate::server::submitted(submission);
+        assert_eq!(response.status, 503);
+        assert!(String::from_utf8_lossy(&response.body).contains("no live workers"));
+
+        assert!(q.status(id_of(&spec)).is_none());
+        let inner = q.shared.inner.lock().expect("job queue");
+        assert!(inner.jobs.is_empty() && inner.queue.is_empty());
+        drop(inner);
+        assert!(fake.accepted.lock().expect("accepted").is_empty());
+        assert!(fake.executed.lock().expect("executed").is_empty());
+        q.drain();
+        q.join();
+    }
+
+    #[test]
+    fn resumed_sweep_runs_without_a_post_and_holds_capacity() {
+        let spec = tiny_spec(3);
+        let id = id_of(&spec);
+        let fake = Arc::new(Fake {
+            resumed: Mutex::new(vec![(id, spec.clone())]),
+            hold: Mutex::new(Some(id)),
+            ..Fake::default()
+        });
+        let (q, _) = fake_queue(&fake, 1, 1);
+        wait_for("the resumed sweep to run", || {
+            fake.executed.lock().expect("executed").contains(&id)
+        });
+        assert_eq!(state_of(&q, id).as_deref(), Some("running"));
+
+        // It holds the only admission slot...
+        assert_eq!(
+            q.submit(tiny_spec(4)),
+            Submission::Overloaded { retry_after_s: 1 }
+        );
+        // ...and an identical POST coalesces onto it, with no second
+        // acceptance recorded.
+        assert_eq!(
+            q.submit(spec),
+            Submission::Accepted {
+                id,
+                coalesced: true,
+                state: JobState::Running
+            }
+        );
+        fake.release();
+        wait_done(&q, id);
+        assert_eq!(*fake.executed.lock().expect("executed"), vec![id]);
+        assert!(fake.accepted.lock().expect("accepted").is_empty());
+        q.drain();
+        q.join();
+    }
+
+    #[test]
+    fn finished_jobs_stay_under_the_budget_and_running_ones_are_kept() {
+        let fake = Arc::new(Fake {
+            event_bytes: 1_000,
+            ..Fake::default()
+        });
+        let (q, _) = fake_queue(&fake, 4, 2);
+        // Room for two finished jobs: each holds its 1 kB event plus a
+        // few hundred bytes of report and trace.
+        let budget = 3_000;
+        q.shared.inner.lock().expect("job queue").budget = budget;
+
+        let held = tiny_spec(50);
+        let held_id = id_of(&held);
+        *fake.hold.lock().expect("hold") = Some(held_id);
+        assert!(matches!(q.submit(held), Submission::Accepted { .. }));
+        wait_for("the held sweep to run", || {
+            state_of(&q, held_id).as_deref() == Some("running")
+        });
+
+        let mut ids = Vec::new();
+        for seed in 51..61 {
+            let Submission::Accepted { id, .. } = q.submit(tiny_spec(seed)) else {
+                panic!("rejected");
+            };
+            wait_done(&q, id);
+            ids.push(id);
+            let inner = q.shared.inner.lock().expect("job queue");
+            assert!(
+                inner.retained <= budget,
+                "{} bytes retained over a {budget} B budget",
+                inner.retained
+            );
+            let held_state = inner.jobs.get(&held_id).map(|job| job.state);
+            assert_eq!(held_state, Some(JobState::Running), "running job evicted");
+        }
+
+        // The oldest-finished job is unknown again, the newest is kept,
+        // and resubmitting the evicted one runs it afresh.
+        let first = ids[0];
+        assert!(q.status(first).is_none() && q.report(first).is_none());
+        assert!(q.poll_events(first, 0).is_none());
+        assert!(q.report(ids[9]).is_some());
+        let runs = fake.executed.lock().expect("executed").len();
+        assert_eq!(
+            q.submit(tiny_spec(51)),
+            Submission::Accepted {
+                id: first,
+                coalesced: false,
+                state: JobState::Queued
+            }
+        );
+        wait_done(&q, first);
+        assert_eq!(fake.executed.lock().expect("executed").len(), runs + 1);
+
+        fake.release();
+        wait_done(&q, held_id);
+        assert!(q.shared.inner.lock().expect("job queue").retained <= budget);
+        q.drain();
+        q.join();
     }
 
     #[test]
@@ -561,7 +1024,7 @@ mod tests {
                     assert!(retry_after_s >= 1);
                     rejected += 1;
                 }
-                Submission::Draining => panic!("not draining"),
+                other => panic!("unexpected {other:?}"),
             }
         }
         // The worker may have finished some jobs while we submitted, but

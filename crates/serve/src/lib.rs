@@ -16,7 +16,13 @@
 //!   --list`.
 //! * `GET /metrics` — Prometheus text exposition of the server's
 //!   [`dice_obs::MetricRegistry`].
-//! * `GET /healthz`, `GET /version` — liveness and build identity.
+//! * `GET /healthz`, `GET /version` — liveness (`503` once draining) and
+//!   build identity.
+//!
+//! The queue runs each admitted sweep through a [`SweepExecutor`]:
+//! [`Server::bind`] runs them in-process through the runner, and the
+//! `dice-fabric` coordinator serves this same API with a scatter executor
+//! behind the same queue.
 //!
 //! Shutdown is a graceful drain: the first SIGTERM stops accepting
 //! connections and lets in-flight sweeps finish (their cells land in the
@@ -44,9 +50,11 @@ pub use client::{
     http_get, http_get_timeout, http_post, http_post_timeout, http_probe, ClientResponse,
     ProbeError,
 };
-pub use jobs::{JobQueue, JobQueueConfig, JobState, Submission};
+pub use jobs::{
+    EventLog, Executed, JobQueue, JobQueueConfig, JobState, Submission, SweepExecutor, SweepRun,
+};
 pub use net::{Handled, NetConfig, NetServer};
 pub use promcheck::validate_prometheus;
-pub use server::{Handle, ServeConfig, Server};
-pub use spec::{render_runs, sweep_key, SpecError, SweepSpec};
+pub use server::{ExtraRoutes, Handle, ServeConfig, Server};
+pub use spec::{render_run_object, render_runs, sweep_key, SpecError, SweepSpec};
 pub use sse::{sse_data_lines, stream_sse};

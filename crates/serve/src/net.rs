@@ -5,8 +5,10 @@
 //! workers over a bounded channel, a full channel answers `503` inline
 //! (connections never pile up unbounded), and a drain flag stops the
 //! accept loop while parked connections finish. [`NetServer`] owns that
-//! machinery; services supply a [`NetHandler`] for routing, plus optional
-//! observers for per-request metrics and accept-loop events.
+//! machinery, the node's [`MetricRegistry`] and the plumbing endpoints
+//! every node answers the same way (`/healthz`, `/version`, `/metrics`,
+//! plus the `serve.http_*` request accounting); services supply a
+//! [`NetHandler`] for everything else.
 
 use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -14,6 +16,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use dice_obs::{render_prometheus, Json, MetricRegistry};
 
 use crate::http::{read_request, ReadError, Request, Response};
 
@@ -51,22 +55,17 @@ pub enum Handled {
 /// stream their own response ([`Handled::Streamed`]).
 pub type NetHandler = Arc<dyn Fn(&Request, &TcpStream) -> Handled + Send + Sync>;
 
-/// Observes one finished request: status code and handling duration.
-pub type NetObserver = Arc<dyn Fn(u16, Duration) + Send + Sync>;
-
-/// Observes accept-loop events (`"conns_rejected"`, `"accept_errors"`).
-pub type NetCounter = Arc<dyn Fn(&'static str) + Send + Sync>;
-
-/// The accept-pool shell: listener + drain flag + worker pool.
+/// The accept-pool shell: listener + drain flag + metrics + worker pool.
 pub struct NetServer {
     listener: TcpListener,
     drain: Arc<AtomicBool>,
+    metrics: Arc<Mutex<MetricRegistry>>,
     conn_workers: usize,
     conn_backlog: usize,
 }
 
 impl NetServer {
-    /// Binds `127.0.0.1:port`.
+    /// Binds `127.0.0.1:port` with an empty metrics registry.
     ///
     /// # Errors
     ///
@@ -76,6 +75,7 @@ impl NetServer {
         Ok(NetServer {
             listener,
             drain: Arc::new(AtomicBool::new(false)),
+            metrics: Arc::new(Mutex::new(MetricRegistry::new())),
             conn_workers: config.conn_workers.max(1),
             conn_backlog: config.conn_backlog.max(1),
         })
@@ -97,36 +97,46 @@ impl NetServer {
         Arc::clone(&self.drain)
     }
 
+    /// The node's metrics registry: `/metrics` renders it and every
+    /// request is counted in it; services register their own metrics in
+    /// the same one.
+    #[must_use]
+    pub fn metrics(&self) -> Arc<Mutex<MetricRegistry>> {
+        Arc::clone(&self.metrics)
+    }
+
     /// Serves until the drain flag flips, then drains: stops accepting,
     /// finishes parked connections, joins the pool, and returns.
+    ///
+    /// The shell answers the plumbing endpoints itself — `GET /healthz`
+    /// (`503` + `Retry-After` once draining, so probes can tell a
+    /// draining node from a live one), `GET /version` (reporting `name`)
+    /// and `GET /metrics` — and hands every other request to `handler`.
+    /// Each request lands in `serve.http_requests`, `serve.http_{2,4,5}xx`
+    /// and the `serve.request_micros` histogram.
     ///
     /// # Errors
     ///
     /// Propagates listener configuration failures (accept-time errors on
-    /// individual connections are counted via `count`, not fatal).
-    pub fn run(
-        &self,
-        handler: NetHandler,
-        observe: Option<NetObserver>,
-        count: Option<NetCounter>,
-    ) -> io::Result<()> {
+    /// individual connections are counted, not fatal).
+    pub fn run(&self, name: &'static str, handler: NetHandler) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(self.conn_backlog);
         let rx = Arc::new(Mutex::new(rx));
+        let plumbing = Arc::new(Plumbing {
+            name,
+            drain: Arc::clone(&self.drain),
+            metrics: Arc::clone(&self.metrics),
+        });
         let workers: Vec<_> = (0..self.conn_workers)
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let handler = Arc::clone(&handler);
-                let observe = observe.clone();
-                std::thread::spawn(move || connection_worker(&rx, &handler, observe.as_ref()))
+                let plumbing = Arc::clone(&plumbing);
+                std::thread::spawn(move || connection_worker(&rx, &handler, &plumbing))
             })
             .collect();
 
-        let tally = |event| {
-            if let Some(count) = &count {
-                count(event);
-            }
-        };
         while !self.drain.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _peer)) => match tx.try_send(stream) {
@@ -135,14 +145,14 @@ impl NetServer {
                         // Inline, bounded rejection: never park more than
                         // `conn_backlog` connections.
                         reject_busy(stream);
-                        tally("conns_rejected");
+                        count(&self.metrics, "serve.conns_rejected");
                     }
                     Err(TrySendError::Disconnected(_)) => break,
                 },
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(10));
                 }
-                Err(_) => tally("accept_errors"),
+                Err(_) => count(&self.metrics, "serve.accept_errors"),
             }
         }
 
@@ -166,10 +176,72 @@ pub fn reject_busy(stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
+/// Bumps counter `name` by one.
+pub(crate) fn count(metrics: &Mutex<MetricRegistry>, name: &str) {
+    let mut reg = metrics.lock().expect("metrics poisoned");
+    let id = reg.counter(name);
+    reg.inc(id);
+}
+
+/// The endpoints and request accounting every node shares.
+struct Plumbing {
+    /// What `/version` reports as the node's name.
+    name: &'static str,
+    drain: Arc<AtomicBool>,
+    metrics: Arc<Mutex<MetricRegistry>>,
+}
+
+impl Plumbing {
+    /// Answers `/healthz`, `/version` and `/metrics`; `None` for any
+    /// other path.
+    fn route(&self, request: &Request) -> Option<Response> {
+        Some(match (request.method.as_str(), request.route()) {
+            ("GET", "/healthz") if self.drain.load(Ordering::SeqCst) => {
+                Response::error(503, "draining").with_header("Retry-After", "1")
+            }
+            ("GET", "/healthz") => Response::text(200, "ok\n"),
+            ("GET", "/version") => Response::json(
+                200,
+                Json::Obj(vec![
+                    ("name".into(), Json::str(self.name)),
+                    ("version".into(), Json::str(env!("CARGO_PKG_VERSION"))),
+                ])
+                .render(),
+            ),
+            ("GET", "/metrics") => {
+                let body = render_prometheus(&self.metrics.lock().expect("metrics poisoned"));
+                Response {
+                    status: 200,
+                    content_type: "text/plain; version=0.0.4; charset=utf-8",
+                    extra: Vec::new(),
+                    body: body.into_bytes(),
+                }
+            }
+            (_, "/healthz" | "/version" | "/metrics") => Response::error(405, "method not allowed"),
+            _ => return None,
+        })
+    }
+
+    /// Counts one finished request.
+    fn record(&self, status: u16, elapsed: Duration) {
+        let mut reg = self.metrics.lock().expect("metrics poisoned");
+        let id = reg.counter("serve.http_requests");
+        reg.inc(id);
+        let id = reg.counter(match status {
+            200..=299 => "serve.http_2xx",
+            400..=499 => "serve.http_4xx",
+            _ => "serve.http_5xx",
+        });
+        reg.inc(id);
+        let hist = reg.histogram("serve.request_micros");
+        reg.observe(hist, elapsed.as_micros() as u64);
+    }
+}
+
 fn connection_worker(
     rx: &Arc<Mutex<Receiver<TcpStream>>>,
     handler: &NetHandler,
-    observe: Option<&NetObserver>,
+    plumbing: &Plumbing,
 ) {
     loop {
         // Hold the lock only for the recv; handlers must not serialize on
@@ -181,11 +253,11 @@ fn connection_worker(
         let Ok(stream) = stream else {
             return;
         };
-        handle_connection(stream, handler, observe);
+        handle_connection(stream, handler, plumbing);
     }
 }
 
-fn handle_connection(stream: TcpStream, handler: &NetHandler, observe: Option<&NetObserver>) {
+fn handle_connection(stream: TcpStream, handler: &NetHandler, plumbing: &Plumbing) {
     let started = Instant::now();
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
@@ -194,19 +266,18 @@ fn handle_connection(stream: TcpStream, handler: &NetHandler, observe: Option<&N
         Ok(s) => s,
         Err(_) => return,
     });
-    let record = |status: u16| {
-        if let Some(observe) = observe {
-            observe(status, started.elapsed());
-        }
-    };
+    let record = |status: u16| plumbing.record(status, started.elapsed());
     let response = match read_request(&mut reader) {
-        Ok(request) => match handler(&request, &stream) {
-            Handled::Respond(response) => response,
-            Handled::Streamed(status) => {
-                record(status);
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
+        Ok(request) => match plumbing.route(&request) {
+            Some(response) => response,
+            None => match handler(&request, &stream) {
+                Handled::Respond(response) => response,
+                Handled::Streamed(status) => {
+                    record(status);
+                    let _ = stream.shutdown(Shutdown::Both);
+                    return;
+                }
+            },
         },
         Err(ReadError::Closed) => return,
         Err(ReadError::Bad { status, msg }) => Response::error(status, msg),

@@ -1,5 +1,6 @@
 //! The HTTP front end: the shared [`NetServer`] accept pool routing onto
-//! the [`JobQueue`].
+//! a [`JobQueue`] — the one sweep API, whichever executor runs the
+//! sweeps behind it.
 //!
 //! Threading model (see [`crate::net`]): the accept loop runs nonblocking
 //! and hands accepted sockets to a fixed pool of connection workers over
@@ -11,10 +12,9 @@
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
 
-use dice_obs::{render_prometheus, Json, MetricRegistry};
+use dice_obs::Json;
 
 use crate::http::{Request, Response};
 use crate::jobs::{JobQueue, JobQueueConfig, JobState, Submission};
@@ -47,6 +47,10 @@ impl Default for ServeConfig {
     }
 }
 
+/// Endpoints a service adds beside the sweep API. Consulted first;
+/// `None` passes the request on to the sweep routes.
+pub type ExtraRoutes = Arc<dyn Fn(&Request) -> Option<Response> + Send + Sync>;
+
 /// A handle for steering a running server from another thread.
 #[derive(Clone)]
 pub struct Handle {
@@ -70,15 +74,17 @@ impl Handle {
     }
 }
 
-/// The service: accept pool + job queue + metrics registry.
+/// The service: accept pool + job queue.
 pub struct Server {
     net: NetServer,
+    name: &'static str,
     queue: Arc<JobQueue>,
-    metrics: Arc<Mutex<MetricRegistry>>,
+    routes: Option<ExtraRoutes>,
 }
 
 impl Server {
-    /// Binds `127.0.0.1:port` and spawns the sweep workers.
+    /// Binds `127.0.0.1:port` and spawns the sweep workers of a queue
+    /// running sweeps in-process.
     ///
     /// # Errors
     ///
@@ -89,13 +95,27 @@ impl Server {
             conn_workers: config.conn_workers,
             conn_backlog: config.conn_backlog,
         })?;
-        let metrics = Arc::new(Mutex::new(MetricRegistry::new()));
-        let queue = JobQueue::new(config.queue, Arc::clone(&metrics));
-        Ok(Server {
+        let queue = JobQueue::new(config.queue, net.metrics());
+        Ok(Server::new(net, "dice-serve", queue, None))
+    }
+
+    /// Serves `queue` on `net`, reporting `name` from `/version` and
+    /// answering `routes` ahead of the sweep API. The queue and its
+    /// executor should record metrics into [`NetServer::metrics`], which
+    /// `/metrics` renders.
+    #[must_use]
+    pub fn new(
+        net: NetServer,
+        name: &'static str,
+        queue: Arc<JobQueue>,
+        routes: Option<ExtraRoutes>,
+    ) -> Server {
+        Server {
             net,
+            name,
             queue,
-            metrics,
-        })
+            routes,
+        }
     }
 
     /// The bound address (useful with `port: 0`).
@@ -125,30 +145,15 @@ impl Server {
     /// Propagates listener configuration failures (accept-time errors on
     /// individual connections are counted, not fatal).
     pub fn run(&self) -> io::Result<()> {
-        let ctx = Arc::new(RouteCtx {
-            queue: Arc::clone(&self.queue),
-            metrics: Arc::clone(&self.metrics),
+        let queue = Arc::clone(&self.queue);
+        let routes = self.routes.clone();
+        let handler = Arc::new(move |request: &Request, stream: &TcpStream| {
+            match routes.as_ref().and_then(|routes| routes(request)) {
+                Some(response) => Handled::Respond(response),
+                None => handle(request, stream, &queue),
+            }
         });
-        let handler = {
-            let ctx = Arc::clone(&ctx);
-            Arc::new(move |request: &Request, stream: &TcpStream| handle(request, stream, &ctx))
-        };
-        let observe = {
-            let ctx = Arc::clone(&ctx);
-            Arc::new(move |status: u16, elapsed: Duration| record_request(&ctx, status, elapsed))
-        };
-        let count = {
-            let metrics = Arc::clone(&self.metrics);
-            Arc::new(move |event: &'static str| {
-                let mut reg = metrics.lock().expect("metrics poisoned");
-                let id = reg.counter(match event {
-                    "conns_rejected" => "serve.conns_rejected",
-                    _ => "serve.accept_errors",
-                });
-                reg.inc(id);
-            })
-        };
-        self.net.run(handler, Some(observe), Some(count))?;
+        self.net.run(self.name, handler)?;
         // Accept loop has stopped; finish in-flight sweeps.
         self.queue.drain();
         self.queue.join();
@@ -156,40 +161,31 @@ impl Server {
     }
 }
 
-/// Everything a connection handler needs to answer requests.
-struct RouteCtx {
-    queue: Arc<JobQueue>,
-    metrics: Arc<Mutex<MetricRegistry>>,
-}
-
 /// Routes one request: the events endpoint streams incrementally and owns
 /// the socket for the job's lifetime; everything else is a single
 /// fixed-length response.
-fn handle(request: &Request, stream: &TcpStream, ctx: &RouteCtx) -> Handled {
+fn handle(request: &Request, stream: &TcpStream, queue: &JobQueue) -> Handled {
     match events_job_id(request) {
         Some(Ok(id)) => {
             let mut out = stream;
             Handled::Streamed(stream_sse(&mut out, |cursor| {
-                ctx.queue.poll_events(id, cursor).map(|(events, state)| {
-                    let terminal = matches!(
-                        state,
-                        JobState::Done | JobState::Failed | JobState::Cancelled
-                    )
-                    .then(|| state.as_str());
-                    (events, terminal)
-                })
+                queue
+                    .poll_events(id, cursor)
+                    .map(|(events, state)| (events, state.is_terminal().then(|| state.as_str())))
             }))
         }
         Some(Err(response)) => Handled::Respond(response),
-        None => Handled::Respond(route(request, ctx)),
+        None => Handled::Respond(route(request, queue)),
     }
 }
 
 /// Recognizes `GET /v1/sweeps/:id/events`. `None` when the request is for
 /// another endpoint; `Some(Err(response))` for a malformed events request.
 fn events_job_id(request: &Request) -> Option<Result<u64, Response>> {
-    let path = request.path.split('?').next().unwrap_or("");
-    let id_text = path.strip_prefix("/v1/sweeps/")?.strip_suffix("/events")?;
+    let id_text = request
+        .route()
+        .strip_prefix("/v1/sweeps/")?
+        .strip_suffix("/events")?;
     if request.method != "GET" {
         return Some(Err(Response::error(405, "method not allowed")));
     }
@@ -199,64 +195,31 @@ fn events_job_id(request: &Request) -> Option<Result<u64, Response>> {
     })
 }
 
-fn record_request(ctx: &RouteCtx, status: u16, elapsed: Duration) {
-    let mut reg = ctx.metrics.lock().expect("metrics poisoned");
-    let id = reg.counter("serve.http_requests");
-    reg.inc(id);
-    let id = reg.counter(match status {
-        200..=299 => "serve.http_2xx",
-        400..=499 => "serve.http_4xx",
-        _ => "serve.http_5xx",
-    });
-    reg.inc(id);
-    let hist = reg.histogram("serve.request_micros");
-    reg.observe(hist, elapsed.as_micros() as u64);
-}
-
 /// Dispatches one request to its endpoint.
-fn route(request: &Request, ctx: &RouteCtx) -> Response {
-    let path = request.path.split('?').next().unwrap_or("");
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => Response::text(200, "ok\n"),
-        ("GET", "/version") => Response::json(
-            200,
-            Json::Obj(vec![
-                ("name".into(), Json::str("dice-serve")),
-                ("version".into(), Json::str(env!("CARGO_PKG_VERSION"))),
-            ])
-            .render(),
-        ),
-        ("GET", "/metrics") => {
-            let reg = ctx.metrics.lock().expect("metrics poisoned");
-            let body = render_prometheus(&reg);
-            drop(reg);
-            Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                extra: Vec::new(),
-                body: body.into_bytes(),
-            }
-        }
+fn route(request: &Request, queue: &JobQueue) -> Response {
+    match (request.method.as_str(), request.route()) {
         ("GET", "/v1/experiments") => Response::json(200, dice_bench::catalog_json().render()),
-        ("POST", "/v1/sweeps") => submit_sweep(request, ctx),
-        ("GET", p) if p.starts_with("/v1/sweeps/") => sweep_get(p, ctx),
-        (_, "/healthz" | "/version" | "/metrics" | "/v1/experiments" | "/v1/sweeps") => {
-            Response::error(405, "method not allowed")
-        }
+        ("POST", "/v1/sweeps") => submit_sweep(request, queue),
+        ("GET", p) if p.starts_with("/v1/sweeps/") => sweep_get(p, queue),
+        (_, "/v1/experiments" | "/v1/sweeps") => Response::error(405, "method not allowed"),
         _ => Response::error(404, "no such endpoint"),
     }
 }
 
 /// `POST /v1/sweeps`: parse, validate, admit.
-fn submit_sweep(request: &Request, ctx: &RouteCtx) -> Response {
+fn submit_sweep(request: &Request, queue: &JobQueue) -> Response {
     let Ok(text) = std::str::from_utf8(&request.body) else {
         return Response::error(400, "body must be UTF-8 JSON");
     };
-    let spec = match SweepSpec::parse(text) {
-        Ok(spec) => spec,
-        Err(e) => return Response::error(400, &e.to_string()),
-    };
-    match ctx.queue.submit(spec) {
+    match SweepSpec::parse(text) {
+        Ok(spec) => submitted(queue.submit(spec)),
+        Err(e) => Response::error(400, &e.to_string()),
+    }
+}
+
+/// The answer to one submission.
+pub(crate) fn submitted(submission: Submission) -> Response {
+    match submission {
         Submission::Accepted {
             id,
             coalesced,
@@ -272,6 +235,7 @@ fn submit_sweep(request: &Request, ctx: &RouteCtx) -> Response {
         ),
         Submission::Overloaded { retry_after_s } => Response::error(429, "sweep queue full")
             .with_header("Retry-After", retry_after_s.to_string()),
+        Submission::Refused(reason) => Response::error(503, &reason),
         Submission::Draining => Response::error(503, "draining"),
     }
 }
@@ -279,7 +243,7 @@ fn submit_sweep(request: &Request, ctx: &RouteCtx) -> Response {
 /// `GET /v1/sweeps/:id`, `GET /v1/sweeps/:id/report` and
 /// `GET /v1/sweeps/:id/trace` (`/v1/sweeps/:id/events` streams and is
 /// routed before dispatch reaches here).
-fn sweep_get(path: &str, ctx: &RouteCtx) -> Response {
+fn sweep_get(path: &str, queue: &JobQueue) -> Response {
     let rest = path.trim_start_matches("/v1/sweeps/");
     let (id_text, want) = if let Some(id) = rest.strip_suffix("/report") {
         (id, Some("report"))
@@ -294,9 +258,9 @@ fn sweep_get(path: &str, ctx: &RouteCtx) -> Response {
     match want {
         Some(doc) => {
             let fetched = if doc == "report" {
-                ctx.queue.report(id)
+                queue.report(id)
             } else {
-                ctx.queue.trace(id)
+                queue.trace(id)
             };
             match fetched {
                 None => Response::error(404, "no such job"),
@@ -306,7 +270,7 @@ fn sweep_get(path: &str, ctx: &RouteCtx) -> Response {
                 Some(Err(_)) => Response::error(409, "sweep not finished"),
             }
         }
-        None => match ctx.queue.status(id) {
+        None => match queue.status(id) {
             Some(status) => Response::json(200, status.render()),
             None => Response::error(404, "no such job"),
         },

@@ -253,29 +253,36 @@ pub fn render_runs(result: &SweepResult) -> Json {
     let runs = result
         .outcomes
         .iter()
-        .map(|((tag, wl), outcome)| {
-            let mut pairs = vec![
-                ("tag".to_owned(), Json::str(tag)),
-                ("workload".to_owned(), Json::str(wl)),
-            ];
-            match outcome {
-                CellOutcome::Completed { report, .. } => {
-                    pairs.push(("report".to_owned(), report.to_json()));
-                }
-                CellOutcome::Failed { error } => {
-                    pairs.push(("error".to_owned(), Json::str(error)));
-                }
-                CellOutcome::TimedOut { budget } => {
-                    pairs.push((
-                        "timed_out_ms".to_owned(),
-                        Json::u64(budget.as_millis() as u64),
-                    ));
-                }
-            }
-            Json::Obj(pairs)
-        })
+        .map(|((tag, wl), outcome)| render_run_object(tag, wl, outcome))
         .collect();
     Json::Obj(vec![("runs".into(), Json::Arr(runs))])
+}
+
+/// One element of [`render_runs`]'s `runs` array: the cell's identity
+/// plus its `report`, `error` or `timed_out_ms`. Fabric workers answer
+/// with exactly this object, so a gathered report re-renders to the same
+/// bytes.
+#[must_use]
+pub fn render_run_object(tag: &str, workload: &str, outcome: &CellOutcome) -> Json {
+    let mut pairs = vec![
+        ("tag".to_owned(), Json::str(tag)),
+        ("workload".to_owned(), Json::str(workload)),
+    ];
+    match outcome {
+        CellOutcome::Completed { report, .. } => {
+            pairs.push(("report".to_owned(), report.to_json()));
+        }
+        CellOutcome::Failed { error } => {
+            pairs.push(("error".to_owned(), Json::str(error)));
+        }
+        CellOutcome::TimedOut { budget } => {
+            pairs.push((
+                "timed_out_ms".to_owned(),
+                Json::u64(budget.as_millis() as u64),
+            ));
+        }
+    }
+    Json::Obj(pairs)
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
-//! A generic server-sent-events pump over chunked transfer encoding,
-//! shared by `dice-serve`'s job stream and the fabric coordinator's
-//! scatter/gather progress fan-in.
+//! A generic server-sent-events pump over chunked transfer encoding: the
+//! transport behind `GET /v1/sweeps/:id/events`.
 //!
 //! The pump owns the socket for the stream's lifetime: it polls a
 //! caller-supplied cursor function, writes each new event as a
@@ -79,7 +78,7 @@ pub fn stream_sse(
 
 /// Splits a raw SSE body into its `data:` payload lines (heartbeat
 /// comments and blank separators dropped) — the inverse of the pump's
-/// framing, shared by tests and the coordinator's progress fan-in.
+/// framing, for clients and tests.
 #[must_use]
 pub fn sse_data_lines(body: &str) -> Vec<String> {
     body.lines()
