@@ -1182,7 +1182,7 @@ fn run_experiments(
         });
         let sweep = runner.run(cells);
         eprintln!("[experiments] {}", sweep.summary());
-        let engine = dice_sim::engine_counters();
+        let engine = sweep.engine;
         if engine.events_scheduled > 0 {
             eprintln!(
                 "[experiments] engine: {} events scheduled, {} chained inline, {} wheel cascades",

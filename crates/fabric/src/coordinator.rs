@@ -68,6 +68,7 @@ use dice_serve::net::{NetConfig, NetServer};
 use dice_serve::{
     EventLog, Executed, Handle, JobQueue, Server, SweepExecutor, SweepRun, SweepSpec,
 };
+use dice_sim::EngineCounters;
 
 use crate::breaker::{Breaker, BreakerConfig, JitteredBackoff};
 use crate::journal::{Journal, JournalRecord, Recovery};
@@ -923,6 +924,7 @@ impl Scatter {
                 cancelled: 0,
                 steals: 0,
                 tail_idle_ms: 0,
+                engine: EngineCounters::default(),
             },
             degraded,
         }

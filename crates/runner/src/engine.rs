@@ -36,7 +36,7 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use dice_obs::{Histogram, MetricRegistry, SpanGuard, SpanId, TraceCtx};
-use dice_sim::{RunReport, SimConfig, System, WorkloadSet};
+use dice_sim::{EngineCounters, RunReport, SimConfig, System, WorkloadSet};
 
 use crate::cache::DiskCache;
 use crate::key::cell_key;
@@ -253,6 +253,9 @@ pub struct SweepResult {
     /// [`wall`](Self::wall) mean the tail was serialized on a few slow
     /// cells.
     pub tail_idle_ms: u64,
+    /// Event-engine counters summed over the cells this sweep simulated
+    /// (cached cells and failed attempts contribute nothing).
+    pub engine: EngineCounters,
 }
 
 impl SweepResult {
@@ -284,47 +287,37 @@ impl SweepResult {
         self.count(|o| matches!(o, CellOutcome::TimedOut { .. }))
     }
 
-    /// Registers the sweep's counters and the per-cell wall-time histogram
-    /// under `runner.*` in `reg`.
+    /// Adds the sweep's counters and its per-cell wall-time histogram to
+    /// `runner.*` in `reg`, and its engine counters to `sim.*`. Every
+    /// counter only goes up, so a long-lived registry (one per
+    /// `dice-serve` process) holds totals over every sweep it served.
+    /// `runner.jobs` is a gauge: the worker count is a setting, not a
+    /// count.
     pub fn register(&self, reg: &mut MetricRegistry) {
         for (name, v) in [
-            ("runner.cells", self.outcomes.len()),
-            ("runner.simulated", self.simulated()),
-            ("runner.cached", self.cached()),
-            ("runner.failed", self.failed()),
-            ("runner.timed_out", self.timed_out()),
-            ("runner.retried", self.retried),
-            ("runner.deduped", self.deduped),
-            ("runner.jobs", self.jobs),
+            ("runner.cells", self.outcomes.len() as u64),
+            ("runner.simulated", self.simulated() as u64),
+            ("runner.cached", self.cached() as u64),
+            ("runner.failed", self.failed() as u64),
+            ("runner.timed_out", self.timed_out() as u64),
+            ("runner.retried", self.retried as u64),
+            ("runner.deduped", self.deduped as u64),
+            ("runner.cancelled", self.cancelled as u64),
+            ("runner.cache_discarded", self.cache_discarded),
+            ("runner.steals", self.steals),
+            ("runner.tail_idle_ms", self.tail_idle_ms),
+            ("runner.wall_ms", self.wall.as_millis() as u64),
+            ("sim.events_scheduled", self.engine.events_scheduled),
+            ("sim.events_chained", self.engine.events_chained),
+            ("sim.wheel_cascades", self.engine.wheel_cascades),
         ] {
             let id = reg.counter(name);
-            reg.set(id, v as u64);
+            reg.add(id, v);
         }
-        let id = reg.counter("runner.cancelled");
-        reg.set(id, self.cancelled as u64);
-        let id = reg.counter("runner.cache_discarded");
-        reg.set(id, self.cache_discarded);
-        let id = reg.counter("runner.steals");
-        reg.set(id, self.steals);
-        let id = reg.counter("runner.tail_idle_ms");
-        reg.set(id, self.tail_idle_ms);
-        let id = reg.counter("runner.wall_ms");
-        reg.set(id, self.wall.as_millis() as u64);
+        let id = reg.gauge("runner.jobs");
+        reg.set_gauge(id, self.jobs as f64);
         let h = reg.histogram("runner.cell_wall_ms");
         reg.merge_histogram(h, &self.cell_wall_ms);
-
-        // Event-engine counters (`sim.*`): process-wide totals from the
-        // simulator's timing wheel, aggregated across every cell this
-        // process has simulated (cached cells contribute nothing).
-        let engine = dice_sim::engine_counters();
-        for (name, v) in [
-            ("sim.events_scheduled", engine.events_scheduled),
-            ("sim.events_chained", engine.events_chained),
-            ("sim.wheel_cascades", engine.wheel_cascades),
-        ] {
-            let id = reg.counter(name);
-            reg.set(id, v);
-        }
 
         // Per-class error counters (`errors.*`): the sweep's failures
         // expressed in the shared DiceError taxonomy.
@@ -450,6 +443,7 @@ impl Runner {
         let mut outcomes = BTreeMap::new();
         let mut cell_wall_ms = Histogram::new();
         let mut retried = 0usize;
+        let mut engine = EngineCounters::default();
         let discarded_before = self.cache.as_ref().map_or(0, DiskCache::discarded);
         let workers = jobs.min(total.max(1));
         // Work-stealing state: one deque per worker, dealt round-robin so
@@ -457,7 +451,7 @@ impl Runner {
         // front half of the longest remaining queue.
         let queues = StealQueues::deal(total, workers);
         let exits: Vec<Mutex<Option<Instant>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-        let (tx, rx) = mpsc::channel::<(usize, CellOutcome, u32)>();
+        let (tx, rx) = mpsc::channel::<(usize, CellOutcome, u32, EngineCounters)>();
         let cells = &unique;
 
         std::thread::scope(|scope| {
@@ -481,12 +475,12 @@ impl Runner {
                             )
                         });
                         let parent = span.as_ref().map(SpanGuard::id);
-                        let (outcome, retries) = self.run_cell(cell, parent);
+                        let (outcome, retries, engine) = self.run_cell(cell, parent);
                         // Close the cell span before reporting completion
                         // so a progress consumer never observes a finished
                         // cell with an open span.
                         drop(span);
-                        if tx.send((i, outcome, retries)).is_err() {
+                        if tx.send((i, outcome, retries, engine)).is_err() {
                             break;
                         }
                     }
@@ -498,9 +492,10 @@ impl Runner {
             // The spawning thread doubles as the collector so progress
             // streams while workers are busy.
             let mut done = 0usize;
-            while let Ok((i, outcome, retries)) = rx.recv() {
+            while let Ok((i, outcome, retries, cell_engine)) = rx.recv() {
                 done += 1;
                 retried += retries as usize;
+                engine += cell_engine;
                 let cell = &cells[i];
                 if self.config.verbose {
                     let status = match &outcome {
@@ -572,15 +567,17 @@ impl Runner {
             cancelled,
             steals: queues.steals.load(Ordering::Relaxed),
             tail_idle_ms,
+            engine,
         }
     }
 
     /// Runs one cell: persistent-cache probe, then a watchdog-supervised,
     /// unwind-isolated simulation (with bounded retries on panic), then a
-    /// cache write-back. Returns the outcome and how many retries it took.
-    /// `span` is the cell's span id; the simulation's phase spans nest
-    /// under it.
-    fn run_cell(&self, cell: &Cell, span: Option<SpanId>) -> (CellOutcome, u32) {
+    /// cache write-back. Returns the outcome, how many retries it took and
+    /// the successful simulation's engine counters (zero for a cache hit or
+    /// a failure). `span` is the cell's span id; the simulation's phase
+    /// spans nest under it.
+    fn run_cell(&self, cell: &Cell, span: Option<SpanId>) -> (CellOutcome, u32, EngineCounters) {
         let t0 = Instant::now();
         let key = cell_key(&cell.cfg, &cell.workload);
         if let Some(cached) = self.cache.as_ref().and_then(|c| c.load(key)) {
@@ -591,13 +588,14 @@ impl Runner {
                     wall: t0.elapsed(),
                 },
                 0,
+                EngineCounters::default(),
             );
         }
         let attempts = self.config.retries.saturating_add(1);
         let mut last_error = String::new();
         for attempt in 0..attempts {
             match self.simulate_once(cell, span) {
-                Ok(report) => {
+                Ok((report, engine)) => {
                     if let Some(cache) = &self.cache {
                         if let Err(e) = cache.store(key, &cell.tag, &report) {
                             eprintln!(
@@ -613,13 +611,18 @@ impl Runner {
                             wall: t0.elapsed(),
                         },
                         attempt,
+                        engine,
                     );
                 }
                 Err(CellFailure::TimedOut(budget)) => {
                     // Deterministic simulations that blew the budget once
                     // will blow it again; retrying only multiplies the
                     // wasted wall time.
-                    return (CellOutcome::TimedOut { budget }, attempt);
+                    return (
+                        CellOutcome::TimedOut { budget },
+                        attempt,
+                        EngineCounters::default(),
+                    );
                 }
                 Err(CellFailure::Panicked(msg)) => {
                     if attempt + 1 < attempts {
@@ -635,13 +638,21 @@ impl Runner {
                 }
             }
         }
-        (CellOutcome::Failed { error: last_error }, attempts - 1)
+        (
+            CellOutcome::Failed { error: last_error },
+            attempts - 1,
+            EngineCounters::default(),
+        )
     }
 
     /// One simulation attempt. With no budget the attempt runs inline on
     /// the worker thread; with a budget it runs on a dedicated thread the
     /// watchdog can abandon.
-    fn simulate_once(&self, cell: &Cell, span: Option<SpanId>) -> Result<RunReport, CellFailure> {
+    fn simulate_once(
+        &self,
+        cell: &Cell,
+        span: Option<SpanId>,
+    ) -> Result<(RunReport, EngineCounters), CellFailure> {
         SIMULATIONS.fetch_add(1, Ordering::Relaxed);
         let cfg = cell.cfg.clone();
         let workload = cell.workload.clone();
@@ -651,7 +662,7 @@ impl Runner {
             if let Some(ctx) = trace {
                 sys.set_trace(ctx, span);
             }
-            sys.run()
+            sys.run_with_engine_stats()
         };
         let Some(budget) = self.config.cell_timeout else {
             return catch_unwind(AssertUnwindSafe(sim))
@@ -666,7 +677,7 @@ impl Runner {
             let _ = tx.send(result);
         });
         match rx.recv_timeout(budget) {
-            Ok(Ok(report)) => Ok(report),
+            Ok(Ok(run)) => Ok(run),
             Ok(Err(msg)) => Err(CellFailure::Panicked(msg)),
             Err(_) => Err(CellFailure::TimedOut(budget)),
         }

@@ -104,7 +104,9 @@ fn duplicate_cells_are_deduped() {
     assert_eq!(result.simulated(), 4);
 }
 
-/// Sweep statistics flow into the shared metric registry.
+/// Sweep statistics flow into the shared metric registry, and a second
+/// sweep registered into the same registry adds to them: the counters
+/// only go up, as a long-lived `dice-serve` registry needs.
 #[test]
 fn sweep_registers_runner_metrics() {
     let runner = Runner::new(RunnerConfig {
@@ -124,4 +126,35 @@ fn sweep_registers_runner_metrics() {
     assert_eq!(reg.counter_value("errors.cell_panic"), Some(0));
     assert_eq!(reg.counter_value("errors.cell_timeout"), Some(0));
     assert_eq!(reg.histogram_ref("runner.cell_wall_ms").unwrap().count(), 4);
+
+    // Two of the cells again plus a duplicate of one: 2 cells, 1 deduped.
+    let mut cells = small_sweep();
+    cells.truncate(2);
+    cells.push(cells[0].clone());
+    let second = runner.run(cells);
+    second.register(&mut reg);
+    assert_eq!(reg.counter_value("runner.cells"), Some(4 + 2));
+    assert_eq!(reg.counter_value("runner.simulated"), Some(4 + 2));
+    assert_eq!(reg.counter_value("runner.deduped"), Some(1));
+    assert_eq!(reg.counter_value("runner.failed"), Some(0));
+    assert_eq!(reg.histogram_ref("runner.cell_wall_ms").unwrap().count(), 6);
+    assert_eq!(reg.counter_value("runner.jobs"), None);
+    assert_eq!(reg.gauge_value("runner.jobs"), Some(2.0));
+
+    // The engine counters are this registry's two sweeps, not the
+    // process's: other tests simulating concurrently do not leak in.
+    assert!(result.engine.events_scheduled > 0 && second.engine.events_scheduled > 0);
+    let (a, b) = (result.engine, second.engine);
+    assert_eq!(
+        reg.counter_value("sim.events_scheduled"),
+        Some(a.events_scheduled + b.events_scheduled)
+    );
+    assert_eq!(
+        reg.counter_value("sim.events_chained"),
+        Some(a.events_chained + b.events_chained)
+    );
+    assert_eq!(
+        reg.counter_value("sim.wheel_cascades"),
+        Some(a.wheel_cascades + b.wheel_cascades)
+    );
 }

@@ -726,6 +726,7 @@ mod tests {
                     cancelled: 0,
                     steals: 0,
                     tail_idle_ms: 0,
+                    engine: dice_sim::EngineCounters::default(),
                 },
                 degraded: self.degraded.clone(),
             })

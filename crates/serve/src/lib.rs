@@ -29,9 +29,9 @@
 //! persistent cache); a second SIGTERM cooperatively cancels remaining
 //! cells through [`dice_runner::RunnerConfig::cancel`].
 //!
-//! The crate also ships `dice-serve-loadgen`, a closed-loop load
-//! generator that appends serving-throughput entries to
-//! `BENCH_results.json`.
+//! The crate also ships `dice-serve-loadgen`, the probe client CI uses to
+//! byte-compare served reports against direct runs and to validate
+//! `/metrics` and `/v1/sweeps/:id/trace`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -29,7 +29,7 @@ pub struct SimConfig {
     /// L3 fetch policy (Table 7 baselines).
     pub l3_fetch: L3FetchPolicy,
     /// Install the free pair line into L3 on compressed hits (§6.4); the
-    /// ablation benches turn this off.
+    /// ablation example turns this off.
     pub install_pair_in_l3: bool,
     /// Maximum outstanding L3-level accesses per core (memory-level
     /// parallelism window).

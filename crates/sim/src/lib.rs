@@ -49,7 +49,7 @@ pub use config::{SimConfig, WorkloadSet};
 pub use core_model::CoreModel;
 pub use dice_ingest::TraceBinding;
 pub use report::{geomean, EnergyReport, IntegrityReport, PhaseCycles, RunDiag, RunReport};
-pub use system::{engine_counters, EngineCounters, System};
+pub use system::{EngineCounters, System};
 pub use timeline::IntervalSample;
 
 /// Simulated time in CPU cycles (re-exported from `dice-dram`).

@@ -22,7 +22,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use dice_cache::{HierarchyConfig, SramHierarchy};
 use dice_core::{DramCacheController, FaultKind, FaultPlan, L4Stats, LyingSizes, Probe, SetIndex};
@@ -87,10 +86,11 @@ enum EventQueue {
     },
 }
 
-/// Per-run event-engine statistics (also accumulated process-wide; see
-/// [`engine_counters`]). Not part of [`RunReport`]: the reference engine
-/// chains nothing, so putting these in the report would break the
-/// byte-identity contract the engines share.
+/// Per-run event-engine statistics, returned next to the report by
+/// [`System::run_with_engine_stats`]. Not part of [`RunReport`]: the
+/// reference engine chains nothing, so putting these in the report would
+/// break the byte-identity contract the engines share. The runner sums
+/// them per sweep (`dice_runner::SweepResult::engine`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Events that round-tripped the queue (`sim.events_scheduled`).
@@ -102,20 +102,11 @@ pub struct EngineCounters {
     pub wheel_cascades: u64,
 }
 
-static EVENTS_SCHEDULED: AtomicU64 = AtomicU64::new(0);
-static EVENTS_CHAINED: AtomicU64 = AtomicU64::new(0);
-static WHEEL_CASCADES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide event-engine totals across every simulation run, the
-/// source for the `sim.events_scheduled` / `sim.events_chained` /
-/// `sim.wheel_cascades` registry metrics (same lifetime convention as
-/// `dice_runner::engine_runs`).
-#[must_use]
-pub fn engine_counters() -> EngineCounters {
-    EngineCounters {
-        events_scheduled: EVENTS_SCHEDULED.load(Ordering::Relaxed),
-        events_chained: EVENTS_CHAINED.load(Ordering::Relaxed),
-        wheel_cascades: WHEEL_CASCADES.load(Ordering::Relaxed),
+impl std::ops::AddAssign for EngineCounters {
+    fn add_assign(&mut self, other: Self) {
+        self.events_scheduled += other.events_scheduled;
+        self.events_chained += other.events_chained;
+        self.wheel_cascades += other.wheel_cascades;
     }
 }
 
@@ -731,7 +722,6 @@ impl System {
 
     /// [`run`](Self::run), also returning this run's engine counters
     /// (which never appear in the report; see [`EngineCounters`]).
-    #[doc(hidden)]
     pub fn run_with_engine_stats(mut self) -> (RunReport, EngineCounters) {
         let span_ctx = self.span_ctx.clone();
         {
@@ -847,9 +837,6 @@ impl System {
                 EventQueue::Reference { .. } => 0,
             },
         };
-        EVENTS_SCHEDULED.fetch_add(counters.events_scheduled, Ordering::Relaxed);
-        EVENTS_CHAINED.fetch_add(counters.events_chained, Ordering::Relaxed);
-        WHEEL_CASCADES.fetch_add(counters.wheel_cascades, Ordering::Relaxed);
 
         let report = RunReport {
             workload: self.workload_name.clone(),
