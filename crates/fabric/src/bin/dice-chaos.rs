@@ -93,12 +93,10 @@ fn main() {
     }
 
     let handle = proxy.handle();
-    std::thread::spawn(move || loop {
-        std::thread::sleep(Duration::from_millis(50));
-        if signal::term_count() > 0 {
+    signal::watch(move |count| {
+        if count == 1 {
             eprintln!("dice-chaos: draining");
             handle.drain();
-            break;
         }
     });
 

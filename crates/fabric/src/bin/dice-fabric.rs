@@ -46,23 +46,15 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Polls the signal counter; the first signal drains, the second just
-/// reports (the drain already stops everything this process owns).
+/// The first signal drains; later ones just report (the drain already
+/// stops everything this process owns).
 fn watch_signals(role: &'static str, drain: impl Fn() + Send + 'static) {
-    std::thread::spawn(move || {
-        let mut seen = 0;
-        loop {
-            std::thread::sleep(Duration::from_millis(50));
-            let count = signal::term_count();
-            if count > seen {
-                seen = count;
-                if count == 1 {
-                    eprintln!("dice-fabric-{role}: draining (finishing in-flight cells)");
-                    drain();
-                } else {
-                    eprintln!("dice-fabric-{role}: still draining");
-                }
-            }
+    signal::watch(move |count| {
+        if count == 1 {
+            eprintln!("dice-fabric-{role}: draining (finishing in-flight cells)");
+            drain();
+        } else {
+            eprintln!("dice-fabric-{role}: still draining");
         }
     });
 }

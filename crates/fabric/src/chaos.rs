@@ -31,9 +31,11 @@
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+use dice_serve::net::Drain;
 
 use crate::seeded::SeededRng;
 
@@ -120,14 +122,14 @@ impl Default for ChaosConfig {
 /// A handle for draining a running proxy from another thread.
 #[derive(Clone)]
 pub struct ChaosHandle {
-    drain: Arc<AtomicBool>,
+    drain: Drain,
 }
 
 impl ChaosHandle {
-    /// Stops the accept loop; in-flight connections run out their
-    /// (bounded) timeouts on their own threads.
+    /// Wakes and stops the accept loop; in-flight connections run out
+    /// their (bounded) timeouts on their own threads.
     pub fn drain(&self) {
-        self.drain.store(true, Ordering::SeqCst);
+        self.drain.start();
     }
 }
 
@@ -151,7 +153,7 @@ impl ChaosShared {
 /// The fault-injection proxy.
 pub struct ChaosProxy {
     listener: TcpListener,
-    drain: Arc<AtomicBool>,
+    drain: Drain,
     shared: Arc<ChaosShared>,
 }
 
@@ -164,8 +166,8 @@ impl ChaosProxy {
     pub fn bind(config: ChaosConfig) -> io::Result<ChaosProxy> {
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         Ok(ChaosProxy {
+            drain: Drain::new(listener.local_addr()?),
             listener,
-            drain: Arc::new(AtomicBool::new(false)),
             shared: Arc::new(ChaosShared {
                 config,
                 counts: Mutex::new(BTreeMap::new()),
@@ -187,7 +189,7 @@ impl ChaosProxy {
     #[must_use]
     pub fn handle(&self) -> ChaosHandle {
         ChaosHandle {
-            drain: Arc::clone(&self.drain),
+            drain: self.drain.clone(),
         }
     }
 
@@ -207,18 +209,18 @@ impl ChaosProxy {
     ///
     /// # Errors
     ///
-    /// Propagates listener configuration failures.
+    /// Currently none: failed accepts are skipped.
     pub fn run(&self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        while !self.drain.load(Ordering::SeqCst) {
+        while !self.drain.started() {
             match self.listener.accept() {
+                // The drain's wake-up connection: dropped before it takes
+                // a schedule index, so `scheduled_fault` indices stay
+                // those of real clients.
+                Ok(_) if self.drain.started() => break,
                 Ok((stream, _peer)) => {
                     let idx = self.shared.connections.fetch_add(1, Ordering::SeqCst);
                     let shared = Arc::clone(&self.shared);
                     std::thread::spawn(move || proxy_connection(&shared, stream, idx));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
                 }
                 Err(_) => {}
             }

@@ -10,21 +10,20 @@
 //! ([`crate::wire`]). All cross-cell orchestration — placement, retries,
 //! progress, report assembly — lives in the coordinator.
 //!
-//! Draining reuses the accept pool's drain flag: the first SIGTERM stops
-//! the accept loop, in-flight cells finish and respond (their results are
-//! already persisted in the local cache), parked connections get their
-//! answers, and [`Worker::run`] returns.
+//! Draining reuses the accept pool's [`Drain`]: the first SIGTERM wakes
+//! and stops the accept loop, in-flight cells finish and respond (their
+//! results are already persisted in the local cache), parked connections
+//! get their answers, and [`Worker::run`] returns.
 
 use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dice_core::{FaultKind, FaultPlan};
 use dice_obs::MetricRegistry;
 use dice_runner::{CellOutcome, Runner, RunnerConfig};
 use dice_serve::http::{Request, Response};
-use dice_serve::net::{Handled, NetConfig, NetServer};
+use dice_serve::net::{Drain, Handled, NetConfig, NetServer};
 use dice_serve::SweepSpec;
 
 use crate::wire::{render_run_object, seal_run_object};
@@ -60,14 +59,14 @@ impl Default for WorkerConfig {
 /// A handle for draining a running worker from another thread.
 #[derive(Clone)]
 pub struct WorkerHandle {
-    drain: Arc<AtomicBool>,
+    drain: Drain,
 }
 
 impl WorkerHandle {
     /// Begins a graceful drain; [`Worker::run`] returns once in-flight
     /// cells have answered.
     pub fn drain(&self) {
-        self.drain.store(true, Ordering::SeqCst);
+        self.drain.start();
     }
 }
 
@@ -75,7 +74,7 @@ struct WorkerShared {
     runner_cfg: RunnerConfig,
     inject: Option<FaultKind>,
     metrics: Arc<Mutex<MetricRegistry>>,
-    draining: Arc<AtomicBool>,
+    draining: Drain,
 }
 
 /// The worker node.
@@ -96,7 +95,7 @@ impl Worker {
             runner_cfg: config.runner,
             inject: config.inject,
             metrics: net.metrics(),
-            draining: net.drain_flag(),
+            draining: net.drain(),
         });
         Ok(Worker { net, shared })
     }
@@ -114,7 +113,7 @@ impl Worker {
     #[must_use]
     pub fn handle(&self) -> WorkerHandle {
         WorkerHandle {
-            drain: self.net.drain_flag(),
+            drain: self.net.drain(),
         }
     }
 
@@ -140,7 +139,7 @@ impl Worker {
 /// `POST /v1/cells`: parse a single-cell spec, execute it, answer with
 /// the run object.
 fn run_cell(request: &Request, shared: &Arc<WorkerShared>) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
+    if shared.draining.started() {
         return Response::error(503, "draining").with_header("Retry-After", "1");
     }
     let Ok(text) = std::str::from_utf8(&request.body) else {

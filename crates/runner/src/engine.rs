@@ -41,30 +41,6 @@ use dice_sim::{EngineCounters, RunReport, SimConfig, System, WorkloadSet};
 use crate::cache::DiskCache;
 use crate::key::cell_key;
 
-/// Process-wide count of [`Runner::run`] invocations (sweeps started).
-static ENGINE_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of simulation attempts actually started (cache hits
-/// and coalesced duplicates never reach this counter).
-static SIMULATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of sweeps started through the engine since process start.
-///
-/// Single-flight layers (e.g. `dice-serve`) assert on deltas of this
-/// counter to prove that N identical submissions executed exactly one
-/// sweep.
-#[must_use]
-pub fn engine_runs() -> u64 {
-    ENGINE_RUNS.load(Ordering::Relaxed)
-}
-
-/// Number of simulation attempts started since process start (excludes
-/// persistent-cache hits).
-#[must_use]
-pub fn simulations_started() -> u64 {
-    SIMULATIONS.load(Ordering::Relaxed)
-}
-
 /// One schedulable unit: a tagged configuration applied to one workload
 /// set.
 #[derive(Debug, Clone)]
@@ -411,7 +387,6 @@ impl Runner {
     /// warning.
     #[must_use]
     pub fn run(&self, cells: Vec<Cell>) -> SweepResult {
-        ENGINE_RUNS.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         let jobs = self.config.jobs.max(1);
 
@@ -455,11 +430,12 @@ impl Runner {
         let cells = &unique;
 
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for (w, exit_slot) in exits.iter().enumerate() {
                 let tx = tx.clone();
                 let queues = &queues;
                 let cancel = self.config.cancel.clone();
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     loop {
                         if cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
                             break;
@@ -485,7 +461,7 @@ impl Runner {
                         }
                     }
                     *lock(exit_slot) = Some(Instant::now());
-                });
+                }));
             }
             drop(tx);
 
@@ -543,6 +519,16 @@ impl Runner {
                     });
                 }
                 outcomes.insert(cell.memo_key(), outcome);
+            }
+
+            // Join the workers outright: the scope alone waits only for
+            // their closures, and a thread still exiting when the next
+            // sweep starts its own keeps its malloc arena, so back-to-back
+            // sweeps (a busy `dice-serve`) would keep adding arenas.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
 
@@ -653,7 +639,6 @@ impl Runner {
         cell: &Cell,
         span: Option<SpanId>,
     ) -> Result<(RunReport, EngineCounters), CellFailure> {
-        SIMULATIONS.fetch_add(1, Ordering::Relaxed);
         let cfg = cell.cfg.clone();
         let workload = cell.workload.clone();
         let trace = self.config.trace.clone().filter(TraceCtx::is_enabled);

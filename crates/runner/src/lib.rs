@@ -40,7 +40,6 @@ mod key;
 
 pub use cache::DiskCache;
 pub use engine::{
-    engine_runs, simulations_started, Cell, CellOutcome, CellProgress, ProgressSink, Runner,
-    RunnerConfig, SweepResult,
+    Cell, CellOutcome, CellProgress, ProgressSink, Runner, RunnerConfig, SweepResult,
 };
 pub use key::{cell_fingerprint, cell_key, cell_key_with_version, fnv1a64};

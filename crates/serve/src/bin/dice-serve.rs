@@ -14,10 +14,9 @@
 //! a clean drain.
 
 use std::io::Write;
-use std::time::Duration;
 
 use dice_serve::signal;
-use dice_serve::{Handle, ServeConfig, Server};
+use dice_serve::{ServeConfig, Server};
 
 struct Args {
     config: ServeConfig,
@@ -68,28 +67,6 @@ fn parse_args() -> Args {
     Args { config }
 }
 
-/// Polls the signal counter and steers the drain state machine.
-fn watch_signals(handle: Handle) {
-    let mut seen = 0;
-    loop {
-        std::thread::sleep(Duration::from_millis(50));
-        let count = signal::term_count();
-        if count > seen {
-            seen = count;
-            if count == 1 {
-                eprintln!(
-                    "dice-serve: draining (finishing in-flight sweeps; signal again to cancel)"
-                );
-                handle.drain();
-            } else {
-                eprintln!("dice-serve: cancelling in-flight sweeps");
-                handle.force_cancel();
-                return;
-            }
-        }
-    }
-}
-
 fn main() {
     let args = parse_args();
     signal::install();
@@ -110,7 +87,17 @@ fn main() {
     let _ = out.flush();
 
     let handle = server.handle();
-    std::thread::spawn(move || watch_signals(handle));
+    signal::watch(move |count| match count {
+        1 => {
+            eprintln!("dice-serve: draining (finishing in-flight sweeps; signal again to cancel)");
+            handle.drain();
+        }
+        2 => {
+            eprintln!("dice-serve: cancelling in-flight sweeps");
+            handle.force_cancel();
+        }
+        _ => {}
+    });
 
     if let Err(e) = server.run() {
         eprintln!("dice-serve: {e}");

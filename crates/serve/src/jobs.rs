@@ -38,7 +38,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dice_obs::{merge_chrome, Json, MetricRegistry, SpanId, TraceCtx};
 use dice_runner::{CellProgress, ProgressSink, Runner, RunnerConfig, SweepResult};
@@ -154,7 +154,7 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Appends one event.
+    /// Appends one event and wakes the job's waiting readers.
     pub fn push(&self, event: String) {
         let mut inner = self.shared.inner.lock().expect("job queue poisoned");
         if let Some(job) = inner.jobs.get_mut(&self.id) {
@@ -162,6 +162,8 @@ impl EventLog {
                 job.events.push(Arc::new(event));
             }
         }
+        drop(inner);
+        self.shared.job_changed.notify_all();
     }
 }
 
@@ -206,7 +208,7 @@ struct Job {
     /// Identical submissions that attached to this job after the first.
     coalesced: u64,
     /// Progress events, appended in completion order while the sweep
-    /// runs. SSE readers poll these via [`JobQueue::poll_events`].
+    /// runs. SSE readers wait on these via [`JobQueue::poll_events`].
     events: Vec<Arc<String>>,
     /// The documents once [`JobState::Done`], the failure reason once
     /// [`JobState::Failed`].
@@ -335,6 +337,9 @@ impl Inner {
 struct Shared {
     inner: Mutex<Inner>,
     work_ready: Condvar,
+    /// Signalled when a job gains an event or reaches a terminal state;
+    /// [`JobQueue::poll_events`] waits on it.
+    job_changed: Condvar,
     draining: AtomicBool,
     cancel: Arc<AtomicBool>,
     executor: Arc<dyn SweepExecutor>,
@@ -389,6 +394,7 @@ impl JobQueue {
         let shared = Arc::new(Shared {
             inner: Mutex::new(inner),
             work_ready: Condvar::new(),
+            job_changed: Condvar::new(),
             draining: AtomicBool::new(false),
             cancel: Arc::new(AtomicBool::new(false)),
             executor,
@@ -512,16 +518,35 @@ impl JobQueue {
     /// Progress events for job `id` from index `cursor` on, plus the
     /// job's state at the moment of the read (events and state are read
     /// atomically, so a terminal state means the returned slice completes
-    /// the stream). `None` if the job is unknown.
+    /// the stream). Returns at once when events lie past `cursor` or the
+    /// job has finished; otherwise blocks until one of those happens or
+    /// `wait` has passed. `None` if the job is unknown.
     #[must_use]
-    pub fn poll_events(&self, id: u64, cursor: usize) -> Option<(Vec<Arc<String>>, JobState)> {
-        let inner = self.shared.inner.lock().expect("job queue poisoned");
-        let job = inner.jobs.get(&id)?;
-        let events = match job.events.get(cursor..) {
-            Some(rest) => rest.to_vec(),
-            None => Vec::new(),
-        };
-        Some((events, job.state))
+    pub fn poll_events(
+        &self,
+        id: u64,
+        cursor: usize,
+        wait: Duration,
+    ) -> Option<(Vec<Arc<String>>, JobState)> {
+        let deadline = Instant::now() + wait;
+        let mut inner = self.shared.inner.lock().expect("job queue poisoned");
+        loop {
+            let job = inner.jobs.get(&id)?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            if job.events.len() > cursor || job.state.is_terminal() || left.is_zero() {
+                let events = job
+                    .events
+                    .get(cursor..)
+                    .map_or_else(Vec::new, <[_]>::to_vec);
+                return Some((events, job.state));
+            }
+            inner = self
+                .shared
+                .job_changed
+                .wait_timeout(inner, left)
+                .expect("job queue poisoned")
+                .0;
+        }
     }
 
     /// Stops accepting work and cancels jobs no worker has started.
@@ -537,6 +562,7 @@ impl JobQueue {
         }
         drop(inner);
         self.shared.work_ready.notify_all();
+        self.shared.job_changed.notify_all();
     }
 
     /// Flips the cooperative cancel flag shared with every running
@@ -590,6 +616,8 @@ fn worker_loop(shared: &Arc<Shared>) {
             job.outcome = Some(outcome);
             inner.retire(id);
         }
+        drop(inner);
+        shared.job_changed.notify_all();
     }
 }
 
@@ -867,6 +895,85 @@ mod tests {
         q.join();
     }
 
+    /// Runs `poll_events(id, cursor, 60 s)` on a thread of its own; the
+    /// answer comes back over the returned channel.
+    fn waiting_reader(
+        q: &Arc<JobQueue>,
+        id: u64,
+        cursor: usize,
+    ) -> std::sync::mpsc::Receiver<Option<(Vec<Arc<String>>, JobState)>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let q = Arc::clone(q);
+        std::thread::spawn(move || {
+            let _ = tx.send(q.poll_events(id, cursor, Duration::from_secs(60)));
+        });
+        // Let the reader block before the change it waits for.
+        std::thread::sleep(Duration::from_millis(100));
+        rx
+    }
+
+    #[test]
+    fn a_waiting_reader_wakes_when_its_sweep_finishes() {
+        let spec = tiny_spec(5);
+        let id = id_of(&spec);
+        let fake = Arc::new(Fake {
+            hold: Mutex::new(Some(id)),
+            ..Fake::default()
+        });
+        let (q, _) = fake_queue(&fake, 4, 1);
+        assert!(matches!(q.submit(spec), Submission::Accepted { .. }));
+        wait_for("the sweep's first event", || {
+            q.poll_events(id, 0, Duration::ZERO)
+                .is_some_and(|(events, _)| events.len() == 1)
+        });
+
+        let reader = waiting_reader(&q, id, 1);
+        assert!(
+            reader.try_recv().is_err(),
+            "returned before the sweep ended"
+        );
+        fake.release();
+        let (events, state) = reader
+            .recv_timeout(Duration::from_secs(10))
+            .expect("finishing the sweep woke the reader")
+            .expect("known job");
+        assert_eq!(state, JobState::Done);
+        assert!(events.is_empty());
+        q.drain();
+        q.join();
+    }
+
+    #[test]
+    fn drain_wakes_a_reader_of_a_queued_job() {
+        let held = tiny_spec(6);
+        let held_id = id_of(&held);
+        let fake = Arc::new(Fake {
+            hold: Mutex::new(Some(held_id)),
+            ..Fake::default()
+        });
+        let (q, _) = fake_queue(&fake, 4, 1);
+        assert!(matches!(q.submit(held), Submission::Accepted { .. }));
+        wait_for("the held sweep to run", || {
+            state_of(&q, held_id).as_deref() == Some("running")
+        });
+        // The only worker is busy, so this one stays queued.
+        let queued = tiny_spec(7);
+        let queued_id = id_of(&queued);
+        assert!(matches!(q.submit(queued), Submission::Accepted { .. }));
+
+        let reader = waiting_reader(&q, queued_id, 0);
+        assert!(reader.try_recv().is_err(), "returned before the drain");
+        q.drain();
+        let (events, state) = reader
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the drain woke the reader")
+            .expect("known job");
+        assert_eq!(state, JobState::Cancelled);
+        assert!(events.is_empty());
+        fake.release();
+        q.join();
+    }
+
     #[test]
     fn finished_jobs_stay_under_the_budget_and_running_ones_are_kept() {
         let fake = Arc::new(Fake {
@@ -908,7 +1015,7 @@ mod tests {
         // and resubmitting the evicted one runs it afresh.
         let first = ids[0];
         assert!(q.status(first).is_none() && q.report(first).is_none());
-        assert!(q.poll_events(first, 0).is_none());
+        assert!(q.poll_events(first, 0, Duration::ZERO).is_none());
         assert!(q.report(ids[9]).is_some());
         let runs = fake.executed.lock().expect("executed").len();
         assert_eq!(
@@ -957,7 +1064,7 @@ mod tests {
         wait_done(&q, id);
 
         // One event per cell, seq 1..=total, each a valid JSON object.
-        let (events, state) = q.poll_events(id, 0).expect("known job");
+        let (events, state) = q.poll_events(id, 0, Duration::ZERO).expect("known job");
         assert_eq!(state, JobState::Done);
         assert_eq!(events.len(), 2);
         for (i, ev) in events.iter().enumerate() {
@@ -968,9 +1075,11 @@ mod tests {
             assert_eq!(doc.get("status").and_then(Json::as_str), Some("simulated"));
         }
         // Cursor past the end yields nothing more.
-        let (rest, _) = q.poll_events(id, events.len()).expect("known job");
+        let (rest, _) = q
+            .poll_events(id, events.len(), Duration::ZERO)
+            .expect("known job");
         assert!(rest.is_empty());
-        assert!(q.poll_events(0xdead, 0).is_none());
+        assert!(q.poll_events(0xdead, 0, Duration::ZERO).is_none());
 
         // The trace is a valid Chrome document forming one tree: a sweep
         // root, a cell span per cell, and phase spans under each cell.

@@ -1,17 +1,18 @@
 //! A reusable HTTP/1.1 accept-pool server shell.
 //!
-//! `dice-serve` and the `dice-fabric` nodes share one threading model: a
-//! nonblocking accept loop hands sockets to a fixed pool of connection
-//! workers over a bounded channel, a full channel answers `503` inline
-//! (connections never pile up unbounded), and a drain flag stops the
-//! accept loop while parked connections finish. [`NetServer`] owns that
-//! machinery, the node's [`MetricRegistry`] and the plumbing endpoints
-//! every node answers the same way (`/healthz`, `/version`, `/metrics`,
-//! plus the `serve.http_*` request accounting); services supply a
-//! [`NetHandler`] for everything else.
+//! `dice-serve` and the `dice-fabric` nodes share one threading model: an
+//! accept loop blocked in `accept()` hands sockets to a fixed pool of
+//! connection workers over a bounded channel, a full channel answers
+//! `503` inline (connections never pile up unbounded), and a [`Drain`]
+//! stops the accept loop — it sets a flag and wakes the blocked `accept`
+//! with one loopback connection — while parked connections finish.
+//! [`NetServer`] owns that machinery, the node's [`MetricRegistry`] and
+//! the plumbing endpoints every node answers the same way (`/healthz`,
+//! `/version`, `/metrics`, plus the `serve.http_*` request accounting);
+//! services supply a [`NetHandler`] for everything else.
 
 use std::io::{self, BufReader};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -55,10 +56,49 @@ pub enum Handled {
 /// stream their own response ([`Handled::Streamed`]).
 pub type NetHandler = Arc<dyn Fn(&Request, &TcpStream) -> Handled + Send + Sync>;
 
-/// The accept-pool shell: listener + drain flag + metrics + worker pool.
+/// How long [`Drain::start`] waits for its wake-up connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// A drain trigger for an accept loop blocked in `accept()` on a loopback
+/// listener. Cheap to clone; every clone starts the same drain.
+#[derive(Clone)]
+pub struct Drain {
+    flag: Arc<AtomicBool>,
+    addr: SocketAddr,
+}
+
+impl Drain {
+    /// A trigger for the loop accepting on `addr`, the listener's bound
+    /// address. The loop must check [`Drain::started`] after every
+    /// `accept` and drop the connection that woke it.
+    #[must_use]
+    pub fn new(addr: SocketAddr) -> Drain {
+        Drain {
+            flag: Arc::new(AtomicBool::new(false)),
+            addr,
+        }
+    }
+
+    /// Begins the drain: sets the flag, then opens one connection to the
+    /// listener so a blocked `accept` returns and sees it. Best effort —
+    /// once the loop has stopped, nothing answers the connection.
+    pub fn start(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.addr, WAKE_TIMEOUT);
+    }
+
+    /// Whether [`Drain::start`] has been called.
+    #[must_use]
+    pub fn started(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
+
+/// The accept-pool shell: listener + drain trigger + metrics + worker
+/// pool.
 pub struct NetServer {
     listener: TcpListener,
-    drain: Arc<AtomicBool>,
+    drain: Drain,
     metrics: Arc<Mutex<MetricRegistry>>,
     conn_workers: usize,
     conn_backlog: usize,
@@ -73,8 +113,8 @@ impl NetServer {
     pub fn bind(config: &NetConfig) -> io::Result<NetServer> {
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         Ok(NetServer {
+            drain: Drain::new(listener.local_addr()?),
             listener,
-            drain: Arc::new(AtomicBool::new(false)),
             metrics: Arc::new(Mutex::new(MetricRegistry::new())),
             conn_workers: config.conn_workers.max(1),
             conn_backlog: config.conn_backlog.max(1),
@@ -86,15 +126,15 @@ impl NetServer {
     /// # Errors
     ///
     /// Propagates the socket query failure.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
-    /// The drain flag: flipping it to `true` stops the accept loop;
+    /// The drain trigger: [`Drain::start`] stops the accept loop;
     /// [`NetServer::run`] then finishes parked connections and returns.
     #[must_use]
-    pub fn drain_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.drain)
+    pub fn drain(&self) -> Drain {
+        self.drain.clone()
     }
 
     /// The node's metrics registry: `/metrics` renders it and every
@@ -105,7 +145,7 @@ impl NetServer {
         Arc::clone(&self.metrics)
     }
 
-    /// Serves until the drain flag flips, then drains: stops accepting,
+    /// Serves until the drain starts, then drains: stops accepting,
     /// finishes parked connections, joins the pool, and returns.
     ///
     /// The shell answers the plumbing endpoints itself — `GET /healthz`
@@ -117,15 +157,14 @@ impl NetServer {
     ///
     /// # Errors
     ///
-    /// Propagates listener configuration failures (accept-time errors on
-    /// individual connections are counted, not fatal).
+    /// Currently none: accept-time errors on individual connections are
+    /// counted, not fatal.
     pub fn run(&self, name: &'static str, handler: NetHandler) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(self.conn_backlog);
         let rx = Arc::new(Mutex::new(rx));
         let plumbing = Arc::new(Plumbing {
             name,
-            drain: Arc::clone(&self.drain),
+            drain: self.drain.clone(),
             metrics: Arc::clone(&self.metrics),
         });
         let workers: Vec<_> = (0..self.conn_workers)
@@ -137,8 +176,11 @@ impl NetServer {
             })
             .collect();
 
-        while !self.drain.load(Ordering::SeqCst) {
+        while !self.drain.started() {
             match self.listener.accept() {
+                // The drain's wake-up connection (or a client racing it):
+                // dropped unanswered.
+                Ok(_) if self.drain.started() => break,
                 Ok((stream, _peer)) => match tx.try_send(stream) {
                     Ok(()) => {}
                     Err(TrySendError::Full(stream)) => {
@@ -149,9 +191,6 @@ impl NetServer {
                     }
                     Err(TrySendError::Disconnected(_)) => break,
                 },
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
                 Err(_) => count(&self.metrics, "serve.accept_errors"),
             }
         }
@@ -187,7 +226,7 @@ pub(crate) fn count(metrics: &Mutex<MetricRegistry>, name: &str) {
 struct Plumbing {
     /// What `/version` reports as the node's name.
     name: &'static str,
-    drain: Arc<AtomicBool>,
+    drain: Drain,
     metrics: Arc<Mutex<MetricRegistry>>,
 }
 
@@ -196,7 +235,7 @@ impl Plumbing {
     /// other path.
     fn route(&self, request: &Request) -> Option<Response> {
         Some(match (request.method.as_str(), request.route()) {
-            ("GET", "/healthz") if self.drain.load(Ordering::SeqCst) => {
+            ("GET", "/healthz") if self.drain.started() => {
                 Response::error(503, "draining").with_header("Retry-After", "1")
             }
             ("GET", "/healthz") => Response::text(200, "ok\n"),
@@ -287,4 +326,32 @@ fn handle_connection(stream: TcpStream, handler: &NetHandler, plumbing: &Plumbin
     let mut stream = stream;
     let _ = response.write(&mut stream);
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn drain_wakes_an_idle_accept_loop() {
+        let server = NetServer::bind(&NetConfig::default()).expect("bind ephemeral port");
+        let drain = server.drain();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let handler: NetHandler =
+                Arc::new(|_: &Request, _: &TcpStream| Handled::Respond(Response::text(200, "")));
+            let _ = done.send(server.run("test", handler));
+        });
+        // No client ever connects: only the drain can end `accept`.
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(
+            finished.try_recv().is_err(),
+            "run returned before the drain"
+        );
+        drain.start();
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the drain woke the accept loop")
+            .expect("run");
+    }
 }

@@ -2,23 +2,23 @@
 //! a [`JobQueue`] — the one sweep API, whichever executor runs the
 //! sweeps behind it.
 //!
-//! Threading model (see [`crate::net`]): the accept loop runs nonblocking
-//! and hands accepted sockets to a fixed pool of connection workers over
-//! a bounded channel (a full channel answers `503` inline — connections
-//! never pile up unbounded). Sweep execution happens on the job queue's
-//! own workers, so connection handling stays fast even while simulations
-//! run.
+//! Threading model (see [`crate::net`]): the accept loop blocks in
+//! `accept()` and hands accepted sockets to a fixed pool of connection
+//! workers over a bounded channel (a full channel answers `503` inline —
+//! connections never pile up unbounded); a drain wakes it with one
+//! loopback connection. Sweep execution happens on the job queue's own
+//! workers, so connection handling stays fast even while simulations
+//! run, and an event stream sleeps on the queue until its job changes.
 
 use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use dice_obs::Json;
 
 use crate::http::{Request, Response};
 use crate::jobs::{JobQueue, JobQueueConfig, JobState, Submission};
-use crate::net::{Handled, NetConfig, NetServer};
+use crate::net::{Drain, Handled, NetConfig, NetServer};
 use crate::spec::SweepSpec;
 use crate::sse::stream_sse;
 
@@ -54,7 +54,7 @@ pub type ExtraRoutes = Arc<dyn Fn(&Request) -> Option<Response> + Send + Sync>;
 /// A handle for steering a running server from another thread.
 #[derive(Clone)]
 pub struct Handle {
-    drain: Arc<AtomicBool>,
+    drain: Drain,
     queue: Arc<JobQueue>,
 }
 
@@ -63,7 +63,7 @@ impl Handle {
     /// no worker started, let running sweeps finish. [`Server::run`]
     /// returns once the drain completes.
     pub fn drain(&self) {
-        self.drain.store(true, Ordering::SeqCst);
+        self.drain.start();
         self.queue.drain();
     }
 
@@ -131,7 +131,7 @@ impl Server {
     #[must_use]
     pub fn handle(&self) -> Handle {
         Handle {
-            drain: self.net.drain_flag(),
+            drain: self.net.drain(),
             queue: Arc::clone(&self.queue),
         }
     }
@@ -168,9 +168,9 @@ fn handle(request: &Request, stream: &TcpStream, queue: &JobQueue) -> Handled {
     match events_job_id(request) {
         Some(Ok(id)) => {
             let mut out = stream;
-            Handled::Streamed(stream_sse(&mut out, |cursor| {
+            Handled::Streamed(stream_sse(&mut out, |cursor, wait| {
                 queue
-                    .poll_events(id, cursor)
+                    .poll_events(id, cursor, wait)
                     .map(|(events, state)| (events, state.is_terminal().then(|| state.as_str())))
             }))
         }

@@ -1,11 +1,13 @@
 //! SIGTERM/SIGINT accounting without a libc dependency.
 //!
 //! The handler only bumps an atomic counter — the async-signal-safe
-//! minimum — and the serve binary polls [`term_count`] to drive the
-//! drain state machine (first signal: graceful drain; second: cancel
-//! in-flight cells).
+//! minimum, which is why nothing waits on it directly. [`watch`] polls
+//! [`term_count`] on a thread of its own and hands each new count to the
+//! binary's drain state machine (in `dice-serve`, first signal: graceful
+//! drain; second: cancel in-flight cells).
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::Duration;
 
 static TERMS: AtomicU32 = AtomicU32::new(0);
 
@@ -21,6 +23,26 @@ extern "C" fn on_term(_sig: i32) {
 #[must_use]
 pub fn term_count() -> u32 {
     TERMS.load(Ordering::SeqCst)
+}
+
+/// How often [`watch`] reads the counter.
+const WATCH_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Spawns a thread that polls [`term_count`] and calls `on_signal(n)`
+/// once for every new count `n` (1 for the first signal, 2 for the
+/// second, …), in order, for the life of the process.
+pub fn watch(on_signal: impl Fn(u32) + Send + 'static) {
+    std::thread::spawn(move || {
+        let mut seen = 0;
+        loop {
+            std::thread::sleep(WATCH_INTERVAL);
+            let count = term_count();
+            for n in seen + 1..=count {
+                on_signal(n);
+            }
+            seen = count;
+        }
+    });
 }
 
 /// Registers the counter for SIGTERM and SIGINT. No-op off Unix.

@@ -1,12 +1,13 @@
 //! A generic server-sent-events pump over chunked transfer encoding: the
 //! transport behind `GET /v1/sweeps/:id/events`.
 //!
-//! The pump owns the socket for the stream's lifetime: it polls a
-//! caller-supplied cursor function, writes each new event as a
-//! `data: …\n\n` chunk, emits comment heartbeats while idle (keeping the
-//! connection visibly alive under the 5 s socket write timeout), and
-//! closes the chunked stream with a terminal `{"event":"end"}` record
-//! once the poll reports a terminal state.
+//! The pump owns the socket for the stream's lifetime: it waits on a
+//! caller-supplied cursor function until new events arrive, the subject
+//! ends or a heartbeat is due, writes each new event as a `data: …\n\n`
+//! chunk, emits comment heartbeats while idle (keeping the connection
+//! visibly alive under the 5 s socket write timeout), and closes the
+//! chunked stream with a terminal `{"event":"end"}` record once the poll
+//! reports a terminal state.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -22,17 +23,20 @@ const STREAM_DEADLINE: Duration = Duration::from_secs(600);
 const HEARTBEAT: Duration = Duration::from_secs(2);
 
 /// Streams events to `out` until the poll function reports a terminal
-/// state (or the client goes away). `poll(cursor)` returns the events at
-/// and past `cursor` plus `Some(state)` once the stream should end with
-/// that state name (events and terminal state must be read atomically by
-/// the poll, so a terminal state means the returned slice completes the
-/// stream); it returns `None` only if the subject is unknown, which
-/// answers `404`. Returns the status code to record.
+/// state (or the client goes away). `poll(cursor, wait)` returns the
+/// events at and past `cursor` plus `Some(state)` once the stream should
+/// end with that state name (events and terminal state must be read
+/// atomically by the poll, so a terminal state means the returned slice
+/// completes the stream); when there is neither, it may block for up to
+/// `wait` until there is. It returns `None` only if the subject is
+/// unknown, which answers `404`. The pump passes the time left until the
+/// next heartbeat, capped by the stream's deadline. Returns the status
+/// code to record.
 pub fn stream_sse(
     out: &mut impl Write,
-    poll: impl Fn(usize) -> Option<(Vec<Arc<String>>, Option<&'static str>)>,
+    poll: impl Fn(usize, Duration) -> Option<(Vec<Arc<String>>, Option<&'static str>)>,
 ) -> u16 {
-    if poll(0).is_none() {
+    if poll(0, Duration::ZERO).is_none() {
         let _ = Response::error(404, "no such job").write(out);
         return 404;
     }
@@ -42,7 +46,13 @@ pub fn stream_sse(
     let mut cursor = 0usize;
     let mut last_write = Instant::now();
     let deadline = Instant::now() + STREAM_DEADLINE;
-    while let Some((events, terminal)) = poll(cursor) {
+    loop {
+        let wait = (last_write + HEARTBEAT)
+            .min(deadline)
+            .saturating_duration_since(Instant::now());
+        let Some((events, terminal)) = poll(cursor, wait) else {
+            break;
+        };
         cursor += events.len();
         for event in &events {
             if write_chunk(out, format!("data: {event}\n\n").as_bytes()).is_err() {
@@ -62,14 +72,11 @@ pub fn stream_sse(
         if Instant::now() > deadline {
             break;
         }
-        if events.is_empty() {
-            if last_write.elapsed() >= HEARTBEAT {
-                if write_chunk(out, b": heartbeat\n\n").is_err() {
-                    return 200;
-                }
-                last_write = Instant::now();
+        if events.is_empty() && last_write.elapsed() >= HEARTBEAT {
+            if write_chunk(out, b": heartbeat\n\n").is_err() {
+                return 200;
             }
-            std::thread::sleep(Duration::from_millis(10));
+            last_write = Instant::now();
         }
     }
     let _ = finish_chunks(out);
@@ -95,7 +102,7 @@ mod tests {
     #[test]
     fn unknown_subject_is_404() {
         let mut out = Vec::new();
-        let status = stream_sse(&mut out, |_| None);
+        let status = stream_sse(&mut out, |_, _| None);
         assert_eq!(status, 404);
         assert!(String::from_utf8_lossy(&out).contains("no such job"));
     }
@@ -106,7 +113,7 @@ mod tests {
         // second returns one more event plus the terminal state.
         let round = Mutex::new(0usize);
         let mut out = Vec::new();
-        let status = stream_sse(&mut out, |cursor| {
+        let status = stream_sse(&mut out, |cursor, _wait| {
             let mut round = round.lock().expect("round");
             *round += 1;
             let all = [

@@ -1,27 +1,18 @@
 //! End-to-end tests: a real `Server` on an ephemeral port, driven over
 //! real sockets with the crate's own client.
 //!
-//! The single-flight and overload tests assert on deltas of the
-//! process-global engine counters (`dice_runner::engine_runs`), so every
-//! test that touches those counters serializes on [`SERIAL`].
+//! Every test boots its own server, and the single-flight tests read
+//! that server's own `/metrics`, so the tests run concurrently.
 
 use std::collections::HashSet;
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use dice_obs::Json;
-use dice_runner::{engine_runs, Runner, RunnerConfig};
+use dice_runner::{Runner, RunnerConfig};
 use dice_serve::jobs::JobQueueConfig;
 use dice_serve::{
     http_get, http_post, render_runs, validate_prometheus, ServeConfig, Server, SweepSpec,
 };
-
-/// Serializes tests that read the process-global engine counters.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A tiny sweep spec; `seed` varies the single-flight identity.
 fn spec_text(seed: u64) -> String {
@@ -110,6 +101,18 @@ fn wait_report(addr: &str, id: &str) -> String {
     let report = http_get(addr, &format!("/v1/sweeps/{id}/report")).expect("GET report");
     assert_eq!(report.status, 200);
     report.text()
+}
+
+/// Counter `name` (Prometheus spelling) from the server's `/metrics`; a
+/// counter never bumped reads 0.
+fn counter(addr: &str, name: &str) -> u64 {
+    let metrics = http_get(addr, "/metrics").expect("GET /metrics");
+    assert_eq!(metrics.status, 200);
+    metrics
+        .text()
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
 }
 
 fn submit(addr: &str, spec: &str) -> (String, bool) {
@@ -268,10 +271,9 @@ fn sse_streams_cell_events_in_order_and_trace_is_one_linked_tree() {
 
 #[test]
 fn drain_closes_event_streams_cleanly() {
-    let _guard = serial();
     // One sweep worker: the second submission waits in the queue, so a
-    // drain (the SIGTERM path — watch_signals calls Handle::drain) can
-    // catch its event stream mid-flight.
+    // drain (the SIGTERM path — dice-serve's signal watcher calls
+    // Handle::drain) can catch its event stream mid-flight.
     let server = TestServer::boot(8, 1, None);
     let addr = server.addr.clone();
     let (_running, _) = submit(&addr, &spec_text(81));
@@ -306,7 +308,6 @@ fn drain_closes_event_streams_cleanly() {
 
 #[test]
 fn served_report_is_byte_identical_to_direct_runner() {
-    let _guard = serial();
     let scratch = std::env::temp_dir().join(format!("dice-serve-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     let server = TestServer::boot(4, 1, Some(scratch.clone()));
@@ -329,14 +330,23 @@ fn served_report_is_byte_identical_to_direct_runner() {
     assert_eq!(served_cold, direct, "served report drifted from direct run");
 
     // Warm path: resubmitting coalesces onto the finished job and reads
-    // the same bytes without a new engine run.
-    let runs_before = engine_runs();
+    // the same bytes without running the sweep again.
+    let completed_before = counter(addr, "serve_sweeps_completed");
+    let coalesced_before = counter(addr, "serve_sweeps_coalesced");
     let (warm_id, warm_coalesced) = submit(addr, &spec);
     assert_eq!(warm_id, id);
     assert!(warm_coalesced);
     let served_warm = wait_report(addr, &warm_id);
     assert_eq!(served_warm, direct);
-    assert_eq!(engine_runs(), runs_before, "warm read ran the engine");
+    assert_eq!(
+        counter(addr, "serve_sweeps_completed"),
+        completed_before,
+        "warm read ran the sweep"
+    );
+    assert_eq!(
+        counter(addr, "serve_sweeps_coalesced"),
+        coalesced_before + 1
+    );
 
     // The sweep's cells were persisted by the server's disk cache.
     let cached_entries = std::fs::read_dir(&scratch)
@@ -355,11 +365,9 @@ fn served_report_is_byte_identical_to_direct_runner() {
 
 #[test]
 fn concurrent_identical_posts_single_flight() {
-    let _guard = serial();
     let server = TestServer::boot(8, 2, None);
     let addr = server.addr.clone();
 
-    let runs_before = engine_runs();
     let spec = spec_text(23);
     let results: Vec<(String, bool)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
@@ -398,9 +406,9 @@ fn concurrent_identical_posts_single_flight() {
     assert!(bodies.iter().all(|b| *b == bodies[0]));
     assert!(bodies[0].starts_with("{\"runs\":["));
 
-    // Single-flight proof: eight identical submissions, one engine run.
+    // Single-flight proof: eight identical submissions, one sweep run.
     assert_eq!(
-        engine_runs() - runs_before,
+        counter(&addr, "serve_sweeps_completed"),
         1,
         "coalescing failed: more than one sweep executed"
     );
@@ -410,7 +418,6 @@ fn concurrent_identical_posts_single_flight() {
 
 #[test]
 fn overload_answers_429_with_retry_after() {
-    let _guard = serial();
     // capacity 2, one worker: the queue fills almost immediately.
     let server = TestServer::boot(2, 1, None);
     let addr = &server.addr;
@@ -443,7 +450,6 @@ fn overload_answers_429_with_retry_after() {
 
 #[test]
 fn drain_finishes_inflight_and_refuses_new_work() {
-    let _guard = serial();
     let server = TestServer::boot(8, 1, None);
     let addr = server.addr.clone();
 
