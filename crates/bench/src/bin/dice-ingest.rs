@@ -39,14 +39,15 @@
 //! streamed and preloaded replay, and for any `--jobs`), and scheduler
 //! statistics — including `steals=` and `tail_idle_ms=` — on stderr.
 
-use std::path::PathBuf;
+use std::io::{BufRead, Write};
+use std::path::{Path, PathBuf};
 
 use dice_core::Organization;
 use dice_ingest::{pack_records, scan, DtfWriter, TraceBinding};
-use dice_obs::Json;
+use dice_obs::{DiceError, DiceResult, Json};
 use dice_runner::{Cell, CellOutcome, Runner, RunnerConfig};
 use dice_sim::{RunReport, SimConfig, WorkloadSet};
-use dice_workloads::{load_trace, save_trace, spec_table, TraceGen, WorkloadSpec};
+use dice_workloads::{spec_table, TraceGen, TraceRecord, WorkloadSpec};
 
 /// Flag parser shared by every subcommand; whines and exits on anything
 /// a subcommand did not declare.
@@ -154,13 +155,84 @@ fn cmd_gen(args: &Args) {
     );
 }
 
+/// Writes records in the text trace format: a header comment, then
+/// `gap line_hex r|w` per record.
+fn write_text_trace(path: &Path, records: &[TraceRecord]) -> DiceResult<()> {
+    let ioerr = |e: &std::io::Error| DiceError::io(format!("write trace {}", path.display()), e);
+    let mut f = std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| ioerr(&e))?);
+    writeln!(
+        f,
+        "# dice trace v1: <instruction-gap> <line-address-hex> <r|w>"
+    )
+    .map_err(|e| ioerr(&e))?;
+    for r in records {
+        writeln!(
+            f,
+            "{} {:x} {}",
+            r.gap,
+            r.line,
+            if r.write { 'w' } else { 'r' }
+        )
+        .map_err(|e| ioerr(&e))?;
+    }
+    f.flush().map_err(|e| ioerr(&e))
+}
+
+/// Reads the text trace format (`#` comments and blank lines skipped).
+///
+/// # Errors
+///
+/// Returns [`DiceError::Io`] on I/O failure or [`DiceError::TraceParse`]
+/// — carrying the path and 1-based line number — on malformed, truncated
+/// or garbled records.
+fn read_text_trace(path: &Path) -> DiceResult<Vec<TraceRecord>> {
+    let shown = path.display().to_string();
+    let f = std::io::BufReader::new(
+        std::fs::File::open(path).map_err(|e| DiceError::io(format!("open trace {shown}"), &e))?,
+    );
+    let bad = |no: usize, reason: String| DiceError::TraceParse {
+        path: shown.clone(),
+        line: no as u64 + 1,
+        reason,
+    };
+    let mut out = Vec::new();
+    for (no, line) in f.lines().enumerate() {
+        let line = line.map_err(|e| DiceError::io(format!("read trace {shown}"), &e))?;
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut it = line.split_whitespace();
+        let (Some(g), Some(l), Some(w)) = (it.next(), it.next(), it.next()) else {
+            let got = line.split_whitespace().count();
+            return Err(bad(no, format!("expected 3 fields, got {got}")));
+        };
+        let gap = g
+            .parse()
+            .map_err(|e| bad(no, format!("bad gap {g:?}: {e}")))?;
+        let addr =
+            u64::from_str_radix(l, 16).map_err(|e| bad(no, format!("bad address {l:?}: {e}")))?;
+        let write = match w {
+            "r" => false,
+            "w" => true,
+            other => return Err(bad(no, format!("bad r/w flag {other:?}"))),
+        };
+        out.push(TraceRecord {
+            gap,
+            line: addr,
+            write,
+        });
+    }
+    Ok(out)
+}
+
 /// `pack`: text trace to a single-stream `.dtf`.
 fn cmd_pack(args: &Args) {
     let input = args.path("--in");
     let out = args.path("--out");
     let compress = !args.has("--no-compress");
-    let records =
-        load_trace(&input).unwrap_or_else(|e| fail(&format!("reading {}", input.display()), &e));
+    let records = read_text_trace(&input)
+        .unwrap_or_else(|e| fail(&format!("reading {}", input.display()), &e));
     if records.is_empty() {
         fail(
             &format!("reading {}", input.display()),
@@ -186,7 +258,8 @@ fn cmd_unpack(args: &Args) {
     let records = dice_ingest::read_core_records(&input, core)
         .unwrap_or_else(|e| fail(&format!("reading {}", input.display()), &e));
     let plain: Vec<_> = records.iter().map(|r| r.rec).collect();
-    save_trace(&out, &plain).unwrap_or_else(|e| fail(&format!("writing {}", out.display()), &e));
+    write_text_trace(&out, &plain)
+        .unwrap_or_else(|e| fail(&format!("writing {}", out.display()), &e));
     eprintln!(
         "[dice-ingest] unpack: {} records of stream {core} -> {}",
         plain.len(),
@@ -390,5 +463,86 @@ fn main() {
             eprintln!("unknown command {other:?}; one of: gen pack unpack info sweep");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn file_round_trip() {
+        let dir = std::env::temp_dir().join("dice-trace-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t1.trace");
+        let recs = vec![
+            TraceRecord {
+                gap: 0,
+                line: 0xabc,
+                write: true,
+            },
+            TraceRecord {
+                gap: 99,
+                line: u64::MAX >> 8,
+                write: false,
+            },
+        ];
+        write_text_trace(&path, &recs).unwrap();
+        assert_eq!(read_text_trace(&path).unwrap(), recs);
+    }
+
+    #[test]
+    fn loader_rejects_garbage() {
+        let dir = std::env::temp_dir().join("dice-trace-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad.trace");
+        std::fs::write(&path, "1 zz r\n").unwrap();
+        assert!(read_text_trace(&path).is_err());
+        std::fs::write(&path, "1 10 x\n").unwrap();
+        assert!(read_text_trace(&path).is_err());
+        std::fs::write(&path, "# only comments\n\n").unwrap();
+        assert!(read_text_trace(&path).unwrap().is_empty());
+    }
+
+    /// Malformed-input regression: every corruption mode returns a typed
+    /// parse error carrying the path and the 1-based offending line.
+    #[test]
+    fn malformed_records_report_line_context() {
+        let dir = std::env::temp_dir().join("dice-trace-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ctx.trace");
+        let cases: [(&str, u64, &str); 5] = [
+            ("# ok\n5 1f r\n7 2a\n", 3, "truncated record"),
+            ("x 1f r\n", 1, "non-numeric gap"),
+            ("5 0xzz r\n", 1, "garbled address"),
+            ("5 1f rw\n", 1, "bad access flag"),
+            (
+                "5 1f r\n\n# c\n5 1f\n",
+                4,
+                "line numbers count comments and blanks",
+            ),
+        ];
+        for (text, want_line, label) in cases {
+            std::fs::write(&path, text).unwrap();
+            match read_text_trace(&path) {
+                Err(DiceError::TraceParse { path: p, line, .. }) => {
+                    assert!(p.ends_with("ctx.trace"), "{label}: path {p}");
+                    assert_eq!(line, want_line, "{label}");
+                }
+                other => panic!("{label}: expected TraceParse, got {other:?}"),
+            }
+        }
+        // Extra fields beyond the three parsed ones are tolerated only if
+        // the first three parse; `5 1f r q` has a valid prefix, so the
+        // fourth field is ignored by the split — verify that explicitly.
+        std::fs::write(&path, "5 1f r ignored\n").unwrap();
+        assert_eq!(read_text_trace(&path).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn missing_file_is_a_typed_io_error() {
+        let err = read_text_trace(Path::new("/nonexistent/dice.trace")).unwrap_err();
+        assert_eq!(err.class(), dice_obs::ErrorClass::Io);
+        assert!(err.to_string().contains("/nonexistent/dice.trace"));
     }
 }

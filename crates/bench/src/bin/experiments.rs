@@ -58,10 +58,10 @@ use dice_bench::workloads::{all26, group_geomeans, nonmem, Group};
 use dice_bench::{Ctx, Table};
 use dice_compress::{compressed_size, pair_compressed_size};
 use dice_core::{DramCacheConfig, Organization, TagVariant};
-use dice_obs::{export_chrome, Json, MetricRegistry, TraceLevel};
+use dice_obs::{export_chrome, DiceError, Json, MetricRegistry, TraceLevel};
 use dice_runner::{Cell, CellOutcome, Runner, RunnerConfig};
 use dice_sim::{SimConfig, WorkloadSet};
-use dice_workloads::{spec_table, DataModel, TraceGen};
+use dice_workloads::{spec_table, DataModel, TraceGen, TraceRecord};
 
 fn pct(x: f64) -> String {
     format!("{:+.1}%", (x - 1.0) * 100.0)
@@ -1236,22 +1236,36 @@ fn run_experiments(
     (out, failures)
 }
 
-/// `--inject garbled-trace`: writes a trace file with a corrupted record
-/// and verifies the loader reports a typed parse error with line context.
-/// Exits 0 on detection, 1 if the corruption slips through.
+/// `--inject garbled-trace`: packs a small `.dtf` trace, flips one byte of
+/// its frame body, and verifies that binding the file fails with a typed
+/// parse error naming the frame. Exits 0 on detection, 1 if the
+/// corruption slips through.
 fn garbled_trace_selftest(seed: u64) -> ! {
     let dir = std::env::temp_dir().join(format!("dice-inject-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("creating temp dir");
-    let path = dir.join("garbled.trace");
-    // One valid record, then a record whose address field is garbled.
-    std::fs::write(&path, format!("# dice trace v1\n1 {seed:x} r\n2 zz w\n"))
-        .expect("writing garbled trace");
-    let outcome = dice_workloads::ReplaySource::from_file(&path);
+    let path = dir.join("garbled.dtf");
+    let records: Vec<TraceRecord> = (0..64)
+        .map(|i| TraceRecord {
+            gap: i,
+            line: seed.wrapping_add(i),
+            write: i % 3 == 0,
+        })
+        .collect();
+    dice_ingest::pack_records(&path, &records, false).expect("packing the garbled trace");
+    let mut bytes = std::fs::read(&path).expect("reading the packed trace");
+    // The 64 records fill one frame, and the file ends with its body.
+    *bytes.last_mut().expect("a packed trace is never empty") ^= 0x5a;
+    std::fs::write(&path, &bytes).expect("writing the garbled trace");
+    let outcome = dice_ingest::TraceBinding::open(&path);
     let _ = std::fs::remove_dir_all(&dir);
     match outcome {
-        Err(e) => {
-            eprintln!("[experiments] garbled trace detected: {e}");
+        Err(e @ DiceError::TraceParse { line: 1, .. }) => {
+            eprintln!("[experiments] garbled trace detected in frame 1: {e}");
             std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("[experiments] FAULT NOT DETECTED as a frame parse error: {e}");
+            std::process::exit(1);
         }
         Ok(_) => {
             eprintln!("[experiments] FAULT NOT DETECTED: garbled trace parsed cleanly");
@@ -1382,7 +1396,7 @@ fn main() {
     }
     runner_cfg.verbose = ctx.verbose;
     // Two fault kinds live outside the simulator: garbled-trace is a
-    // self-test of the trace parser, and poisoned-cache corrupts the
+    // self-test of the `.dtf` frame checks, and poisoned-cache corrupts the
     // persistent cache on disk before the sweep (the runner must then
     // detect every poisoned entry and degrade it to a miss).
     match ctx.inject {

@@ -8,7 +8,7 @@
 //! |-----------------|---------------------------------|--------------------------|
 //! | `TagFlip`       | resident L4 tag bit             | auditor → set refilled   |
 //! | `SizeLie`       | compressed-size oracle on fills | auditor → set refilled   |
-//! | `GarbledTrace`  | trace-file record               | typed parse error        |
+//! | `GarbledTrace`  | `.dtf` trace frame body         | typed parse error        |
 //! | `PoisonedCache` | runner result-cache entry       | cache miss, re-simulate  |
 //! | `CellPanic`     | mid-simulation panic            | isolated failed cell     |
 //! | `CellTimeout`   | cell exceeds wall-clock budget  | `TimedOut`, sweep lives  |
@@ -27,7 +27,7 @@ pub enum FaultKind {
     TagFlip,
     /// Under-report compressed sizes on the fill path.
     SizeLie,
-    /// Corrupt trace-file records.
+    /// Corrupt a `.dtf` trace frame.
     GarbledTrace,
     /// Corrupt on-disk runner cache entries.
     PoisonedCache,

@@ -26,14 +26,15 @@
 //!   is smaller.
 //! * **Bounded-memory streaming** — [`DtfCoreStream`] holds one decoded
 //!   frame per core stream and seeks past other cores' frames, so trace
-//!   size never affects resident memory; it loops at end-of-trace like
-//!   [`ReplaySource`](dice_workloads::ReplaySource), and a sweep driven
-//!   by a streamed file is byte-identical to the same records replayed
-//!   from memory.
+//!   size never affects resident memory; it loops at end-of-trace, and a
+//!   sweep driven by a streamed file is byte-identical to the same
+//!   records preloaded into memory.
 //! * **Cache-safe bindings** — [`TraceBinding`] validates a file once,
 //!   records per-stream footprints and the file's FNV-1a content hash,
 //!   and travels inside `WorkloadSet` where its `Debug` rendering feeds
 //!   the runner's disk-cache key: change the file, change the key.
+//!   [`TraceBinding::open_core`] is how the simulator gets its per-core
+//!   record streams, and `.dtf` is the only trace format it reads.
 //!
 //! The `dice-ingest` CLI (in `crates/bench`, next to `experiments`)
 //! packs text/synthetic traces into `.dtf`, inspects them, and runs
@@ -52,5 +53,5 @@ pub use frame::{
     file_content_hash, fnv1a64, read_core_records, scan, CoreStat, DtfRecord, FrameStep, ScanInfo,
     FLAG_COMPRESSED, FNV_OFFSET, FRAME_MARKER, MAGIC, MAX_BODY_BYTES, MAX_CORES, MAX_RAW_BYTES,
 };
-pub use stream::{DtfCoreStream, DtfTraceSource, TraceBinding};
-pub use writer::{pack_records, pack_sources, DtfWriter, WriteStats, FRAME_RECORDS};
+pub use stream::{DtfCoreStream, TraceBinding};
+pub use writer::{pack_records, DtfWriter, WriteStats, FRAME_RECORDS};

@@ -9,7 +9,9 @@
 //! captures the validation pass over a file — stream count, per-core
 //! footprints and the FNV-1a content hash — as plain `Debug`-rendered
 //! data, which is exactly what flows into the runner's disk-cache key, so
-//! a cached cell can never outlive a changed trace file.
+//! a cached cell can never outlive a changed trace file; its
+//! [`open_core`](TraceBinding::open_core) hands the simulator one looping
+//! record stream per core.
 
 use std::fs::File;
 use std::io::Read as _;
@@ -17,7 +19,7 @@ use std::io::{BufReader, Seek, SeekFrom};
 use std::path::Path;
 
 use dice_obs::{DiceError, DiceResult};
-use dice_workloads::{RecordSource, ReplaySource, TraceRecord, TraceSource};
+use dice_workloads::{RecordSource, TraceRecord};
 
 use crate::frame::{self, next_frame_header, CoreStat, DtfRecord, FrameStep};
 
@@ -75,11 +77,11 @@ impl TraceBinding {
         })
     }
 
-    /// Switches the binding to preload mode: the sim materializes each
-    /// stream into a [`ReplaySource`] instead of streaming frames. Used
-    /// by the byte-identity harness (streamed vs in-memory) and small
-    /// traces; the flag is `Debug`-visible, so the two modes never share
-    /// a cache entry.
+    /// Switches the binding to preload mode: [`open_core`](Self::open_core)
+    /// decodes each stream into memory up front instead of streaming
+    /// frames. Used by the byte-identity harness (streamed vs in-memory)
+    /// and small traces; the flag is `Debug`-visible, so the two modes
+    /// never share a cache entry.
     #[must_use]
     pub fn with_preload(mut self, preload: bool) -> Self {
         self.preload = preload;
@@ -125,86 +127,73 @@ impl TraceBinding {
         self.dropped_bytes
     }
 
-    /// Whether streams are materialized rather than streamed.
-    #[must_use]
-    pub fn preload(&self) -> bool {
-        self.preload
-    }
-
     /// Maps a simulated core onto a recorded stream (`core % cores`).
     #[must_use]
     pub fn map_core(&self, core: u32) -> u32 {
         core % self.cores
     }
-}
 
-/// A [`TraceSource`] over a bound `.dtf` file.
-#[derive(Debug, Clone)]
-pub struct DtfTraceSource {
-    binding: TraceBinding,
-}
-
-impl DtfTraceSource {
-    /// Wraps an already-validated binding.
-    #[must_use]
-    pub fn new(binding: TraceBinding) -> Self {
-        Self { binding }
-    }
-
-    /// Binds and wraps `path` in one step.
+    /// Opens a fresh record stream for simulated core `core` (file stream
+    /// [`map_core`](Self::map_core)`(core)`, so a trace recorded on fewer
+    /// cores still drives every core deterministically). The stream loops
+    /// at end of trace, since simulation windows often exceed trace
+    /// length. It is a bounded-memory [`DtfCoreStream`], or the stream's
+    /// records decoded up front in preload mode; both yield the same
+    /// records and footprint, so the two modes run byte-identically.
     ///
     /// # Errors
     ///
-    /// Propagates [`TraceBinding::open`] errors.
-    pub fn open(path: impl AsRef<Path>) -> DiceResult<Self> {
-        Ok(Self::new(TraceBinding::open(path)?))
-    }
-
-    /// The underlying binding.
-    #[must_use]
-    pub fn binding(&self) -> &TraceBinding {
-        &self.binding
+    /// Returns [`DiceError::Config`] when the mapped stream holds no
+    /// records, or any I/O or parse error of the file.
+    pub fn open_core(&self, core: u32) -> DiceResult<Box<dyn RecordSource + Send>> {
+        let file_core = self.map_core(core);
+        let empty = || DiceError::Config {
+            field: "dtf trace".to_owned(),
+            reason: format!(
+                "{}: stream {file_core} (for core {core}) holds no records",
+                self.path
+            ),
+        };
+        if self.core_records(file_core) == 0 {
+            return Err(empty());
+        }
+        let footprint = self.core_footprints[file_core as usize];
+        if self.preload {
+            let records: Vec<TraceRecord> = frame::read_core_records(&self.path, file_core)?
+                .into_iter()
+                .map(|r| r.rec)
+                .collect();
+            if records.is_empty() {
+                return Err(empty());
+            }
+            return Ok(Box::new(Preloaded {
+                records,
+                pos: 0,
+                footprint,
+            }));
+        }
+        Ok(Box::new(DtfCoreStream::open(
+            &self.path, file_core, footprint,
+        )?))
     }
 }
 
-impl TraceSource for DtfTraceSource {
-    fn cores(&self) -> u32 {
-        self.binding.cores
+/// Preload mode's stream: one file stream's records in memory, looping.
+struct Preloaded {
+    records: Vec<TraceRecord>,
+    pos: usize,
+    footprint: u64,
+}
+
+impl RecordSource for Preloaded {
+    fn next_record(&mut self) -> TraceRecord {
+        let r = self.records[self.pos];
+        self.pos = (self.pos + 1) % self.records.len();
+        r
     }
 
-    fn open_core(&self, core: u32) -> DiceResult<Box<dyn RecordSource + Send>> {
-        let file_core = self.binding.map_core(core);
-        if self.binding.core_records(file_core) == 0 {
-            return Err(DiceError::Config {
-                field: "dtf trace".to_owned(),
-                reason: format!(
-                    "{}: stream {file_core} (for core {core}) holds no records",
-                    self.binding.path
-                ),
-            });
-        }
-        if self.binding.preload {
-            let records: Vec<TraceRecord> =
-                frame::read_core_records(&self.binding.path, file_core)?
-                    .into_iter()
-                    .map(|r| r.rec)
-                    .collect();
-            return Ok(Box::new(ReplaySource::try_new(records)?));
-        }
-        let stream = DtfCoreStream::open(
-            &self.binding.path,
-            file_core,
-            self.binding.core_footprints[file_core as usize],
-        )?;
-        Ok(Box::new(stream))
-    }
-
-    fn content_hash(&self) -> u64 {
-        self.binding.content_hash
-    }
-
-    fn records(&self) -> u64 {
-        self.binding.records
+    fn footprint_lines(&self) -> u64 {
+        self.footprint
     }
 }
 

@@ -1,11 +1,11 @@
-//! Writing `.dtf` files: the frame-buffering writer and the packers the
-//! `dice-ingest` CLI is built on.
+//! Writing `.dtf` files: the frame-buffering writer and the single-stream
+//! packer the `dice-ingest` CLI is built on.
 
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use dice_obs::{DiceError, DiceResult};
-use dice_workloads::{RecordSource, TraceRecord};
+use dice_workloads::TraceRecord;
 
 use crate::frame::{encode_frame, write_header, DtfRecord, MAX_CORES};
 
@@ -155,31 +155,6 @@ pub fn pack_records(
     let mut w = DtfWriter::create(path, 1, compress)?;
     for r in records {
         w.push_record(0, *r)?;
-    }
-    w.finish()
-}
-
-/// Packs `per_core` records from any [`RecordSource`]s (one per stream)
-/// — the generator path behind `dice-ingest gen`.
-///
-/// # Errors
-///
-/// Propagates [`DtfWriter`] errors.
-pub fn pack_sources(
-    path: impl AsRef<Path>,
-    sources: &mut [Box<dyn RecordSource>],
-    per_core: u64,
-    compress: bool,
-) -> DiceResult<WriteStats> {
-    let cores = u32::try_from(sources.len()).map_err(|_| DiceError::Config {
-        field: "dtf cores".to_owned(),
-        reason: format!("{} sources", sources.len()),
-    })?;
-    let mut w = DtfWriter::create(path, cores, compress)?;
-    for (core, src) in sources.iter_mut().enumerate() {
-        for _ in 0..per_core {
-            w.push_record(core as u32, src.next_record())?;
-        }
     }
     w.finish()
 }

@@ -5,10 +5,9 @@
 //! torn tails. Mirrors the DiskCache corruption suite one layer down.
 
 use dice_ingest::{
-    frame, read_core_records, scan, DtfCoreStream, DtfRecord, DtfTraceSource, DtfWriter,
-    TraceBinding,
+    frame, read_core_records, scan, DtfCoreStream, DtfRecord, DtfWriter, TraceBinding,
 };
-use dice_workloads::{RecordSource, TraceRecord, TraceSource};
+use dice_workloads::{RecordSource, TraceRecord};
 use proptest::prelude::*;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -151,8 +150,9 @@ proptest! {
         }
     }
 
-    /// The bounded-memory streamed reader yields exactly the in-memory
-    /// records, looping at end of trace.
+    /// The bounded-memory streamed reader and the preload-mode reader
+    /// both yield exactly the in-memory records, looping at end of trace,
+    /// and report the same footprint (max line − min line + 1).
     #[test]
     fn streamed_reader_matches_in_memory(
         streams in arb_full_streams(),
@@ -162,16 +162,24 @@ proptest! {
         let path = tmp("stream.dtf");
         write_streams(&path, &streams, frame_records, compress);
         let binding = TraceBinding::open(&path).unwrap();
-        let src = DtfTraceSource::new(binding);
+        let preload = binding.clone().with_preload(true);
         for (core, expect) in streams.iter().enumerate() {
-            let mut stream = src.open_core(core as u32).unwrap();
-            let mut replay = src
+            let mut stream = binding.open_core(core as u32).unwrap();
+            let mut mapped = binding
                 .open_core(core as u32 + streams.len() as u32) // modulo mapping
                 .unwrap();
+            let mut preloaded = preload.open_core(core as u32).unwrap();
+            let lines = expect.iter().map(|r| r.rec.line);
+            let footprint = lines.clone().max().unwrap() - lines.min().unwrap() + 1;
+            prop_assert_eq!(stream.footprint_lines(), footprint, "stream {}", core);
+            prop_assert_eq!(preloaded.footprint_lines(), footprint, "preloaded stream {}", core);
             for k in 0..expect.len() * 2 + 3 {
                 let want = expect[k % expect.len()].rec;
                 prop_assert_eq!(stream.next_record(), want, "stream {} record {}", core, k);
-                prop_assert_eq!(replay.next_record(), want, "mapped stream {} record {}", core, k);
+                prop_assert_eq!(mapped.next_record(), want, "mapped stream {} record {}", core, k);
+                prop_assert_eq!(
+                    preloaded.next_record(), want, "preloaded stream {} record {}", core, k
+                );
             }
         }
     }
@@ -205,8 +213,7 @@ fn torn_tail_is_truncated_and_reported() {
     assert_eq!(binding.records(), 50);
     assert_eq!(binding.dropped_bytes(), 3);
     // The streamed reader ignores the torn tail too.
-    let src = DtfTraceSource::new(binding);
-    let mut s = src.open_core(0).unwrap();
+    let mut s = binding.open_core(0).unwrap();
     for r in &records {
         assert_eq!(s.next_record(), r.rec);
     }
@@ -312,8 +319,8 @@ fn empty_stream_in_multicore_file_is_rejected_at_open() {
         .collect();
     // Stream 1 of 2 stays empty.
     write_streams(&path, &[recs, Vec::new()], 4, false);
-    let src = DtfTraceSource::open(&path).unwrap();
-    assert!(src.open_core(0).is_ok());
-    let err = src.open_core(1).err().unwrap();
+    let binding = TraceBinding::open(&path).unwrap();
+    assert!(binding.open_core(0).is_ok());
+    let err = binding.open_core(1).err().unwrap();
     assert_eq!(err.class(), dice_obs::ErrorClass::Config);
 }

@@ -16,8 +16,8 @@
 //!   in Chrome `trace_event` format for Perfetto;
 //! - [`TraceCtx`] / [`SpanId`] / [`TraceLevel`] — hierarchical spans with
 //!   explicit cross-thread context propagation, exported in the same
-//!   Chrome `trace_event` shape (and mergeable with transaction traces
-//!   via [`merge_chrome`]);
+//!   Chrome `trace_event` shape (so span and transaction arrays
+//!   concatenate into one document);
 //! - [`Json`] — a zero-dependency JSON value, writer and parser used for
 //!   every machine-readable artifact above;
 //! - [`render_prometheus`] — Prometheus text exposition of a whole
@@ -54,9 +54,7 @@ pub use registry::{CounterId, GaugeId, HistId, MetricRegistry};
 pub use snapshot::{
     delta, register_counters, snapshot_from_json, snapshot_json, FieldKind, Snapshot,
 };
-pub use span::{
-    merge_chrome, validate_chrome_trace, SpanGuard, SpanId, SpanRecord, TraceCtx, TraceLevel,
-};
+pub use span::{validate_chrome_trace, SpanGuard, SpanId, SpanRecord, TraceCtx, TraceLevel};
 pub use trace::{export_chrome, TraceBuffer, TraceEvent};
 
 /// Observability knobs, embedded in the simulator config.

@@ -19,8 +19,8 @@
 //!   cycle bounds via [`SpanGuard::set_cycles`].
 //! * **Composable export.** [`TraceCtx::export_chrome`] emits the same
 //!   Chrome `trace_event` array shape as [`crate::export_chrome`], so span
-//!   arrays and transaction-trace arrays concatenate (see
-//!   [`merge_chrome`]) into one document Perfetto renders directly.
+//!   arrays and transaction-trace arrays concatenate into one document
+//!   Perfetto renders directly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -158,8 +158,8 @@ impl TraceCtx {
     }
 
     /// Renders the completed spans as a Chrome `trace_event` array — the
-    /// same shape as [`crate::export_chrome`], so both concatenate with
-    /// [`merge_chrome`]. Span ids and parent links ride in each event's
+    /// same shape as [`crate::export_chrome`], so the two concatenate into
+    /// one document. Span ids and parent links ride in each event's
     /// `args`, which is what lets a consumer rebuild the causal tree from
     /// the exported document alone.
     #[must_use]
@@ -206,25 +206,11 @@ impl TraceCtx {
     }
 }
 
-/// Concatenates Chrome `trace_event` arrays (from [`TraceCtx::export_chrome`]
-/// and/or [`crate::export_chrome`]) into one array. Non-array parts are
-/// skipped.
-#[must_use]
-pub fn merge_chrome(parts: Vec<Json>) -> Json {
-    let mut events = Vec::new();
-    for p in parts {
-        if let Json::Arr(mut evs) = p {
-            events.append(&mut evs);
-        }
-    }
-    Json::Arr(events)
-}
-
 /// Validates a document as a Chrome `trace_event` array (the shape
-/// [`TraceCtx::export_chrome`] and [`merge_chrome`] emit): a JSON array
-/// whose entries are objects with `ph`, `name` and `pid`, where every
-/// duration (`"X"`) event also carries numeric `ts`/`dur` and a span id
-/// in `args`. Useful as a CI gate on exported traces.
+/// [`TraceCtx::export_chrome`] emits): a JSON array whose entries are
+/// objects with `ph`, `name` and `pid`, where every duration (`"X"`)
+/// event also carries numeric `ts`, `dur` and `tid`. Useful as a CI gate
+/// on exported traces.
 ///
 /// # Errors
 ///
@@ -438,14 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_chrome_concatenates_arrays() {
-        let a = Json::Arr(vec![Json::u64(1)]);
-        let b = Json::Arr(vec![Json::u64(2), Json::u64(3)]);
-        let merged = merge_chrome(vec![a, Json::Null, b]);
-        assert_eq!(merged.as_arr().unwrap().len(), 3);
-    }
-
-    #[test]
     fn json_export_lists_all_spans() {
         let ctx = TraceCtx::enabled();
         drop(ctx.span("only", None));
@@ -464,7 +442,6 @@ mod tests {
         drop(root);
         let doc = ctx.export_chrome("t", 0);
         validate_chrome_trace(&doc).expect("export validates");
-        validate_chrome_trace(&merge_chrome(vec![doc])).expect("merge validates");
 
         assert!(validate_chrome_trace(&Json::Obj(vec![])).is_err());
         let missing_ts = Json::Arr(vec![Json::Obj(vec![

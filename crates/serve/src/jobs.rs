@@ -40,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dice_obs::{merge_chrome, Json, MetricRegistry, SpanId, TraceCtx};
+use dice_obs::{Json, MetricRegistry, SpanId, TraceCtx};
 use dice_runner::{CellProgress, ProgressSink, Runner, RunnerConfig, SweepResult};
 
 use crate::net::count;
@@ -659,7 +659,7 @@ fn run_sweep(shared: &Arc<Shared>, id: u64, spec: SweepSpec) -> Result<Rendered,
     let body = Arc::new(render_runs(&executed.result).render());
     let summary = executed.result.summary();
     drop(root);
-    let trace = Arc::new(merge_chrome(vec![ctx.export_chrome(&sweep_name, 0)]).render());
+    let trace = Arc::new(ctx.export_chrome(&sweep_name, 0).render());
     count(&shared.metrics, "serve.sweeps_completed");
     if executed.degraded.is_some() {
         count(&shared.metrics, "serve.sweeps_degraded");

@@ -27,7 +27,7 @@ use dice_cache::{HierarchyConfig, SramHierarchy};
 use dice_core::{DramCacheController, FaultKind, FaultPlan, L4Stats, LyingSizes, Probe, SetIndex};
 use dice_dram::{AccessKind, DramDevice, DramStats, Location};
 use dice_obs::{LatencyPanel, RequestClass, SpanId, TraceBuffer, TraceCtx, TraceEvent};
-use dice_workloads::{MixDataModel, RecordSource, TraceGen, TraceRecord, TraceSource};
+use dice_workloads::{MixDataModel, RecordSource, TraceGen, TraceRecord};
 
 use crate::config::{SimConfig, WorkloadSet};
 use crate::core_model::CoreModel;
@@ -169,12 +169,13 @@ impl System {
     ///
     /// With a recorded-trace binding attached to the workload, each core
     /// streams its records from the bound `.dtf` file (core `i` maps to
-    /// file stream `i % file_cores`) — bounded-memory frame streaming, or
-    /// materialized [`dice_workloads::ReplaySource`]s when the binding is
-    /// in preload mode. Either way the record sequences are identical, so
-    /// the two modes produce byte-identical reports. Values still come
-    /// from the spec-driven data model: DTF value payloads are reserved
-    /// for future value-exact replay.
+    /// file stream `i % file_cores`) through
+    /// [`TraceBinding::open_core`](dice_ingest::TraceBinding::open_core) —
+    /// bounded-memory frame streaming, or records decoded up front when
+    /// the binding is in preload mode. Either way the record sequences
+    /// are identical, so the two modes produce byte-identical reports.
+    /// Values still come from the spec-driven data model: DTF value
+    /// payloads are reserved for future value-exact replay.
     ///
     /// # Panics
     ///
@@ -196,18 +197,15 @@ impl System {
             workload.specs.clone()
         };
         let cores: Vec<Box<dyn RecordSource>> = match &workload.trace {
-            Some(binding) => {
-                let src = dice_ingest::DtfTraceSource::new(binding.clone());
-                (0..cfg.cores)
-                    .map(|i| match TraceSource::open_core(&src, i as u32) {
-                        Ok(s) => s as Box<dyn RecordSource>,
-                        Err(e) => panic!(
-                            "workload {:?}: opening trace stream for core {i}: {e}",
-                            workload.name
-                        ),
-                    })
-                    .collect()
-            }
+            Some(binding) => (0..cfg.cores)
+                .map(|i| match binding.open_core(i as u32) {
+                    Ok(s) => s as Box<dyn RecordSource>,
+                    Err(e) => panic!(
+                        "workload {:?}: opening trace stream for core {i}: {e}",
+                        workload.name
+                    ),
+                })
+                .collect(),
             None => specs
                 .iter()
                 .enumerate()
@@ -224,15 +222,7 @@ impl System {
         Self::with_sources(cfg, &workload.name, cores, data)
     }
 
-    /// Builds a system from explicit per-core record sources and a size
-    /// oracle — the entry point for replaying recorded traces
-    /// ([`dice_workloads::ReplaySource`]) instead of synthesizing streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources.len() != cfg.cores`.
-    #[must_use]
-    pub fn with_sources(
+    fn with_sources(
         cfg: SimConfig,
         name: &str,
         sources: Vec<Box<dyn RecordSource>>,

@@ -1,14 +1,11 @@
 //! Streamed-trace equivalence: a sweep cell driven by a bounded-memory
 //! `.dtf` stream must produce a report byte-identical to the same records
-//! run from memory — both via the binding's preload mode and via explicit
-//! [`ReplaySource`]s through [`System::with_sources`].
+//! run from memory via the binding's preload mode.
 
 use dice_core::Organization;
 use dice_ingest::{DtfWriter, TraceBinding};
 use dice_sim::{SimConfig, System, WorkloadSet};
-use dice_workloads::{
-    spec_table, MixDataModel, RecordSource, ReplaySource, TraceGen, TraceRecord, WorkloadSpec,
-};
+use dice_workloads::{spec_table, TraceGen, WorkloadSpec};
 
 fn spec(name: &str) -> WorkloadSpec {
     spec_table()
@@ -21,24 +18,20 @@ fn small_cfg(org: Organization) -> SimConfig {
     SimConfig::scaled(org, 512).with_records(400, 1200)
 }
 
-/// Packs a synthetic multi-core trace and returns the per-core records.
-fn pack_trace(path: &std::path::Path, cores: usize, per_core: u64) -> Vec<Vec<TraceRecord>> {
+/// Packs a synthetic multi-core trace.
+fn pack_trace(path: &std::path::Path, cores: usize, per_core: u64) {
     let s = spec("mcf");
     let mut w = DtfWriter::create(path, cores as u32, true)
         .unwrap()
         // Small frames force many refills and other-core skips.
         .with_frame_records(257);
-    let mut all = Vec::new();
     for core in 0..cores {
         let mut gen = TraceGen::with_scale(&s, core as u32, 0xd1ce, 512);
-        let recs: Vec<TraceRecord> = (0..per_core).map(|_| gen.next_record()).collect();
-        for r in &recs {
-            w.push_record(core as u32, *r).unwrap();
+        for _ in 0..per_core {
+            w.push_record(core as u32, gen.next_record()).unwrap();
         }
-        all.push(recs);
     }
     w.finish().unwrap();
-    all
 }
 
 #[test]
@@ -46,7 +39,7 @@ fn streamed_trace_report_is_byte_identical_to_in_memory() {
     let dir = std::env::temp_dir().join("dice-sim-trace-ingest");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("equiv-{}.dtf", std::process::id()));
-    let per_core = pack_trace(&path, 8, 2000);
+    pack_trace(&path, 8, 2000);
 
     let binding = TraceBinding::open(&path).unwrap();
     let s = spec("mcf");
@@ -68,27 +61,11 @@ fn streamed_trace_report_is_byte_identical_to_in_memory() {
             7,
             binding.clone().with_preload(true),
         );
-        let preload_report = System::new(cfg.clone(), &preload).run().to_json().render();
-
-        // 3. Fully manual in-memory replay through with_sources, using
-        //    the same data model System::new derives.
-        let sources: Vec<Box<dyn RecordSource>> = per_core
-            .iter()
-            .map(|recs| Box::new(ReplaySource::new(recs.clone())) as Box<dyn RecordSource>)
-            .collect();
-        let data = MixDataModel::new(vec![s.values; cfg.cores], 7 ^ 0xda7a);
-        let manual_report = System::with_sources(cfg, "mcf-trace", sources, data)
-            .run()
-            .to_json()
-            .render();
+        let preload_report = System::new(cfg, &preload).run().to_json().render();
 
         assert_eq!(
             streamed_report, preload_report,
             "{org:?}: streamed vs preload"
-        );
-        assert_eq!(
-            streamed_report, manual_report,
-            "{org:?}: streamed vs manual replay"
         );
     }
 }

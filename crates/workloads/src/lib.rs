@@ -47,7 +47,7 @@ mod value;
 
 pub use data::{DataModel, MixDataModel, PAIR_SIZE_SATURATED};
 pub use rng::SplitMix64;
-pub use source::{load_trace, save_trace, RecordSource, ReplaySource, TraceSource};
+pub use source::RecordSource;
 pub use spec::{
     mix_table, nonmem_table, spec_table, Suite, WorkloadSpec, LINES_PER_PAGE, PAGE_BYTES,
 };

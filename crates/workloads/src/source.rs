@@ -1,17 +1,11 @@
-//! Pluggable record sources: synthetic generators or recorded traces.
+//! The per-core record stream the simulator consumes.
 //!
-//! The simulator consumes a [`RecordSource`] per core. The built-in
-//! [`TraceGen`](crate::TraceGen) synthesizes streams, but users with real
-//! post-L2 traces (e.g. from a binary-instrumentation tool) can feed them
-//! through [`ReplaySource`] and the text format in [`trace_file`](self).
-
-use std::io::{BufRead, Write};
-use std::path::Path;
-
-use dice_obs::{DiceError, DiceResult};
+//! The simulator pulls one [`RecordSource`] per core. The built-in
+//! [`TraceGen`](crate::TraceGen) synthesizes streams; recorded post-L2
+//! traces (e.g. from a binary-instrumentation tool) arrive as `.dtf`
+//! files, whose `dice-ingest` bindings open one looping stream per core.
 
 use crate::trace::{TraceGen, TraceRecord};
-use crate::LineAddr;
 
 /// A stream of memory-access records for one core.
 pub trait RecordSource {
@@ -21,39 +15,6 @@ pub trait RecordSource {
     /// Number of distinct lines the stream may touch (used to bound
     /// prefetcher reach); `u64::MAX` when unknown.
     fn footprint_lines(&self) -> u64;
-}
-
-/// A multi-stream recorded trace that can hand out an independent,
-/// bounded-memory [`RecordSource`] per simulated core.
-///
-/// This is the seam between the simulator and any trace container: the
-/// sim asks for one stream per core and never sees the storage format.
-/// `dice-ingest`'s `DtfTraceSource` implements it over `.dtf` files with
-/// one frame in flight per stream; an in-memory implementation can wrap
-/// [`ReplaySource`]s. Implementations map a core id outside `cores()`
-/// onto an existing stream (conventionally `core % cores()`), so a trace
-/// recorded on fewer cores than the simulated system still drives every
-/// core deterministically.
-pub trait TraceSource {
-    /// Independent streams the trace was recorded with.
-    fn cores(&self) -> u32;
-
-    /// Opens a fresh stream for simulated core `core`. Streams loop at
-    /// end of trace (the [`ReplaySource`] convention: simulation windows
-    /// often exceed trace length).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiceError::Config`] when the mapped stream holds no
-    /// records, or any error of the backing store.
-    fn open_core(&self, core: u32) -> DiceResult<Box<dyn RecordSource + Send>>;
-
-    /// Hash of the backing bytes; result caches key on it so cached cells
-    /// can never outlive a changed trace file.
-    fn content_hash(&self) -> u64;
-
-    /// Total records across all streams.
-    fn records(&self) -> u64;
 }
 
 impl RecordSource for TraceGen {
@@ -66,281 +27,10 @@ impl RecordSource for TraceGen {
     }
 }
 
-/// Replays a recorded trace, looping when it runs out (simulation windows
-/// often exceed trace length; looping preserves the access distribution).
-#[derive(Debug, Clone)]
-pub struct ReplaySource {
-    records: Vec<TraceRecord>,
-    pos: usize,
-    footprint: u64,
-}
-
-impl ReplaySource {
-    /// Wraps a recorded trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records` is empty; [`try_new`](Self::try_new) is the
-    /// non-panicking variant for records of unvetted provenance.
-    #[must_use]
-    pub fn new(records: Vec<TraceRecord>) -> Self {
-        match Self::try_new(records) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Wraps a recorded trace, rejecting an empty record list as a typed
-    /// [`DiceError::Config`] (a replay source must produce records
-    /// forever, so there is no sensible empty behavior).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiceError::Config`] when `records` is empty.
-    pub fn try_new(records: Vec<TraceRecord>) -> DiceResult<Self> {
-        if records.is_empty() {
-            return Err(DiceError::Config {
-                field: "replay records".to_owned(),
-                reason: "a replay source needs at least one record".to_owned(),
-            });
-        }
-        let max = records.iter().map(|r| r.line).max().unwrap_or(0);
-        let min = records.iter().map(|r| r.line).min().unwrap_or(0);
-        Ok(Self {
-            records,
-            pos: 0,
-            footprint: max - min + 1,
-        })
-    }
-
-    /// Loads a trace from the text format written by [`save_trace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiceError::Io`] on I/O failure, [`DiceError::TraceParse`]
-    /// on malformed records, or [`DiceError::Config`] when the file holds
-    /// no records at all.
-    pub fn from_file(path: impl AsRef<Path>) -> DiceResult<Self> {
-        Self::try_new(load_trace(path)?)
-    }
-
-    /// Number of records before the stream loops.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the trace holds no records (never: construction forbids
-    /// it; provided for API completeness).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
-impl RecordSource for ReplaySource {
-    fn next_record(&mut self) -> TraceRecord {
-        let r = self.records[self.pos];
-        self.pos = (self.pos + 1) % self.records.len();
-        r
-    }
-
-    fn footprint_lines(&self) -> u64 {
-        self.footprint
-    }
-}
-
-/// Writes records as whitespace-separated text: `gap line_hex rw` per line,
-/// with `#`-prefixed comments allowed.
-///
-/// # Errors
-///
-/// Returns [`DiceError::Io`] wrapping any underlying I/O error.
-pub fn save_trace(path: impl AsRef<Path>, records: &[TraceRecord]) -> DiceResult<()> {
-    let path = path.as_ref();
-    let ioerr = |e: &std::io::Error| DiceError::io(format!("write trace {}", path.display()), e);
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| ioerr(&e))?);
-    writeln!(
-        f,
-        "# dice trace v1: <instruction-gap> <line-address-hex> <r|w>"
-    )
-    .map_err(|e| ioerr(&e))?;
-    for r in records {
-        writeln!(
-            f,
-            "{} {:x} {}",
-            r.gap,
-            r.line,
-            if r.write { 'w' } else { 'r' }
-        )
-        .map_err(|e| ioerr(&e))?;
-    }
-    f.flush().map_err(|e| ioerr(&e))
-}
-
-/// Reads the format written by [`save_trace`].
-///
-/// # Errors
-///
-/// Returns [`DiceError::Io`] on I/O failure or [`DiceError::TraceParse`]
-/// — carrying the path and 1-based line number — on malformed, truncated
-/// or garbled records.
-pub fn load_trace(path: impl AsRef<Path>) -> DiceResult<Vec<TraceRecord>> {
-    let path = path.as_ref();
-    let shown = path.display().to_string();
-    let f = std::io::BufReader::new(
-        std::fs::File::open(path).map_err(|e| DiceError::io(format!("open trace {shown}"), &e))?,
-    );
-    let bad = |no: usize, reason: String| DiceError::TraceParse {
-        path: shown.clone(),
-        line: no as u64 + 1,
-        reason,
-    };
-    let mut out = Vec::new();
-    for (no, line) in f.lines().enumerate() {
-        let line = line.map_err(|e| DiceError::io(format!("read trace {shown}"), &e))?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let (Some(g), Some(l), Some(w)) = (it.next(), it.next(), it.next()) else {
-            let got = line.split_whitespace().count();
-            return Err(bad(no, format!("expected 3 fields, got {got}")));
-        };
-        let gap = g
-            .parse()
-            .map_err(|e| bad(no, format!("bad gap {g:?}: {e}")))?;
-        let addr: LineAddr = LineAddr::from_str_radix(l, 16)
-            .map_err(|e| bad(no, format!("bad address {l:?}: {e}")))?;
-        let write = match w {
-            "r" => false,
-            "w" => true,
-            other => return Err(bad(no, format!("bad r/w flag {other:?}"))),
-        };
-        out.push(TraceRecord {
-            gap,
-            line: addr,
-            write,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::spec_table;
-
-    #[test]
-    fn replay_loops() {
-        let recs = vec![
-            TraceRecord {
-                gap: 1,
-                line: 10,
-                write: false,
-            },
-            TraceRecord {
-                gap: 2,
-                line: 20,
-                write: true,
-            },
-        ];
-        let mut s = ReplaySource::new(recs.clone());
-        assert_eq!(s.next_record(), recs[0]);
-        assert_eq!(s.next_record(), recs[1]);
-        assert_eq!(s.next_record(), recs[0]);
-        assert_eq!(s.footprint_lines(), 11);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("dice-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t1.trace");
-        let recs = vec![
-            TraceRecord {
-                gap: 0,
-                line: 0xabc,
-                write: true,
-            },
-            TraceRecord {
-                gap: 99,
-                line: u64::MAX >> 8,
-                write: false,
-            },
-        ];
-        save_trace(&path, &recs).unwrap();
-        assert_eq!(load_trace(&path).unwrap(), recs);
-    }
-
-    #[test]
-    fn loader_rejects_garbage() {
-        let dir = std::env::temp_dir().join("dice-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.trace");
-        std::fs::write(&path, "1 zz r\n").unwrap();
-        assert!(load_trace(&path).is_err());
-        std::fs::write(&path, "1 10 x\n").unwrap();
-        assert!(load_trace(&path).is_err());
-        std::fs::write(&path, "# only comments\n\n").unwrap();
-        assert!(load_trace(&path).unwrap().is_empty());
-    }
-
-    /// Malformed-input regression: every corruption mode returns a typed
-    /// parse error carrying the path and the 1-based offending line.
-    #[test]
-    fn malformed_records_report_line_context() {
-        let dir = std::env::temp_dir().join("dice-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ctx.trace");
-        let cases: [(&str, u64, &str); 5] = [
-            ("# ok\n5 1f r\n7 2a\n", 3, "truncated record"),
-            ("x 1f r\n", 1, "non-numeric gap"),
-            ("5 0xzz r\n", 1, "garbled address"),
-            ("5 1f rw\n", 1, "bad access flag"),
-            (
-                "5 1f r\n\n# c\n5 1f\n",
-                4,
-                "line numbers count comments and blanks",
-            ),
-        ];
-        for (text, want_line, label) in cases {
-            std::fs::write(&path, text).unwrap();
-            match load_trace(&path) {
-                Err(dice_obs::DiceError::TraceParse { path: p, line, .. }) => {
-                    assert!(p.ends_with("ctx.trace"), "{label}: path {p}");
-                    assert_eq!(line, want_line, "{label}");
-                }
-                other => panic!("{label}: expected TraceParse, got {other:?}"),
-            }
-        }
-        // Extra fields beyond the three parsed ones are tolerated only if
-        // the first three parse; `5 1f r q` has a valid prefix, so the
-        // fourth field is ignored by the split — verify that explicitly.
-        std::fs::write(&path, "5 1f r ignored\n").unwrap();
-        assert_eq!(load_trace(&path).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn missing_file_is_a_typed_io_error() {
-        let err = load_trace("/nonexistent/dice.trace").unwrap_err();
-        assert_eq!(err.class(), dice_obs::ErrorClass::Io);
-        assert!(err.to_string().contains("/nonexistent/dice.trace"));
-    }
-
-    #[test]
-    fn empty_trace_file_is_a_typed_config_error() {
-        let dir = std::env::temp_dir().join("dice-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("empty.trace");
-        std::fs::write(&path, "# header only\n").unwrap();
-        let err = ReplaySource::from_file(&path).unwrap_err();
-        assert_eq!(err.class(), dice_obs::ErrorClass::Config);
-        assert!(ReplaySource::try_new(vec![]).is_err());
-    }
 
     #[test]
     fn tracegen_implements_source() {
@@ -349,16 +39,5 @@ mod tests {
         let r = RecordSource::next_record(&mut g);
         assert!(RecordSource::footprint_lines(&g) > 0);
         let _ = r;
-    }
-
-    #[test]
-    fn recorded_generator_replays_identically() {
-        let spec = spec_table().into_iter().next().unwrap();
-        let mut g = TraceGen::with_scale(&spec, 0, 5, 64);
-        let recs: Vec<TraceRecord> = (0..100).map(|_| g.next_record()).collect();
-        let mut replay = ReplaySource::new(recs.clone());
-        for r in &recs {
-            assert_eq!(replay.next_record(), *r);
-        }
     }
 }

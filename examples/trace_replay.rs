@@ -1,16 +1,16 @@
-//! Trace replay: record a synthetic trace to a text file, reload it, and
-//! drive the simulator from the file — the workflow for users who have
-//! *real* post-L2 traces from an instrumentation tool.
+//! Trace replay: record a synthetic multi-core trace into a `.dtf` file,
+//! bind it, and drive the simulator from the file — the workflow for
+//! users who have *real* post-L2 traces from an instrumentation tool
+//! (`dice-ingest pack` converts text traces into the same container).
 //!
 //! ```text
 //! cargo run --release --example trace_replay
 //! ```
 
 use dice::core::Organization;
-use dice::sim::{SimConfig, System};
-use dice::workloads::{
-    load_trace, save_trace, spec_table, MixDataModel, RecordSource, ReplaySource, TraceGen,
-};
+use dice::ingest::{DtfWriter, TraceBinding};
+use dice::sim::{SimConfig, System, WorkloadSet};
+use dice::workloads::{spec_table, TraceGen};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = spec_table()
@@ -20,29 +20,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join("dice-replay-demo");
     std::fs::create_dir_all(&dir)?;
 
-    // 1. Record one trace file per core.
-    let mut paths = Vec::new();
+    // 1. Record one stream per core into a single trace file.
+    let path = dir.join("soplex.dtf");
+    let mut w = DtfWriter::create(&path, 8, true)?;
     for core in 0..8u32 {
         let mut gen = TraceGen::with_scale(&spec, core, 0xd1ce, 512);
-        let records: Vec<_> = (0..30_000).map(|_| gen.next_record()).collect();
-        let path = dir.join(format!("core{core}.trace"));
-        save_trace(&path, &records)?;
-        paths.push(path);
+        for _ in 0..30_000 {
+            w.push_record(core, gen.next_record())?;
+        }
     }
-    println!("recorded 8 x 30k records to {}", dir.display());
+    w.finish()?;
+    println!("recorded 8 x 30k records to {}", path.display());
 
-    // 2. Reload and replay through the full system.
-    let sources: Vec<Box<dyn RecordSource>> = paths
-        .iter()
-        .map(|p| {
-            Box::new(ReplaySource::new(load_trace(p).expect("trace reloads")))
-                as Box<dyn RecordSource>
-        })
-        .collect();
-    let data = MixDataModel::new(vec![spec.values; 8], 0xd1ce ^ 0xda7a);
+    // 2. Bind the file and replay it through the full system: core `i`
+    //    streams file stream `i`, looping at end of trace.
+    let workload = WorkloadSet::traced("soplex-replay", spec, 0xd1ce, TraceBinding::open(&path)?);
     let cfg =
         SimConfig::scaled(Organization::Dice { threshold: 36 }, 512).with_records(8_000, 16_000);
-    let report = System::with_sources(cfg, "soplex-replay", sources, data).run();
+    let report = System::new(cfg, &workload).run();
 
     println!(
         "replayed run: {} cycles, L3 hit {:.1}%, L4 hit {:.1}%, {} free pair lines",

@@ -20,6 +20,7 @@
 //! | [`core`] | `dice-core` | the DICE DRAM-cache controller + baselines |
 //! | [`sim`] | `dice-sim` | 8-core trace-driven system simulator |
 //! | [`workloads`] | `dice-workloads` | synthetic SPEC/GAP workload generators |
+//! | [`ingest`] | `dice-ingest` | the `.dtf` trace container and its per-core replay streams |
 //! | [`obs`] | `dice-obs` | metrics, latency histograms, tracing, JSON |
 //! | [`runner`] | `dice-runner` | parallel experiment engine + persistent result cache |
 //!
@@ -58,6 +59,7 @@ pub use dice_cache as cache;
 pub use dice_compress as compress;
 pub use dice_core as core;
 pub use dice_dram as dram;
+pub use dice_ingest as ingest;
 pub use dice_obs as obs;
 pub use dice_runner as runner;
 pub use dice_sim as sim;

@@ -2,11 +2,9 @@
 //! the public surfaces downstream users touch first.
 
 use dice::core::Organization;
+use dice::ingest::{pack_records, read_core_records, DtfWriter, TraceBinding};
 use dice::sim::{SimConfig, System, WorkloadSet};
-use dice::workloads::{
-    load_trace, save_trace, spec_table, MixDataModel, RecordSource, ReplaySource, TraceGen,
-    TraceRecord,
-};
+use dice::workloads::{spec_table, TraceGen, TraceRecord};
 
 fn spec(name: &str) -> dice::workloads::WorkloadSpec {
     spec_table().into_iter().find(|w| w.name == name).unwrap()
@@ -16,8 +14,14 @@ fn small_cfg(org: Organization) -> SimConfig {
     SimConfig::scaled(org, 1024).with_records(2_000, 4_000)
 }
 
-/// Recording a generator and replaying it must reproduce the generated
-/// run exactly: same cycles, same cache behaviour.
+fn trace_path(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("dice-integration-trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!("{name}-{}.dtf", std::process::id()))
+}
+
+/// Recording a generator into a `.dtf` file and replaying it must
+/// reproduce the generated run exactly: same cycles, same cache behaviour.
 #[test]
 fn replayed_trace_matches_generated_run() {
     let s = spec("gcc");
@@ -26,18 +30,20 @@ fn replayed_trace_matches_generated_run() {
     // Reference: the generator-driven system.
     let reference = System::new(cfg.clone(), &WorkloadSet::rate(s.clone(), 9)).run();
 
-    // Record exactly the records the run consumed (warmup + measure), then
-    // replay them through `with_sources`.
+    // Record exactly the records the run consumed (warmup + measure), one
+    // stream per core, then replay the file.
+    let path = trace_path("generated");
     let total = cfg.warmup_records + cfg.measure_records;
-    let sources: Vec<Box<dyn RecordSource>> = (0..8)
-        .map(|core| {
-            let mut g = TraceGen::with_scale(&s, core, 9, cfg.scale);
-            let records: Vec<TraceRecord> = (0..total).map(|_| g.next_record()).collect();
-            Box::new(ReplaySource::new(records)) as Box<dyn RecordSource>
-        })
-        .collect();
-    let data = MixDataModel::new(vec![s.values; 8], 9 ^ 0xda7a);
-    let replayed = System::with_sources(cfg, "gcc", sources, data).run();
+    let mut w = DtfWriter::create(&path, 8, true).unwrap();
+    for core in 0..8 {
+        let mut g = TraceGen::with_scale(&s, core, 9, cfg.scale);
+        for _ in 0..total {
+            w.push_record(core, g.next_record()).unwrap();
+        }
+    }
+    w.finish().unwrap();
+    let traced = WorkloadSet::traced("gcc", s, 9, TraceBinding::open(&path).unwrap());
+    let replayed = System::new(cfg, &traced).run();
 
     assert_eq!(replayed.cycles, reference.cycles);
     assert_eq!(replayed.l4.reads, reference.l4.reads);
@@ -45,21 +51,23 @@ fn replayed_trace_matches_generated_run() {
     assert_eq!(replayed.mem_dram.bytes, reference.mem_dram.bytes);
 }
 
-/// Traces survive a trip through the text file format.
+/// Traces survive a trip through the `.dtf` container, and a bound
+/// stream replays them in order, looping at end of trace.
 #[test]
 fn trace_files_round_trip_through_disk() {
-    let dir = std::env::temp_dir().join("dice-integration-trace");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("roundtrip.trace");
-
+    let path = trace_path("roundtrip");
     let mut g = TraceGen::with_scale(&spec("mcf"), 2, 77, 512);
     let records: Vec<TraceRecord> = (0..5_000).map(|_| g.next_record()).collect();
-    save_trace(&path, &records).unwrap();
-    let loaded = load_trace(&path).unwrap();
+    pack_records(&path, &records, true).unwrap();
+    let loaded: Vec<TraceRecord> = read_core_records(&path, 0)
+        .unwrap()
+        .into_iter()
+        .map(|r| r.rec)
+        .collect();
     assert_eq!(loaded, records);
 
-    let mut replay = ReplaySource::new(loaded);
-    for r in &records {
+    let mut replay = TraceBinding::open(&path).unwrap().open_core(0).unwrap();
+    for r in records.iter().chain(&records[..10]) {
         assert_eq!(replay.next_record(), *r);
     }
 }
