@@ -58,7 +58,7 @@ use dice_bench::workloads::{all26, group_geomeans, nonmem, Group};
 use dice_bench::{Ctx, Table};
 use dice_compress::{compressed_size, pair_compressed_size};
 use dice_core::{DramCacheConfig, Organization, TagVariant};
-use dice_obs::{export_chrome, DiceError, Json, MetricRegistry, TraceLevel};
+use dice_obs::{DiceError, Json, MetricRegistry, TraceLevel};
 use dice_runner::{Cell, CellOutcome, Runner, RunnerConfig};
 use dice_sim::{SimConfig, WorkloadSet};
 use dice_workloads::{spec_table, DataModel, TraceGen, TraceRecord};
@@ -1077,7 +1077,7 @@ fn trace_dump(ctx: &Ctx) -> Json {
     let mut events = Vec::new();
     for (pid, (tag, wl, r)) in ctx.reports().iter().enumerate() {
         let label = format!("{tag}/{wl}");
-        if let Json::Arr(evs) = export_chrome(&r.trace, &label, pid as u32 + 1, 3.2) {
+        if let Json::Arr(evs) = r.trace.export_chrome(&label, pid as u32 + 1, 3.2) {
             events.extend(evs);
         }
     }
@@ -1481,9 +1481,9 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{render_diagnostics, EXPERIMENTS};
+    use super::{render_diagnostics, trace_dump, EXPERIMENTS};
     use dice_bench::{Ctx, EXPERIMENT_CATALOG};
-    use dice_obs::{register_counters, MetricRegistry, TraceLevel};
+    use dice_obs::{register_counters, validate_chrome_trace, Json, MetricRegistry, TraceLevel};
     use dice_sim::WorkloadSet;
     use dice_workloads::spec_table;
 
@@ -1543,5 +1543,38 @@ mod tests {
         let ctx = Ctx::quick();
         let text = render_diagnostics(&ctx);
         assert!(text.contains("no completed run"));
+    }
+
+    /// `--trace` writes one Chrome document that the shared validator
+    /// accepts: one process row per memoized run, each carrying every
+    /// event its ring retained.
+    #[test]
+    fn trace_dump_is_one_valid_chrome_document() {
+        let mut ctx = Ctx::quick();
+        ctx.obs.trace_capacity = 64;
+        let spec = spec_table()
+            .into_iter()
+            .find(|w| w.name == "mcf")
+            .expect("mcf is in the spec table");
+        let wl = WorkloadSet::rate(spec, ctx.seed);
+        // Runs export sorted by tag: `base` is pid 1, `dice36` pid 2.
+        let runs = [ctx.baseline(&wl), ctx.dice(&wl)];
+
+        let doc = trace_dump(&ctx);
+        validate_chrome_trace(&doc).expect("trace dump validates");
+        let events = doc.as_arr().expect("a trace_event array");
+        let pids = |ph: &str| -> Vec<u64> {
+            events
+                .iter()
+                .filter(|e| e.get("ph").and_then(Json::as_str) == Some(ph))
+                .map(|e| e.get("pid").and_then(Json::as_u64).expect("numeric pid"))
+                .collect()
+        };
+        assert_eq!(pids("M"), [1, 2], "one process_name event per run");
+        let transactions = pids("X");
+        for (pid, r) in (1..).zip(&runs) {
+            assert_eq!(r.trace.len(), 64, "mcf fills a 64-event ring");
+            assert_eq!(transactions.iter().filter(|&&p| p == pid).count(), 64);
+        }
     }
 }

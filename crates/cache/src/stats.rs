@@ -40,12 +40,6 @@ impl CacheStats {
     pub fn mpki(&self, instructions: u64) -> f64 {
         ratio(self.misses * 1000, instructions)
     }
-
-    /// Counter-wise difference `self - earlier`.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        dice_obs::delta(self, earlier)
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +78,7 @@ mod tests {
             evictions: 6,
             dirty_evictions: 3,
         };
-        let d = b.delta_since(&a);
+        let d = dice_obs::delta(&b, &a);
         assert_eq!(
             d,
             CacheStats {

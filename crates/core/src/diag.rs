@@ -194,12 +194,6 @@ impl DecisionDiag {
             self.bytes_moved as f64 / self.bytes_needed as f64
         }
     }
-
-    /// Counter-wise difference `self - earlier`.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &DecisionDiag) -> DecisionDiag {
-        dice_obs::delta(self, earlier)
-    }
 }
 
 #[cfg(test)]
@@ -255,6 +249,6 @@ mod tests {
         for i in 0..DecisionDiag::FIELDS.len() {
             d.set_field(i, i as u64 + 1);
         }
-        assert_eq!(d.delta_since(&DecisionDiag::default()), d);
+        assert_eq!(dice_obs::delta(&d, &DecisionDiag::default()), d);
     }
 }

@@ -66,12 +66,6 @@ impl L4Stats {
     pub fn installs(&self) -> u64 {
         self.installs_invariant + self.installs_tsi + self.installs_bai
     }
-
-    /// Counter-wise difference `self - earlier`.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &L4Stats) -> L4Stats {
-        dice_obs::delta(self, earlier)
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +108,7 @@ mod tests {
             fills: 2,
             ..L4Stats::default()
         };
-        let d = b.delta_since(&a);
+        let d = dice_obs::delta(&b, &a);
         assert_eq!(d.reads, 4);
         assert_eq!(d.read_hits, 2);
         assert_eq!(d.fills, 1);
@@ -123,13 +117,13 @@ mod tests {
     #[test]
     fn snapshot_fields_cover_the_struct() {
         // 12 public counters; the Snapshot declaration must list them all
-        // or delta_since silently stops subtracting the missing ones.
+        // or delta silently stops subtracting the missing ones.
         assert_eq!(L4Stats::FIELDS.len(), 12);
         let mut s = L4Stats::default();
         for i in 0..L4Stats::FIELDS.len() {
             s.set_field(i, i as u64 + 1);
         }
         let zero = L4Stats::default();
-        assert_eq!(s.delta_since(&zero), s);
+        assert_eq!(dice_obs::delta(&s, &zero), s);
     }
 }

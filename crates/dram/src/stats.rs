@@ -69,12 +69,6 @@ impl DramStats {
     pub fn mean_latency(&self) -> f64 {
         ratio(self.latency_sum, self.accesses())
     }
-
-    /// Counter-wise difference `self - earlier` (for warm-up exclusion).
-    #[must_use]
-    pub fn delta_since(&self, earlier: &DramStats) -> DramStats {
-        dice_obs::delta(self, earlier)
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +97,7 @@ mod tests {
             bytes: 400,
             ..DramStats::default()
         };
-        let d = late.delta_since(&early);
+        let d = dice_obs::delta(&late, &early);
         assert_eq!(d.reads, 20);
         assert_eq!(d.writes, 10);
         assert_eq!(d.bytes, 300);
@@ -119,6 +113,6 @@ mod tests {
             last_done: 9_000,
             ..DramStats::default()
         };
-        assert_eq!(late.delta_since(&early).last_done, 9_000);
+        assert_eq!(dice_obs::delta(&late, &early).last_done, 9_000);
     }
 }

@@ -725,7 +725,6 @@ impl Scatter {
             id,
             spec,
             trace,
-            parent,
             events,
             ..
         } = run;
@@ -836,8 +835,11 @@ impl Scatter {
                 continue;
             }
 
-            let round_span = trace.span(&format!("scatter round {round}"), Some(parent));
-            let round_id = round_span.as_ref().map(dice_obs::SpanGuard::id);
+            let round_span = trace.span(&format!("scatter round {round}"));
+            let round_ctx = round_span
+                .as_ref()
+                .map(dice_obs::SpanGuard::ctx)
+                .unwrap_or_default();
             let next = AtomicUsize::new(0);
             let width = self.cfg.scatter_width.clamp(1, assignments.len());
             let (tx, rx) = mpsc::channel::<(usize, String, Fetch)>();
@@ -848,7 +850,7 @@ impl Scatter {
                     let next = &next;
                     let assignments = &assignments;
                     let items = &items;
-                    let trace = &trace;
+                    let round_ctx = &round_ctx;
                     let spec = &spec;
                     s.spawn(move || loop {
                         let slot = next.fetch_add(1, Ordering::SeqCst);
@@ -856,10 +858,10 @@ impl Scatter {
                             break;
                         };
                         let cell = &items[*idx].cell;
-                        let _span = trace.span(
-                            &format!("cell:{}/{}@{}", cell.tag, cell.workload.name, node),
-                            round_id,
-                        );
+                        let _span = round_ctx.span(&format!(
+                            "cell:{}/{}@{}",
+                            cell.tag, cell.workload.name, node
+                        ));
                         let body = cell_spec(spec, &cell.tag, &cell.workload.name);
                         let (used, fetch) = self.dispatch_cell(&body, node, addr, hedge.as_ref());
                         if tx.send((slot, used, fetch)).is_err() {

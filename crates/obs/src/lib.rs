@@ -9,15 +9,15 @@
 //! - [`LatencyPanel`] / [`RequestClass`] — one histogram per request class
 //!   (L4 read hit, miss, second probe, writeback, memory fill);
 //! - [`Snapshot`] / [`delta`] / [`impl_snapshot!`] — declarative
-//!   snapshot-and-subtract for cumulative stats structs, replacing
-//!   hand-written `delta_since` implementations;
-//! - [`TraceBuffer`] / [`export_chrome`] — a bounded transaction trace
-//!   (off by default, one branch per transaction when disabled) exported
-//!   in Chrome `trace_event` format for Perfetto;
-//! - [`TraceCtx`] / [`SpanId`] / [`TraceLevel`] — hierarchical spans with
-//!   explicit cross-thread context propagation, exported in the same
-//!   Chrome `trace_event` shape (so span and transaction arrays
-//!   concatenate into one document);
+//!   snapshot-and-subtract for cumulative stats structs: [`delta`] is the
+//!   one way to subtract two counter snapshots;
+//! - [`TraceBuffer`] and [`TraceCtx`] — the two traces: a bounded
+//!   transaction ring (off by default, one branch per transaction when
+//!   disabled) and hierarchical spans whose context crosses threads as
+//!   one handle. Both export through one Chrome `trace_event` renderer
+//!   (`export_chrome` on each), so their arrays concatenate into one
+//!   Perfetto document, and [`validate_chrome_trace`] checks either;
+//! - [`TraceLevel`] — whether runs record DICE decision diagnostics;
 //! - [`Json`] — a zero-dependency JSON value, writer and parser used for
 //!   every machine-readable artifact above;
 //! - [`render_prometheus`] — Prometheus text exposition of a whole
@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod chrome;
 mod error;
 mod hist;
 mod json;
@@ -45,6 +46,7 @@ mod snapshot;
 mod span;
 mod trace;
 
+pub use chrome::validate_chrome_trace;
 pub use error::{record_error, register_error_counters, DiceError, DiceResult, ErrorClass};
 pub use hist::Histogram;
 pub use json::{Json, JsonError};
@@ -54,8 +56,8 @@ pub use registry::{CounterId, GaugeId, HistId, MetricRegistry};
 pub use snapshot::{
     delta, register_counters, snapshot_from_json, snapshot_json, FieldKind, Snapshot,
 };
-pub use span::{validate_chrome_trace, SpanGuard, SpanId, SpanRecord, TraceCtx, TraceLevel};
-pub use trace::{export_chrome, TraceBuffer, TraceEvent};
+pub use span::{SpanGuard, SpanId, SpanRecord, TraceCtx, TraceLevel};
+pub use trace::{TraceBuffer, TraceEvent};
 
 /// Observability knobs, embedded in the simulator config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,8 +67,9 @@ pub struct ObsConfig {
     pub interval_cycles: u64,
     /// Transaction-trace ring capacity in events (0 disables tracing).
     pub trace_capacity: usize,
-    /// Decision-diagnostics and span-tracing level (off by default; see
-    /// [`TraceLevel`]).
+    /// Decision-diagnostics level (off by default; see [`TraceLevel`]).
+    /// It gates diagnostics only: spans are recorded when a run is handed
+    /// an enabled [`TraceCtx`].
     pub trace_level: TraceLevel,
 }
 

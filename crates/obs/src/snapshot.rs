@@ -2,8 +2,7 @@
 //!
 //! Every stats struct in the simulator (`CacheStats`, `L4Stats`,
 //! `DramStats`) is a bag of cumulative `u64` counters that gets snapshotted
-//! at the warm-up boundary and subtracted at measurement end. Instead of a
-//! hand-written field-by-field `delta_since` per struct, each struct
+//! at the warm-up boundary and subtracted at measurement end. Each struct
 //! declares its fields once via [`impl_snapshot!`] and the generic
 //! [`delta`] does the subtraction — including the subtle part: *watermark*
 //! fields (e.g. `last_done`, a completion timestamp) must **not** be

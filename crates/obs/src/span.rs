@@ -4,6 +4,9 @@
 //! serving layer creates one per sweep, the runner passes it to every
 //! worker, and the simulator opens phase spans inside it, so one request
 //! yields one causally-linked tree no matter how many threads touched it.
+//! A handle carries the span its children open under, and
+//! [`SpanGuard::ctx`] hands out the handle for a span's children, so a
+//! span context crosses every layer as one value.
 //!
 //! Design points:
 //!
@@ -17,30 +20,32 @@
 //!   (monotonic, relative to the context's epoch so records from different
 //!   threads order consistently) and, when the owner knows them, simulated
 //!   cycle bounds via [`SpanGuard::set_cycles`].
-//! * **Composable export.** [`TraceCtx::export_chrome`] emits the same
-//!   Chrome `trace_event` array shape as [`crate::export_chrome`], so span
-//!   arrays and transaction-trace arrays concatenate into one document
-//!   Perfetto renders directly.
+//! * **One exporter.** [`TraceCtx::export_chrome`] maps spans to rows of
+//!   the crate's one Chrome `trace_event` renderer, the one
+//!   [`TraceBuffer::export_chrome`](crate::TraceBuffer::export_chrome)
+//!   uses too, so span and transaction arrays concatenate into one
+//!   document and [`validate_chrome_trace`](crate::validate_chrome_trace)
+//!   checks both.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::chrome::{render, Row};
 use crate::json::Json;
 
-/// How much diagnostic instrumentation a run records.
+/// How much diagnostic instrumentation a run records. Spans are not
+/// gated here: they are recorded whenever a run is handed an enabled
+/// [`TraceCtx`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceLevel {
-    /// No spans, no decision diagnostics in reports (the default; hot
-    /// paths stay allocation-free and outputs stay byte-identical to a
-    /// build without tracing).
+    /// No decision diagnostics in reports (the default; outputs stay
+    /// byte-identical to a build without diagnostics).
     #[default]
     Off,
     /// Record DICE decision diagnostics (CIP confusion, probe
     /// attribution, bandwidth bloat) into the run report.
     Decisions,
-    /// Decision diagnostics plus hierarchical spans.
-    Full,
 }
 
 impl TraceLevel {
@@ -90,11 +95,14 @@ struct CtxInner {
 }
 
 /// A shared handle to one trace: an id allocator plus a collector of
-/// completed spans. Clone it freely; all clones feed the same tree. The
-/// default (disabled) context records nothing.
+/// completed spans, and the span that [`span`](Self::span) opens children
+/// under (none on a fresh context, which opens roots). Clone it freely;
+/// all clones feed the same tree. The default (disabled) context records
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct TraceCtx {
     inner: Option<Arc<CtxInner>>,
+    parent: Option<SpanId>,
 }
 
 impl TraceCtx {
@@ -107,32 +115,21 @@ impl TraceCtx {
                 next_id: AtomicU64::new(1),
                 spans: Mutex::new(Vec::new()),
             })),
+            parent: None,
         }
     }
 
-    /// A disabled context (same as `TraceCtx::default()`): every `span`
-    /// call returns `None` and nothing is recorded.
+    /// Opens a span under this handle's parent. Returns `None` on a
+    /// disabled context. The span ends (and is appended to the collector)
+    /// when the guard drops.
     #[must_use]
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Whether spans opened on this context are recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Opens a span. Returns `None` on a disabled context. The span ends
-    /// (and is appended to the collector) when the guard drops.
-    #[must_use]
-    pub fn span(&self, name: &str, parent: Option<SpanId>) -> Option<SpanGuard> {
+    pub fn span(&self, name: &str) -> Option<SpanGuard> {
         let inner = self.inner.as_ref()?;
         let id = SpanId(inner.next_id.fetch_add(1, Ordering::Relaxed));
         Some(SpanGuard {
             inner: Arc::clone(inner),
             id,
-            parent,
+            parent: self.parent,
             name: name.to_owned(),
             start_us: elapsed_us(inner.epoch),
             cycles: None,
@@ -148,34 +145,15 @@ impl TraceCtx {
         }
     }
 
-    /// Serializes the completed spans as one JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![(
-            "spans".into(),
-            Json::Arr(self.spans().iter().map(span_json).collect()),
-        )])
-    }
-
-    /// Renders the completed spans as a Chrome `trace_event` array — the
-    /// same shape as [`crate::export_chrome`], so the two concatenate into
-    /// one document. Span ids and parent links ride in each event's
-    /// `args`, which is what lets a consumer rebuild the causal tree from
-    /// the exported document alone.
+    /// Renders the completed spans as a Chrome `trace_event` array, one
+    /// track per thread. Span ids, parent links and cycle bounds ride in
+    /// each event's `args`, which is what lets a consumer rebuild the
+    /// causal tree from the exported document alone.
     #[must_use]
     pub fn export_chrome(&self, name: &str, pid: u32) -> Json {
         let spans = self.spans();
         let mut tids: Vec<&str> = Vec::new();
-        let mut events = vec![Json::Obj(vec![
-            ("ph".into(), Json::str("M")),
-            ("name".into(), Json::str("process_name")),
-            ("pid".into(), Json::u64(u64::from(pid))),
-            (
-                "args".into(),
-                Json::Obj(vec![("name".into(), Json::str(name))]),
-            ),
-        ])];
-        for s in &spans {
+        let rows = spans.iter().map(|s| {
             let tid = match tids.iter().position(|t| *t == s.thread) {
                 Some(i) => i,
                 None => {
@@ -191,81 +169,16 @@ impl TraceCtx {
                 args.push(("cycle_start".into(), Json::u64(cs)));
                 args.push(("cycle_end".into(), Json::u64(ce)));
             }
-            events.push(Json::Obj(vec![
-                ("ph".into(), Json::str("X")),
-                ("name".into(), Json::str(&s.name)),
-                ("cat".into(), Json::str("span")),
-                ("pid".into(), Json::u64(u64::from(pid))),
-                ("tid".into(), Json::u64(tid as u64)),
-                ("ts".into(), Json::num(s.start_us as f64)),
-                ("dur".into(), Json::num((s.end_us - s.start_us) as f64)),
-                ("args".into(), Json::Obj(args)),
-            ]));
-        }
-        Json::Arr(events)
-    }
-}
-
-/// Validates a document as a Chrome `trace_event` array (the shape
-/// [`TraceCtx::export_chrome`] emits): a JSON array whose entries are
-/// objects with `ph`, `name` and `pid`, where every duration (`"X"`)
-/// event also carries numeric `ts`, `dur` and `tid`. Useful as a CI gate
-/// on exported traces.
-///
-/// # Errors
-///
-/// A human-readable description of the first violation.
-pub fn validate_chrome_trace(doc: &Json) -> Result<(), String> {
-    let events = doc
-        .as_arr()
-        .ok_or_else(|| "trace must be a JSON array".to_owned())?;
-    for (i, ev) in events.iter().enumerate() {
-        let fail = |msg: &str| Err(format!("event {i}: {msg}"));
-        let Some(ph) = ev.get("ph").and_then(Json::as_str) else {
-            return fail("missing \"ph\"");
-        };
-        if ev.get("name").and_then(Json::as_str).is_none() {
-            return fail("missing \"name\"");
-        }
-        if ev.get("pid").and_then(Json::as_u64).is_none() {
-            return fail("missing numeric \"pid\"");
-        }
-        match ph {
-            "M" => {}
-            "X" => {
-                if ev.get("ts").and_then(Json::as_f64).is_none()
-                    || ev.get("dur").and_then(Json::as_f64).is_none()
-                {
-                    return fail("duration event missing numeric \"ts\"/\"dur\"");
-                }
-                if ev.get("tid").and_then(Json::as_u64).is_none() {
-                    return fail("duration event missing numeric \"tid\"");
-                }
+            Row {
+                name: &s.name,
+                tid: tid as u64,
+                ts_us: s.start_us as f64,
+                dur_us: (s.end_us - s.start_us) as f64,
+                args,
             }
-            other => return fail(&format!("unsupported phase {other:?}")),
-        }
+        });
+        render(name, pid, "span", rows)
     }
-    Ok(())
-}
-
-fn span_json(s: &SpanRecord) -> Json {
-    Json::Obj(vec![
-        ("id".into(), Json::u64(s.id.raw())),
-        (
-            "parent".into(),
-            s.parent.map_or(Json::Null, |p| Json::u64(p.raw())),
-        ),
-        ("name".into(), Json::str(&s.name)),
-        ("thread".into(), Json::str(&s.thread)),
-        ("start_us".into(), Json::u64(s.start_us)),
-        ("end_us".into(), Json::u64(s.end_us)),
-        (
-            "cycles".into(),
-            s.cycles.map_or(Json::Null, |(a, b)| {
-                Json::Arr(vec![Json::u64(a), Json::u64(b)])
-            }),
-        ),
-    ])
 }
 
 fn elapsed_us(epoch: Instant) -> u64 {
@@ -293,10 +206,20 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// This span's id — pass it as `parent` to create children.
+    /// This span's id.
     #[must_use]
     pub fn id(&self) -> SpanId {
         self.id
+    }
+
+    /// A handle whose spans open as children of this one: hand it to the
+    /// code this span covers.
+    #[must_use]
+    pub fn ctx(&self) -> TraceCtx {
+        TraceCtx {
+            inner: Some(Arc::clone(&self.inner)),
+            parent: Some(self.id),
+        }
     }
 
     /// Attaches simulated-cycle bounds to the span.
@@ -326,21 +249,20 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate_chrome_trace;
 
     #[test]
     fn disabled_context_records_nothing() {
-        let ctx = TraceCtx::disabled();
-        assert!(!ctx.is_enabled());
-        assert!(ctx.span("nope", None).is_none());
+        let ctx = TraceCtx::default();
+        assert!(ctx.span("nope").is_none());
         assert!(ctx.spans().is_empty());
-        assert!(!TraceCtx::default().is_enabled());
     }
 
     #[test]
     fn spans_nest_and_link_parents() {
         let ctx = TraceCtx::enabled();
-        let root = ctx.span("root", None).unwrap();
-        let child = ctx.span("child", Some(root.id())).unwrap();
+        let root = ctx.span("root").unwrap();
+        let child = root.ctx().span("child").unwrap();
         let child_id = child.id();
         drop(child);
         let root_id = root.id();
@@ -358,13 +280,13 @@ mod tests {
     #[test]
     fn spans_collected_across_threads_share_one_tree() {
         let ctx = TraceCtx::enabled();
-        let root = ctx.span("root", None).unwrap();
+        let root = ctx.span("root").unwrap();
         let root_id = root.id();
         std::thread::scope(|s| {
             for i in 0..4 {
-                let ctx = ctx.clone();
+                let ctx = root.ctx();
                 s.spawn(move || {
-                    let _g = ctx.span(&format!("worker {i}"), Some(root_id));
+                    let _g = ctx.span(&format!("worker {i}"));
                 });
             }
         });
@@ -384,10 +306,10 @@ mod tests {
     #[test]
     fn chrome_export_matches_trace_event_shape() {
         let ctx = TraceCtx::enabled();
-        let mut root = ctx.span("sweep", None).unwrap();
+        let mut root = ctx.span("sweep").unwrap();
         root.set_cycles(0, 3200);
         let root_id = root.id();
-        drop(ctx.span("cell", Some(root_id)));
+        drop(root.ctx().span("cell"));
         drop(root);
 
         let j = ctx.export_chrome("sweep 1", 7);
@@ -424,21 +346,10 @@ mod tests {
     }
 
     #[test]
-    fn json_export_lists_all_spans() {
-        let ctx = TraceCtx::enabled();
-        drop(ctx.span("only", None));
-        let j = ctx.to_json();
-        let spans = j.get("spans").unwrap().as_arr().unwrap();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].get("name").unwrap().as_str(), Some("only"));
-        assert_eq!(spans[0].get("parent"), Some(&Json::Null));
-    }
-
-    #[test]
     fn validator_accepts_exports_and_rejects_malformed() {
         let ctx = TraceCtx::enabled();
-        let root = ctx.span("root", None).unwrap();
-        drop(ctx.span("leaf", Some(root.id())));
+        let root = ctx.span("root").unwrap();
+        drop(root.ctx().span("leaf"));
         drop(root);
         let doc = ctx.export_chrome("t", 0);
         validate_chrome_trace(&doc).expect("export validates");
@@ -457,6 +368,5 @@ mod tests {
         assert_eq!(TraceLevel::default(), TraceLevel::Off);
         assert!(!TraceLevel::Off.diagnostics_on());
         assert!(TraceLevel::Decisions.diagnostics_on());
-        assert!(TraceLevel::Full.diagnostics_on());
     }
 }

@@ -7,13 +7,17 @@
 //! `dropped` counts how many were evicted so exports are honest about
 //! truncation.
 //!
-//! [`export_chrome`] renders the buffer in the Chrome Tracing /
-//! [Perfetto](https://ui.perfetto.dev) `trace_event` JSON array format:
+//! [`export_chrome`] maps the buffer to rows of the crate's one Chrome
+//! `trace_event` renderer (the one span trees go through too, checked by
+//! the same [`validate_chrome_trace`](crate::validate_chrome_trace)):
 //! one complete (`"ph": "X"`) duration event per transaction, with the
-//! request class as the track (`tid`) so classes stack into separate rows.
+//! request class as the track (`tid`) so classes stack into separate
+//! rows in [Perfetto](https://ui.perfetto.dev).
 //!
 //! [`push`]: TraceBuffer::push
+//! [`export_chrome`]: TraceBuffer::export_chrome
 
+use crate::chrome::{render, Row};
 use crate::json::Json;
 use crate::panel::RequestClass;
 
@@ -50,12 +54,6 @@ impl TraceBuffer {
             head: 0,
             dropped: 0,
         }
-    }
-
-    /// Whether tracing is enabled (capacity > 0).
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.cap > 0
     }
 
     /// Records one event; oldest events are overwritten once full.
@@ -160,41 +158,24 @@ impl TraceBuffer {
             dropped,
         })
     }
-}
 
-/// Renders `buf` as a Chrome `trace_event` JSON array.
-///
-/// `freq_ghz` converts cycles to the format's microsecond timebase; `pid`
-/// labels the process row (`name` becomes its `process_name`), letting
-/// multiple runs coexist in one Perfetto view.
-#[must_use]
-pub fn export_chrome(buf: &TraceBuffer, name: &str, pid: u32, freq_ghz: f64) -> Json {
-    let to_us = |cycles: u64| cycles as f64 / (freq_ghz * 1000.0);
-    let mut events = vec![Json::Obj(vec![
-        ("ph".into(), Json::str("M")),
-        ("name".into(), Json::str("process_name")),
-        ("pid".into(), Json::u64(u64::from(pid))),
-        (
-            "args".into(),
-            Json::Obj(vec![("name".into(), Json::str(name))]),
-        ),
-    ])];
-    for ev in buf.events() {
-        events.push(Json::Obj(vec![
-            ("ph".into(), Json::str("X")),
-            ("name".into(), Json::str(ev.class.name())),
-            ("cat".into(), Json::str("dram-cache")),
-            ("pid".into(), Json::u64(u64::from(pid))),
-            ("tid".into(), Json::u64(ev.class as u64)),
-            ("ts".into(), Json::num(to_us(ev.start))),
-            ("dur".into(), Json::num(to_us(ev.end - ev.start))),
-            (
-                "args".into(),
-                Json::Obj(vec![("addr".into(), Json::str(format!("{:#x}", ev.addr)))]),
-            ),
-        ]));
+    /// Renders the retained events as a Chrome `trace_event` array, one
+    /// track per request class, with each transaction's line address in
+    /// its `args`. `freq_ghz` converts cycles to the format's microsecond
+    /// timebase; `pid` labels the process row (`name` becomes its
+    /// `process_name`), letting multiple runs coexist in one Perfetto view.
+    #[must_use]
+    pub fn export_chrome(&self, name: &str, pid: u32, freq_ghz: f64) -> Json {
+        let to_us = |cycles: u64| cycles as f64 / (freq_ghz * 1000.0);
+        let rows = self.events().map(|ev| Row {
+            name: ev.class.name(),
+            tid: ev.class as u64,
+            ts_us: to_us(ev.start),
+            dur_us: to_us(ev.end - ev.start),
+            args: vec![("addr".into(), Json::str(format!("{:#x}", ev.addr)))],
+        });
+        render(name, pid, "dram-cache", rows)
     }
-    Json::Arr(events)
 }
 
 #[cfg(test)]
@@ -213,7 +194,6 @@ mod tests {
     #[test]
     fn zero_capacity_discards_everything() {
         let mut buf = TraceBuffer::new(0);
-        assert!(!buf.enabled());
         buf.push(ev(0, 10));
         assert!(buf.is_empty());
         assert_eq!(buf.dropped(), 0);
@@ -256,8 +236,9 @@ mod tests {
     fn chrome_export_is_valid_json_with_metadata() {
         let mut buf = TraceBuffer::new(8);
         buf.push(ev(3200, 6400));
-        let text = export_chrome(&buf, "gcc", 1, 3.2).render();
+        let text = buf.export_chrome("gcc", 1, 3.2).render();
         let parsed = Json::parse(&text).unwrap();
+        crate::validate_chrome_trace(&parsed).expect("ring export validates");
         let arr = parsed.as_arr().unwrap();
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[0].get("ph").unwrap().as_str(), Some("M"));

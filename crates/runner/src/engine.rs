@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use dice_obs::{Histogram, MetricRegistry, SpanGuard, SpanId, TraceCtx};
+use dice_obs::{Histogram, MetricRegistry, SpanGuard, TraceCtx};
 use dice_sim::{EngineCounters, RunReport, SimConfig, System, WorkloadSet};
 
 use crate::cache::DiskCache;
@@ -170,13 +170,12 @@ pub struct RunnerConfig {
     /// sweep returns early with the skipped cells counted in
     /// [`SweepResult::cancelled`]. `None` = never cancelled.
     pub cancel: Option<Arc<AtomicBool>>,
-    /// Span-tracing context. When enabled, every cell gets a span (child
-    /// of [`trace_parent`](Self::trace_parent)) and each simulation's
-    /// warmup/measure phases nest under it, yielding one causally-linked
-    /// tree for the whole sweep across worker threads.
-    pub trace: Option<TraceCtx>,
-    /// Parent span for the per-cell spans (e.g. the serve request span).
-    pub trace_parent: Option<SpanId>,
+    /// Span-tracing context (disabled by default). When enabled, every
+    /// cell gets a span under the handle's parent (e.g. the serve request
+    /// span) and each simulation's warmup/measure phases nest under it,
+    /// yielding one causally-linked tree for the whole sweep across
+    /// worker threads.
+    pub trace: TraceCtx,
     /// Live per-cell progress callback, invoked in completion order.
     pub progress: Option<ProgressSink>,
 }
@@ -190,8 +189,7 @@ impl Default for RunnerConfig {
             cell_timeout: None,
             retries: 0,
             cancel: None,
-            trace: None,
-            trace_parent: None,
+            trace: TraceCtx::default(),
             progress: None,
         }
     }
@@ -444,14 +442,12 @@ impl Runner {
                             break;
                         };
                         let cell = &cells[i];
-                        let span = self.config.trace.as_ref().and_then(|ctx| {
-                            ctx.span(
-                                &format!("cell:{}/{}", cell.tag, cell.workload.name),
-                                self.config.trace_parent,
-                            )
-                        });
-                        let parent = span.as_ref().map(SpanGuard::id);
-                        let (outcome, retries, engine) = self.run_cell(cell, parent);
+                        let span = self
+                            .config
+                            .trace
+                            .span(&format!("cell:{}/{}", cell.tag, cell.workload.name));
+                        let trace = span.as_ref().map(SpanGuard::ctx).unwrap_or_default();
+                        let (outcome, retries, engine) = self.run_cell(cell, &trace);
                         // Close the cell span before reporting completion
                         // so a progress consumer never observes a finished
                         // cell with an open span.
@@ -561,9 +557,9 @@ impl Runner {
     /// unwind-isolated simulation (with bounded retries on panic), then a
     /// cache write-back. Returns the outcome, how many retries it took and
     /// the successful simulation's engine counters (zero for a cache hit or
-    /// a failure). `span` is the cell's span id; the simulation's phase
-    /// spans nest under it.
-    fn run_cell(&self, cell: &Cell, span: Option<SpanId>) -> (CellOutcome, u32, EngineCounters) {
+    /// a failure). `trace` is the cell span's handle; the simulation's
+    /// phase spans nest under it.
+    fn run_cell(&self, cell: &Cell, trace: &TraceCtx) -> (CellOutcome, u32, EngineCounters) {
         let t0 = Instant::now();
         let key = cell_key(&cell.cfg, &cell.workload);
         if let Some(cached) = self.cache.as_ref().and_then(|c| c.load(key)) {
@@ -580,7 +576,7 @@ impl Runner {
         let attempts = self.config.retries.saturating_add(1);
         let mut last_error = String::new();
         for attempt in 0..attempts {
-            match self.simulate_once(cell, span) {
+            match self.simulate_once(cell, trace) {
                 Ok((report, engine)) => {
                     if let Some(cache) = &self.cache {
                         if let Err(e) = cache.store(key, &cell.tag, &report) {
@@ -637,16 +633,14 @@ impl Runner {
     fn simulate_once(
         &self,
         cell: &Cell,
-        span: Option<SpanId>,
+        trace: &TraceCtx,
     ) -> Result<(RunReport, EngineCounters), CellFailure> {
         let cfg = cell.cfg.clone();
         let workload = cell.workload.clone();
-        let trace = self.config.trace.clone().filter(TraceCtx::is_enabled);
+        let trace = trace.clone();
         let sim = move || {
             let mut sys = System::new(cfg, &workload);
-            if let Some(ctx) = trace {
-                sys.set_trace(ctx, span);
-            }
+            sys.set_trace(trace);
             sys.run_with_engine_stats()
         };
         let Some(budget) = self.config.cell_timeout else {

@@ -49,12 +49,11 @@ fn children<'a>(spans: &'a [SpanRecord], parent: &SpanRecord) -> Vec<&'a SpanRec
 fn traced_sweep_yields_one_causally_linked_tree() {
     let ctx = TraceCtx::enabled();
     let root_id = {
-        let root = ctx.span("sweep", None).unwrap();
+        let root = ctx.span("sweep").unwrap();
         let id = root.id();
         let runner = Runner::new(RunnerConfig {
             jobs: 3,
-            trace: Some(ctx.clone()),
-            trace_parent: Some(id),
+            trace: root.ctx(),
             ..RunnerConfig::default()
         })
         .unwrap();

@@ -15,7 +15,7 @@
 //! dice-serve-loadgen --url 127.0.0.1:PORT --check-metrics
 //!
 //! # submit a tiny sweep and validate /v1/sweeps/:id/trace as a Chrome
-//! # trace; version-gated, so a server predating the endpoint passes:
+//! # trace:
 //! dice-serve-loadgen --url 127.0.0.1:PORT --check-trace
 //! ```
 //!
@@ -145,65 +145,19 @@ fn submit_and_wait(addr: &str, spec_text: &str) -> Result<(String, String), Stri
     Ok((id, report.text()))
 }
 
-/// `--check-trace`: run a tiny sweep, then validate the trace endpoint.
-/// The probe is version-gated: a server built from this crate version
-/// must serve a valid Chrome trace, while an older server that predates
-/// the endpoint may legitimately answer 404.
-fn run_check_trace(addr: &str) -> i32 {
-    let server_version = match http_get(addr, "/version") {
-        Ok(resp) if resp.status == 200 => Json::parse(&resp.text())
-            .ok()
-            .and_then(|doc| doc.get("version").and_then(Json::as_str).map(str::to_owned)),
-        _ => None,
-    };
-    let id = match submit_and_wait(addr, PROBE_SPEC) {
-        Ok((id, _body)) => id,
-        Err(e) => {
-            eprintln!("dice-serve-loadgen: {e}");
-            return 1;
-        }
-    };
-    let resp = match http_get(addr, &format!("/v1/sweeps/{id}/trace")) {
-        Ok(resp) => resp,
-        Err(e) => {
-            eprintln!("dice-serve-loadgen: GET trace: {e}");
-            return 1;
-        }
-    };
-    match resp.status {
-        200 => {
-            let doc = match Json::parse(&resp.text()) {
-                Ok(doc) => doc,
-                Err(e) => {
-                    eprintln!("dice-serve-loadgen: trace is not JSON: {e}");
-                    return 1;
-                }
-            };
-            if let Err(e) = validate_chrome_trace(&doc) {
-                eprintln!("dice-serve-loadgen: trace invalid: {e}");
-                return 1;
-            }
-            println!(
-                "/v1/sweeps/:id/trace is a valid Chrome trace ({} events)",
-                doc.as_arr().map_or(0, |events| events.len())
-            );
-            0
-        }
-        404 if server_version.as_deref() != Some(env!("CARGO_PKG_VERSION")) => {
-            println!(
-                "server version {} predates the trace endpoint; 404 tolerated",
-                server_version.as_deref().unwrap_or("unknown")
-            );
-            0
-        }
-        s => {
-            eprintln!(
-                "dice-serve-loadgen: GET trace: HTTP {s} from server version {}",
-                server_version.as_deref().unwrap_or("unknown")
-            );
-            1
-        }
+/// `--check-trace`: run a tiny sweep, then require the trace endpoint
+/// to answer 200 with a valid Chrome trace. Returns its event count;
+/// `Err` carries a human-readable failure.
+fn check_trace(addr: &str) -> Result<usize, String> {
+    let (id, _body) = submit_and_wait(addr, PROBE_SPEC)?;
+    let resp =
+        http_get(addr, &format!("/v1/sweeps/{id}/trace")).map_err(|e| format!("GET trace: {e}"))?;
+    if resp.status != 200 {
+        return Err(format!("GET trace: HTTP {}", resp.status));
     }
+    let doc = Json::parse(&resp.text()).map_err(|e| format!("trace is not JSON: {e}"))?;
+    validate_chrome_trace(&doc).map_err(|e| format!("trace invalid: {e}"))?;
+    Ok(doc.as_arr().map_or(0, <[Json]>::len))
 }
 
 fn main() {
@@ -242,7 +196,16 @@ fn main() {
     }
 
     if args.check_trace {
-        std::process::exit(run_check_trace(addr));
+        match check_trace(addr) {
+            Ok(events) => {
+                println!("/v1/sweeps/:id/trace is a valid Chrome trace ({events} events)");
+            }
+            Err(e) => {
+                eprintln!("dice-serve-loadgen: {e}");
+                std::process::exit(1);
+            }
+        }
+        return;
     }
 
     let Some(spec) = &args.spec else {

@@ -40,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dice_obs::{Json, MetricRegistry, SpanId, TraceCtx};
+use dice_obs::{Json, MetricRegistry, TraceCtx};
 use dice_runner::{CellProgress, ProgressSink, Runner, RunnerConfig, SweepResult};
 
 use crate::net::count;
@@ -126,10 +126,9 @@ pub struct SweepRun {
     pub id: u64,
     /// The sweep as submitted.
     pub spec: SweepSpec,
-    /// The sweep's span tree; executor spans go under `parent`.
+    /// The sweep's span tree, as a handle on the `sweep {id}` root span:
+    /// executor spans open under it.
     pub trace: TraceCtx,
-    /// The `sweep {id}` root span.
-    pub parent: SpanId,
     /// The job's progress-event log.
     pub events: EventLog,
     /// The queue's cooperative cancel flag ([`JobQueue::force_cancel`]).
@@ -184,8 +183,7 @@ impl SweepExecutor for Local {
     fn execute(&self, run: SweepRun) -> Result<Executed, String> {
         let mut cfg = self.runner.clone();
         cfg.cancel = Some(run.cancel);
-        cfg.trace = Some(run.trace);
-        cfg.trace_parent = Some(run.parent);
+        cfg.trace = run.trace;
         let events = run.events;
         cfg.progress = Some(ProgressSink::new(move |p: CellProgress| {
             events.push(render_event(&p));
@@ -643,13 +641,12 @@ fn render_event(p: &CellProgress) -> String {
 fn run_sweep(shared: &Arc<Shared>, id: u64, spec: SweepSpec) -> Result<Rendered, String> {
     let ctx = TraceCtx::enabled();
     let sweep_name = format!("sweep {id:016x}");
-    let root = ctx.span(&sweep_name, None).expect("enabled context");
+    let root = ctx.span(&sweep_name).expect("enabled context");
     let started = Instant::now();
     let executed = shared.executor.execute(SweepRun {
         id,
         spec,
-        trace: ctx.clone(),
-        parent: root.id(),
+        trace: root.ctx(),
         events: EventLog {
             shared: Arc::clone(shared),
             id,

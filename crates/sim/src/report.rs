@@ -180,7 +180,7 @@ pub struct RunReport {
     /// sampling is disabled).
     pub timeline: Vec<IntervalSample>,
     /// Transaction trace ring (empty unless `ObsConfig::trace_capacity`
-    /// was set); export with [`dice_obs::export_chrome`].
+    /// was set); export with [`TraceBuffer::export_chrome`].
     pub trace: TraceBuffer,
     /// Decision diagnostics; `None` unless the run's
     /// `ObsConfig::trace_level` was above `Off`.

@@ -26,7 +26,7 @@ use std::collections::BinaryHeap;
 use dice_cache::{HierarchyConfig, SramHierarchy};
 use dice_core::{DramCacheController, FaultKind, FaultPlan, L4Stats, LyingSizes, Probe, SetIndex};
 use dice_dram::{AccessKind, DramDevice, DramStats, Location};
-use dice_obs::{LatencyPanel, RequestClass, SpanId, TraceBuffer, TraceCtx, TraceEvent};
+use dice_obs::{delta, LatencyPanel, RequestClass, TraceBuffer, TraceCtx, TraceEvent};
 use dice_workloads::{MixDataModel, RecordSource, TraceGen, TraceRecord};
 
 use crate::config::{SimConfig, WorkloadSet};
@@ -154,8 +154,9 @@ pub struct System {
     diag_on: bool,
     /// Per-phase cycle attribution over the measured window.
     phases: PhaseCycles,
-    /// Span-tracing context and the parent span this run nests under.
-    span_ctx: Option<(TraceCtx, Option<SpanId>)>,
+    /// Span-tracing context this run's phase spans open in (disabled
+    /// unless [`set_trace`](Self::set_trace) attached one).
+    span_ctx: TraceCtx,
     // Interval-sampling state: the next window boundary (lazily anchored to
     // the first measured event) and the counter snapshots at the last one.
     iv_next: Option<Cycle>,
@@ -270,7 +271,7 @@ impl System {
             timeline: Vec::new(),
             diag_on: cfg.obs.trace_level.diagnostics_on(),
             phases: PhaseCycles::default(),
-            span_ctx: None,
+            span_ctx: TraceCtx::default(),
             iv_next: None,
             iv_l4: L4Stats::default(),
             iv_l4d: DramStats::default(),
@@ -280,11 +281,11 @@ impl System {
     }
 
     /// Attaches a span-tracing context: the run's warmup and measured
-    /// phases are recorded in `ctx` as children of `parent`, so a sweep
-    /// orchestrator can link every cell's simulation phases into one
+    /// phases are recorded in `ctx` as children of its parent span, so a
+    /// sweep orchestrator can link every cell's simulation phases into one
     /// causally-connected tree.
-    pub fn set_trace(&mut self, ctx: TraceCtx, parent: Option<SpanId>) {
-        self.span_ctx = Some((ctx, parent));
+    pub fn set_trace(&mut self, ctx: TraceCtx) {
+        self.span_ctx = ctx;
     }
 
     fn push(&mut self, time: Cycle, kind: EventKind) {
@@ -380,9 +381,9 @@ impl System {
     }
 
     fn close_interval(&mut self, end_cycle: Cycle, cycles: Cycle) {
-        let l4 = self.l4.stats().delta_since(&self.iv_l4);
-        let l4_dram = self.l4dram.stats().delta_since(&self.iv_l4d);
-        let mem_dram = self.mem.stats().delta_since(&self.iv_mem);
+        let l4 = delta(self.l4.stats(), &self.iv_l4);
+        let l4_dram = delta(self.l4dram.stats(), &self.iv_l4d);
+        let mem_dram = delta(self.mem.stats(), &self.iv_mem);
         self.iv_l4 = *self.l4.stats();
         self.iv_l4d = *self.l4dram.stats();
         self.iv_mem = *self.mem.stats();
@@ -713,11 +714,8 @@ impl System {
     /// [`run`](Self::run), also returning this run's engine counters
     /// (which never appear in the report; see [`EngineCounters`]).
     pub fn run_with_engine_stats(mut self) -> (RunReport, EngineCounters) {
-        let span_ctx = self.span_ctx.clone();
         {
-            let mut warm = span_ctx
-                .as_ref()
-                .and_then(|(ctx, parent)| ctx.span("sim.warmup", *parent));
+            let mut warm = self.span_ctx.span("sim.warmup");
             self.run_phase(self.cfg.warmup_records);
             if let Some(g) = warm.as_mut() {
                 let end = self
@@ -767,9 +765,7 @@ impl System {
                 .map(|c| c.model.finish_time())
                 .max()
                 .unwrap_or(0);
-            let mut meas = span_ctx
-                .as_ref()
-                .and_then(|(ctx, parent)| ctx.span("sim.measure", *parent));
+            let mut meas = self.span_ctx.span("sim.measure");
             self.run_phase(self.cfg.measure_records);
             if let Some(g) = meas.as_mut() {
                 let end = self
@@ -805,8 +801,8 @@ impl System {
             .map(|(c, &s)| c.model.finish_time().saturating_sub(s))
             .collect();
         let cycles = *core_cycles.iter().max().unwrap_or(&0);
-        let l4_dram = self.l4dram.stats().delta_since(&l4d_snap);
-        let mem_dram = self.mem.stats().delta_since(&mem_snap);
+        let l4_dram = delta(self.l4dram.stats(), &l4d_snap);
+        let mem_dram = delta(self.mem.stats(), &mem_snap);
         let (avg_valid_lines, avg_occupied_sets) = if self.valid_samples == 0 {
             (
                 self.l4.valid_lines() as f64,
@@ -834,7 +830,7 @@ impl System {
             core_instructions: self.cores.iter().map(|c| c.model.instructions()).collect(),
             core_cycles,
             l3: *self.hierarchy.l3_stats(),
-            l4: self.l4.stats().delta_since(&l4_snap),
+            l4: delta(self.l4.stats(), &l4_snap),
             l4_dram,
             mem_dram,
             cip_accuracy: self.l4.cip_accuracy(),
@@ -1164,12 +1160,12 @@ mod tests {
     #[test]
     fn sim_phases_span_under_the_given_parent() {
         let ctx = TraceCtx::enabled();
-        let root = ctx.span("cell", None).expect("enabled ctx yields spans");
+        let root = ctx.span("cell").expect("enabled ctx yields spans");
         let root_id = root.id();
         let cfg =
             SimConfig::scaled(Organization::UncompressedAlloy, 256).with_records(1_000, 2_000);
         let mut sys = System::new(cfg, &WorkloadSet::rate(spec("gcc"), 7));
-        sys.set_trace(ctx.clone(), Some(root_id));
+        sys.set_trace(root.ctx());
         let _ = sys.run();
         drop(root);
         let spans = ctx.spans();
