@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 use dice_core::Organization;
 use dice_ingest::{pack_records, scan, DtfWriter, TraceBinding};
 use dice_obs::{DiceError, DiceResult, Json};
-use dice_runner::{Cell, CellOutcome, Runner, RunnerConfig};
+use dice_runner::{Cell, Runner, RunnerConfig};
 use dice_sim::{RunReport, SimConfig, WorkloadSet};
 use dice_workloads::{spec_table, TraceGen, TraceRecord, WorkloadSpec};
 
@@ -359,11 +359,9 @@ fn cmd_sweep(args: &Args) {
     );
 
     let report_of = |tag: &str| -> &RunReport {
-        match sweep.outcomes.get(&(tag.to_owned(), wl_name.clone())) {
-            Some(CellOutcome::Completed { report, .. }) => report,
-            Some(CellOutcome::Failed { error }) => fail(&format!("cell {tag}/{wl_name}"), &error),
-            other => fail(&format!("cell {tag}/{wl_name}"), &format!("{other:?}")),
-        }
+        sweep
+            .report(tag, &wl_name)
+            .unwrap_or_else(|e| fail("sweep", &e))
     };
     let base = report_of("base");
     let runs = SWEEP_ORGS

@@ -10,9 +10,11 @@
 //! flags: --list         print the experiment id/description catalog as
 //!                       JSON (the same bytes `dice-serve` serves at
 //!                       /v1/experiments) and exit
-//!        --scale N      footprint/capacity divisor (default 64)
-//!        --warmup N     warm-up records per core (default 30000)
-//!        --measure N    measured records per core (default 80000)
+//!        --scale N      footprint/capacity divisor, a power of two
+//!                       (default 256)
+//!        --warmup N     warm-up records per core (default 60000)
+//!        --measure N    measured records per core, positive (default
+//!                       100000)
 //!        --seed N       workload seed
 //!        --jobs N       simulate cells on N worker threads (default: all
 //!                       cores); results are identical for any N
@@ -43,9 +45,12 @@
 //! Each experiment first *declares* its `(config, workload)` cells; the
 //! `dice-runner` engine simulates the deduplicated union in parallel
 //! (memoizing into `--cache-dir` if given), and only then do the render
-//! functions format tables from the completed runs. A cell or figure that
-//! panics is reported and skipped — the rest of the sweep still completes,
-//! and the process exits nonzero.
+//! functions format tables from the finished sweep. A renderer simulates
+//! nothing: it reads runs by `(tag, workload)`, and a cell that failed or
+//! that no experiment declared fails that experiment. A cell or figure
+//! that panics is reported and skipped — the rest of the sweep still
+//! completes, and the process exits nonzero. A malformed flag exits 2
+//! before any cell is declared.
 //!
 //! Absolute numbers differ from the paper (different substrate, synthetic
 //! workloads, scaled system — see DESIGN.md §3); the comparisons within
@@ -58,10 +63,11 @@ use dice_bench::workloads::{all26, group_geomeans, nonmem, Group};
 use dice_bench::{Ctx, Table};
 use dice_compress::{compressed_size, pair_compressed_size};
 use dice_core::{DramCacheConfig, Organization, TagVariant};
-use dice_obs::{DiceError, Json, MetricRegistry, TraceLevel};
-use dice_runner::{Cell, CellOutcome, Runner, RunnerConfig};
-use dice_sim::{SimConfig, WorkloadSet};
-use dice_workloads::{spec_table, DataModel, TraceGen, TraceRecord};
+use dice_ingest::{DtfWriter, TraceBinding};
+use dice_obs::{DiceError, Json, TraceLevel};
+use dice_runner::{Cell, Runner, RunnerConfig, SweepResult};
+use dice_sim::{RunReport, SimConfig, WorkloadSet};
+use dice_workloads::{spec_table, DataModel, TraceGen, TraceRecord, WorkloadSpec};
 
 fn pct(x: f64) -> String {
     format!("{:+.1}%", (x - 1.0) * 100.0)
@@ -74,14 +80,25 @@ fn ratio(x: f64) -> String {
 const DICE: Organization = Organization::Dice { threshold: 36 };
 
 /// One experiment: an id, the cells it needs simulated, and a renderer
-/// that formats the completed runs. `cells` is declared up front so the
+/// that formats the finished sweep. `cells` is declared up front so the
 /// runner can schedule the union of a whole sweep; `render` only reads
-/// the memo (it falls back to serial simulation on a miss, so each
-/// experiment also works stand-alone).
+/// that sweep, through [`report`].
 struct Experiment {
     id: &'static str,
     cells: fn(&Ctx) -> Vec<Cell>,
-    render: fn(&Ctx) -> String,
+    render: fn(&Ctx, &SweepResult) -> String,
+}
+
+/// The report of cell `tag` on `workload` in the finished sweep.
+///
+/// # Panics
+///
+/// Panics with the runner's account of a cell that failed, timed out or
+/// was never declared; the caller reports that against the experiment.
+fn report<'a>(sweep: &'a SweepResult, tag: &str, workload: &str) -> &'a RunReport {
+    sweep
+        .report(tag, workload)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Every paper artifact, in `all`'s presentation order.
@@ -212,7 +229,7 @@ fn sweep_cells(ctx: &Ctx, variants: &[Variant]) -> Vec<Cell> {
 
 /// Runs `variants` over ALL26, reporting per-workload speedup vs the
 /// uncompressed baseline plus RATE/MIX/GAP/ALL26 geometric means.
-fn speedup_sweep(ctx: &Ctx, title: &str, variants: &[Variant]) -> String {
+fn speedup_sweep(ctx: &Ctx, sweep: &SweepResult, title: &str, variants: &[Variant]) -> String {
     let mut headers = vec!["workload"];
     headers.extend(variants.iter().map(|v| v.label));
     let mut t = Table::new(&headers);
@@ -221,11 +238,10 @@ fn speedup_sweep(ctx: &Ctx, title: &str, variants: &[Variant]) -> String {
     let groups: Vec<Group> = sets.iter().map(|(g, _)| *g).collect();
 
     for (_, wl) in &sets {
-        let base = ctx.baseline(wl);
+        let base = report(sweep, "base", &wl.name);
         let mut cells = vec![wl.name.clone()];
         for (vi, v) in variants.iter().enumerate() {
-            let r = ctx.run_cfg(v.tag, (v.cfg)(ctx), wl);
-            let s = r.weighted_speedup(&base);
+            let s = report(sweep, v.tag, &wl.name).weighted_speedup(base);
             per_variant[vi].push(s);
             cells.push(format!("{s:.3}"));
         }
@@ -263,9 +279,10 @@ fn fig1f_variants() -> Vec<Variant> {
 }
 
 /// Figure 1(f): potential speedup from doubling capacity, bandwidth, both.
-fn fig1f(ctx: &Ctx) -> String {
+fn fig1f(ctx: &Ctx, sweep: &SweepResult) -> String {
     speedup_sweep(
         ctx,
+        sweep,
         "Figure 1(f): potential speedup of idealized caches (vs 1x baseline)\n\
          Paper: 2x Capacity ~ +10%, 2x Both ~ +22% on average.",
         &fig1f_variants(),
@@ -273,7 +290,7 @@ fn fig1f(ctx: &Ctx) -> String {
 }
 
 /// Figure 4: fraction of compressible lines per workload.
-fn fig4(ctx: &Ctx) -> String {
+fn fig4(ctx: &Ctx, _: &SweepResult) -> String {
     let mut t = Table::new(&["workload", "single<=32", "single<=36", "double<=68"]);
     let mut all = [0.0f64; 3];
     let specs = spec_table();
@@ -333,9 +350,10 @@ fn fig7_variants() -> Vec<Variant> {
 }
 
 /// Figure 7: static TSI and BAI vs idealized caches.
-fn fig7(ctx: &Ctx) -> String {
+fn fig7(ctx: &Ctx, sweep: &SweepResult) -> String {
     speedup_sweep(
         ctx,
+        sweep,
         "Figure 7: compression with static indexing vs idealized caches\n\
          Paper: TSI ~ +7% (never hurts); BAI ~ +0.1% on average (wins on\n\
          compressible workloads, thrashes on incompressible ones).",
@@ -357,9 +375,10 @@ fn fig10_variants() -> Vec<Variant> {
 }
 
 /// Figure 10: the headline result.
-fn fig10(ctx: &Ctx) -> String {
+fn fig10(ctx: &Ctx, sweep: &SweepResult) -> String {
     speedup_sweep(
         ctx,
+        sweep,
         "Figure 10: TSI vs BAI vs DICE vs a double-capacity double-bandwidth cache\n\
          Paper: DICE +19.0% on average, within 3% of 2xCap+2xBW's +21.9%.",
         &fig10_variants(),
@@ -374,13 +393,13 @@ fn fig11_cells(ctx: &Ctx) -> Vec<Cell> {
 }
 
 /// Figure 11: install-index distribution under DICE.
-fn fig11(ctx: &Ctx) -> String {
+fn fig11(ctx: &Ctx, sweep: &SweepResult) -> String {
     let mut t = Table::new(&["workload", "invariant", "TSI", "BAI"]);
     let mut tsi_sum = 0.0;
     let mut bai_sum = 0.0;
     let sets = all26(ctx.seed);
     for (_, wl) in &sets {
-        let r = ctx.dice(wl);
+        let r = report(sweep, "dice36", &wl.name);
         let total = r.l4.installs().max(1) as f64;
         let inv = 100.0 * r.l4.installs_invariant as f64 / total;
         let tsi = 100.0 * r.l4.installs_tsi as f64 / total;
@@ -435,19 +454,14 @@ fn fig12_cells(ctx: &Ctx) -> Vec<Cell> {
 }
 
 /// Figure 12: DICE on a KNL-style cache (no neighbor tag).
-fn fig12(ctx: &Ctx) -> String {
+fn fig12(ctx: &Ctx, sweep: &SweepResult) -> String {
     let sets = all26(ctx.seed);
     let mut t = Table::new(&["workload", "DICE-on-KNL"]);
     let mut vals = Vec::new();
     let groups: Vec<Group> = sets.iter().map(|(g, _)| *g).collect();
     for (_, wl) in &sets {
-        let base = ctx.run_cfg(
-            "knl-base",
-            knl_cfg(ctx, Organization::UncompressedAlloy),
-            wl,
-        );
-        let dice = ctx.run_cfg("knl-dice", knl_cfg(ctx, DICE), wl);
-        let s = dice.weighted_speedup(&base);
+        let base = report(sweep, "knl-base", &wl.name);
+        let s = report(sweep, "knl-dice", &wl.name).weighted_speedup(base);
         vals.push(s);
         t.row(&[wl.name.clone(), format!("{s:.3}")]);
     }
@@ -474,13 +488,12 @@ fn fig13_cells(ctx: &Ctx) -> Vec<Cell> {
 }
 
 /// Figure 13: non-memory-intensive workloads.
-fn fig13(ctx: &Ctx) -> String {
+fn fig13(ctx: &Ctx, sweep: &SweepResult) -> String {
     let mut t = Table::new(&["workload", "DICE speedup"]);
     let mut vals = Vec::new();
     for wl in nonmem(ctx.seed) {
-        let base = ctx.baseline(&wl);
-        let dice = ctx.dice(&wl);
-        let s = dice.weighted_speedup(&base);
+        let base = report(sweep, "base", &wl.name);
+        let s = report(sweep, "dice36", &wl.name).weighted_speedup(base);
         vals.push(s);
         t.row(&[wl.name.clone(), format!("{s:.3}")]);
     }
@@ -516,16 +529,16 @@ fn fig14_cells(ctx: &Ctx) -> Vec<Cell> {
 }
 
 /// Figure 14: power / performance / energy / EDP, normalized to baseline.
-fn fig14(ctx: &Ctx) -> String {
+fn fig14(ctx: &Ctx, sweep: &SweepResult) -> String {
     let mut t = Table::new(&["metric", "Baseline", "TSI", "BAI", "DICE"]);
     let sets = all26(ctx.seed);
     // Log-sums of per-workload ratios per org: [power, perf, energy, edp].
     let mut sums = [[0.0f64; 4]; 3];
     for (_, wl) in &sets {
-        let base = ctx.baseline(wl);
-        for (oi, (tag, org)) in COMPRESSED_ORGS.iter().enumerate() {
-            let r = ctx.run_org(tag, *org, wl);
-            let speed = r.weighted_speedup(&base);
+        let base = report(sweep, "base", &wl.name);
+        for (oi, (tag, _)) in COMPRESSED_ORGS.iter().enumerate() {
+            let r = report(sweep, tag, &wl.name);
+            let speed = r.weighted_speedup(base);
             let power = r.energy.power_watts() / base.energy.power_watts();
             let energy = r.energy.total_joules() / base.energy.total_joules();
             let edp = r.energy.edp() / base.energy.edp();
@@ -558,9 +571,10 @@ fn fig15_variants() -> Vec<Variant> {
 }
 
 /// Figure 15: SCC on a DRAM cache vs DICE.
-fn fig15(ctx: &Ctx) -> String {
+fn fig15(ctx: &Ctx, sweep: &SweepResult) -> String {
     speedup_sweep(
         ctx,
+        sweep,
         "Figure 15: Skewed Compressed Cache mapped onto DRAM vs DICE\n\
          Paper: SCC ~ -22% (3 tag probes + 1 data probe per request burn the\n\
          bandwidth compression was supposed to save); DICE +19%.",
@@ -583,16 +597,15 @@ fn tab4_cells(ctx: &Ctx) -> Vec<Cell> {
 }
 
 /// Table 4: sensitivity to the DICE insertion threshold.
-fn tab4(ctx: &Ctx) -> String {
+fn tab4(ctx: &Ctx, sweep: &SweepResult) -> String {
     let sets = all26(ctx.seed);
     let groups: Vec<Group> = sets.iter().map(|(g, _)| *g).collect();
     let mut t = Table::new(&["group", "<=32B", "<=36B", "<=40B"]);
     let mut per: Vec<Vec<f64>> = vec![Vec::new(); 3];
     for (_, wl) in &sets {
-        let base = ctx.baseline(wl);
-        for (i, (tag, thr)) in TAB4_THRESHOLDS.into_iter().enumerate() {
-            let r = ctx.run_org(tag, Organization::Dice { threshold: thr }, wl);
-            per[i].push(r.weighted_speedup(&base));
+        let base = report(sweep, "base", &wl.name);
+        for (i, (tag, _)) in TAB4_THRESHOLDS.into_iter().enumerate() {
+            per[i].push(report(sweep, tag, &wl.name).weighted_speedup(base));
         }
     }
     let mut cols: Vec<[f64; 3]> = Vec::new();
@@ -628,15 +641,14 @@ fn tab5_cells(ctx: &Ctx) -> Vec<Cell> {
 }
 
 /// Table 5: effective capacity of TSI / BAI / DICE.
-fn tab5(ctx: &Ctx) -> String {
+fn tab5(ctx: &Ctx, sweep: &SweepResult) -> String {
     let sets = all26(ctx.seed);
     let groups: Vec<Group> = sets.iter().map(|(g, _)| *g).collect();
     let mut t = Table::new(&["group", "TSI", "BAI", "DICE"]);
     let mut per: Vec<Vec<f64>> = vec![Vec::new(); 3];
     for (_, wl) in &sets {
-        for (i, (tag, org)) in COMPRESSED_ORGS.iter().enumerate() {
-            let r = ctx.run_org(tag, *org, wl);
-            per[i].push(r.capacity_ratio());
+        for (i, (tag, _)) in COMPRESSED_ORGS.iter().enumerate() {
+            per[i].push(report(sweep, tag, &wl.name).capacity_ratio());
         }
     }
     let mut cols: Vec<[f64; 3]> = Vec::new();
@@ -670,14 +682,14 @@ fn tab6_cells(ctx: &Ctx) -> Vec<Cell> {
 }
 
 /// Table 6: L3 hit rate, baseline vs DICE.
-fn tab6(ctx: &Ctx) -> String {
+fn tab6(ctx: &Ctx, sweep: &SweepResult) -> String {
     let sets = all26(ctx.seed);
     let groups: Vec<Group> = sets.iter().map(|(g, _)| *g).collect();
     let mut base_v = Vec::new();
     let mut dice_v = Vec::new();
     for (_, wl) in &sets {
-        base_v.push(ctx.baseline(wl).l3.hit_rate() * 100.0);
-        dice_v.push(ctx.dice(wl).l3.hit_rate() * 100.0);
+        base_v.push(report(sweep, "base", &wl.name).l3.hit_rate() * 100.0);
+        dice_v.push(report(sweep, "dice36", &wl.name).l3.hit_rate() * 100.0);
     }
     let mean = |v: &[f64], g: Option<Group>| -> f64 {
         let vals: Vec<f64> = v
@@ -731,9 +743,10 @@ fn tab7_variants() -> Vec<Variant> {
 }
 
 /// Table 7: DICE vs prefetch-style ways of getting the adjacent line.
-fn tab7(ctx: &Ctx) -> String {
+fn tab7(ctx: &Ctx, sweep: &SweepResult) -> String {
     speedup_sweep(
         ctx,
+        sweep,
         "Table 7: wide fetch / next-line prefetch vs DICE (and DICE+NL)\n\
          Paper: 128B fetch +1.9%, next-line PF +1.6%, DICE +19.0%, DICE+NL +20.9%\n\
          — prefetches pay full bandwidth for the extra line; DICE gets it free.",
@@ -767,20 +780,15 @@ fn tab8_cells(ctx: &Ctx) -> Vec<Cell> {
 }
 
 /// Table 8: DICE on bigger / wider / faster caches.
-fn tab8(ctx: &Ctx) -> String {
+fn tab8(ctx: &Ctx, sweep: &SweepResult) -> String {
     let sets = all26(ctx.seed);
     let groups: Vec<Group> = sets.iter().map(|(g, _)| *g).collect();
     let mut t = Table::new(&["group", "Base", "2xCap", "2xBW", "50%Lat"]);
     let mut per: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for (_, wl) in &sets {
-        for (i, (base_tag, dice_tag, adjust)) in TAB8_VARIANTS.iter().enumerate() {
-            let base = ctx.run_cfg(
-                base_tag,
-                adjust(ctx.cfg(Organization::UncompressedAlloy)),
-                wl,
-            );
-            let dice = ctx.run_cfg(dice_tag, adjust(ctx.cfg(DICE)), wl);
-            per[i].push(dice.weighted_speedup(&base));
+        for (i, (base_tag, dice_tag, _)) in TAB8_VARIANTS.iter().enumerate() {
+            let base = report(sweep, base_tag, &wl.name);
+            per[i].push(report(sweep, dice_tag, &wl.name).weighted_speedup(base));
         }
     }
     let mut cols: Vec<[f64; 3]> = Vec::new();
@@ -820,16 +828,19 @@ fn cip_cfg(ctx: &Ctx, entries: usize) -> SimConfig {
     cfg
 }
 
+fn spec_named(name: &str) -> WorkloadSpec {
+    spec_table()
+        .into_iter()
+        .find(|s| s.name == name)
+        .expect("the harness names only workloads of the spec table")
+}
+
 fn cip_cells(ctx: &Ctx) -> Vec<Cell> {
     let mut cells = Vec::new();
     for entries in CIP_ENTRIES {
         let tag = format!("cip-{entries}");
         for name in CIP_SUBSET {
-            let spec = spec_table()
-                .into_iter()
-                .find(|w| w.name == name)
-                .expect("spec table covers every rate-mode workload name");
-            let wl = WorkloadSet::rate(spec, ctx.seed);
+            let wl = WorkloadSet::rate(spec_named(name), ctx.seed);
             cells.push(ctx.cell(&tag, cip_cfg(ctx, entries), &wl));
         }
     }
@@ -837,7 +848,7 @@ fn cip_cells(ctx: &Ctx) -> Vec<Cell> {
 }
 
 /// §5.3: CIP accuracy vs LTT size, plus write-prediction accuracy.
-fn cip(ctx: &Ctx) -> String {
+fn cip(_: &Ctx, sweep: &SweepResult) -> String {
     let mut t = Table::new(&["LTT entries", "storage", "read accuracy", "write accuracy"]);
     for entries in CIP_ENTRIES {
         let mut correct_w = 0.0;
@@ -845,13 +856,7 @@ fn cip(ctx: &Ctx) -> String {
         let mut wcorrect = 0.0;
         let mut wtotal = 0.0;
         for name in CIP_SUBSET {
-            let spec = spec_table()
-                .into_iter()
-                .find(|w| w.name == name)
-                .expect("spec table covers every rate-mode workload name");
-            let wl = WorkloadSet::rate(spec, ctx.seed);
-            let tag = format!("cip-{entries}");
-            let r = ctx.run_cfg(&tag, cip_cfg(ctx, entries), &wl);
+            let r = report(sweep, &format!("cip-{entries}"), name);
             correct_w += r.cip_accuracy * r.cip_predictions as f64;
             total += r.cip_predictions as f64;
             wcorrect += r.l4.write_prediction_accuracy() * r.l4.wpred_scored as f64;
@@ -876,56 +881,52 @@ fn cip(ctx: &Ctx) -> String {
 /// experiment's `.dtf` trace, one stream per entry.
 const INGEST_STREAM_SPECS: [&str; 4] = ["mcf", "lbm", "gcc", "soplex"];
 const INGEST_STREAM_RECORDS: u64 = 20_000;
+/// The workload name both `ingest` workload sets run under.
+const INGEST_WORKLOAD: &str = "dtf-mix";
 
-/// Builds (or reuses) the `ingest` experiment's packed trace: one
+/// Where the `ingest` experiment's trace lives: named by the context's
+/// seed and scale, so differently parameterized invocations never collide.
+fn ingest_trace_path(ctx: &Ctx) -> PathBuf {
+    std::env::temp_dir().join(format!("dice-exp-ingest-{:x}-{}.dtf", ctx.seed, ctx.scale))
+}
+
+/// Writes the `ingest` experiment's packed trace and binds it: one
 /// generator stream per [`INGEST_STREAM_SPECS`] entry, deterministic in
-/// the context's seed and scale (which name the file, so differently
-/// parameterized invocations never collide).
-fn ingest_trace(ctx: &Ctx) -> dice_ingest::TraceBinding {
-    use dice_ingest::{DtfWriter, TraceBinding};
-    let path =
-        std::env::temp_dir().join(format!("dice-exp-ingest-{:x}-{}.dtf", ctx.seed, ctx.scale));
+/// the context's seed and scale. Whatever stood at the path is replaced,
+/// never trusted. The file is written under a per-process name and
+/// renamed into place, so a concurrent run with the same seed and scale
+/// never sees it half-written.
+fn ingest_trace(ctx: &Ctx) -> TraceBinding {
+    let path = ingest_trace_path(ctx);
+    let partial = path.with_extension(format!("{}.partial", std::process::id()));
     let cores = INGEST_STREAM_SPECS.len() as u32;
-    if let Ok(b) = TraceBinding::open(&path) {
-        // Same seed/scale regenerate byte-identical content, so an
-        // existing well-formed file of the right shape is reusable as-is.
-        if b.cores() == cores && b.records() == INGEST_STREAM_RECORDS * u64::from(cores) {
-            return b;
-        }
-    }
-    let mut w = DtfWriter::create(&path, cores, true).expect("creating the ingest trace");
+    let mut w = DtfWriter::create(&partial, cores, true).expect("creating the ingest trace");
     for (core, name) in INGEST_STREAM_SPECS.iter().enumerate() {
-        let spec = spec_table()
-            .into_iter()
-            .find(|s| s.name == *name)
-            .expect("ingest stream specs are in the spec table");
-        let mut gen = TraceGen::with_scale(&spec, core as u32, ctx.seed, ctx.scale);
+        let mut gen = TraceGen::with_scale(&spec_named(name), core as u32, ctx.seed, ctx.scale);
         for _ in 0..INGEST_STREAM_RECORDS {
             w.push_record(core as u32, gen.next_record())
                 .expect("encoding the ingest trace");
         }
     }
     w.finish().expect("writing the ingest trace");
-    TraceBinding::open(&path).expect("reopening the ingest trace")
+    std::fs::rename(&partial, &path).expect("installing the ingest trace");
+    TraceBinding::open(&path).expect("binding the ingest trace")
 }
 
-/// The ingest experiment's two workload sets: the same trace binding,
-/// streamed with bounded memory vs preloaded into RAM.
-fn ingest_workloads(ctx: &Ctx) -> (WorkloadSet, WorkloadSet) {
+/// The ingest experiment's cells: baseline and DICE over one trace
+/// binding, streamed with bounded memory (`-stream`) and preloaded into
+/// RAM (`-mem`).
+fn ingest_cells(ctx: &Ctx) -> Vec<Cell> {
     let binding = ingest_trace(ctx);
-    let spec = spec_table()
-        .into_iter()
-        .find(|s| s.name == "mcf")
-        .expect("mcf is in the spec table");
-    let streamed = WorkloadSet::traced("dtf-mix", spec, ctx.seed, binding.clone());
+    let streamed = WorkloadSet::traced(
+        INGEST_WORKLOAD,
+        spec_named("mcf"),
+        ctx.seed,
+        binding.clone(),
+    );
     let preload = streamed
         .clone()
         .with_trace(Some(binding.with_preload(true)));
-    (streamed, preload)
-}
-
-fn ingest_cells(ctx: &Ctx) -> Vec<Cell> {
-    let (streamed, preload) = ingest_workloads(ctx);
     vec![
         ctx.cell(
             "base-stream",
@@ -944,29 +945,18 @@ fn ingest_cells(ctx: &Ctx) -> Vec<Cell> {
 
 /// Trace ingestion: DICE vs baseline driven by a packed `.dtf` trace,
 /// with the streamed and preloaded replays cross-checked byte-for-byte.
-fn ingest(ctx: &Ctx) -> String {
-    let (streamed, preload) = ingest_workloads(ctx);
-    let base_s = ctx.run_cfg(
-        "base-stream",
-        ctx.cfg(Organization::UncompressedAlloy),
-        &streamed,
-    );
-    let base_m = ctx.run_cfg(
-        "base-mem",
-        ctx.cfg(Organization::UncompressedAlloy),
-        &preload,
-    );
-    let dice_s = ctx.run_cfg("dice-stream", ctx.cfg(DICE), &streamed);
-    let dice_m = ctx.run_cfg("dice-mem", ctx.cfg(DICE), &preload);
+fn ingest(ctx: &Ctx, sweep: &SweepResult) -> String {
+    let [base_s, base_m, dice_s, dice_m] = ["base-stream", "base-mem", "dice-stream", "dice-mem"]
+        .map(|tag| report(sweep, tag, INGEST_WORKLOAD));
     let mut t = Table::new(&["org", "streamed", "preloaded", "l4 hit", "identical"]);
     for (label, s, m, su_s, su_m) in [
-        ("Baseline", &base_s, &base_m, 1.0, 1.0),
+        ("Baseline", base_s, base_m, 1.0, 1.0),
         (
             "DICE",
-            &dice_s,
-            &dice_m,
-            dice_s.weighted_speedup(&base_s),
-            dice_m.weighted_speedup(&base_m),
+            dice_s,
+            dice_m,
+            dice_s.weighted_speedup(base_s),
+            dice_m.weighted_speedup(base_m),
         ),
     ] {
         let identical = s.to_json().render() == m.to_json().render();
@@ -978,7 +968,9 @@ fn ingest(ctx: &Ctx) -> String {
             if identical { "yes" } else { "DIVERGED" }.to_owned(),
         ]);
     }
-    let binding = ingest_trace(ctx);
+    // The header facts of the file the cells bound (`ingest_cells` wrote
+    // it earlier in this invocation).
+    let binding = TraceBinding::open(ingest_trace_path(ctx)).expect("reading the ingest trace");
     format!(
         "Trace ingestion: {} streams, {} records, content hash {:016x}\n\
          Bounded-memory streaming off the .dtf must match an in-memory replay\n\
@@ -990,32 +982,37 @@ fn ingest(ctx: &Ctx) -> String {
     )
 }
 
+/// `inspect=NAME`'s organizations, in row order.
+const INSPECT_ORGS: [(&str, Organization); 4] = [
+    ("base", Organization::UncompressedAlloy),
+    ("tsi", Organization::CompressedTsi),
+    ("bai", Organization::CompressedBai),
+    ("dice36", DICE),
+];
+
+fn inspect_cells(ctx: &Ctx, wl: &WorkloadSet) -> Vec<Cell> {
+    INSPECT_ORGS
+        .iter()
+        .map(|(tag, org)| ctx.cell(tag, ctx.cfg(*org), wl))
+        .collect()
+}
+
 /// Developer aid: detailed counters for one workload under the main
 /// organizations (not a paper artifact; used for calibration).
-fn inspect(ctx: &Ctx, workload: &str) -> String {
-    let spec = spec_table()
-        .into_iter()
-        .find(|w| w.name == workload)
-        .unwrap_or_else(|| panic!("unknown workload {workload}"));
-    let wl = WorkloadSet::rate(spec, ctx.seed);
+fn inspect(sweep: &SweepResult, workload: &str) -> String {
     let mut t = Table::new(&[
         "org", "speedup", "cycles", "l3hit", "l4hit", "l4reads", "free", "l4wr", "fills", "memrd",
         "memwr", "l4bus%", "membus%", "l4rowhit", "l4lat", "memlat", "qstall", "cap",
     ]);
-    let base = ctx.baseline(&wl);
-    for (tag, org) in [
-        ("base", Organization::UncompressedAlloy),
-        ("tsi", Organization::CompressedTsi),
-        ("bai", Organization::CompressedBai),
-        ("dice36", DICE),
-    ] {
-        let r = ctx.run_org(tag, org, &wl);
+    let base = report(sweep, "base", workload);
+    for (tag, _) in INSPECT_ORGS {
+        let r = report(sweep, tag, workload);
         let cyc = r.cycles.max(1) as f64;
         let l4_busy = 100.0 * r.l4_dram.busy_cycles as f64 / (4.0 * cyc);
         let mem_busy = 100.0 * r.mem_dram.busy_cycles as f64 / cyc;
         t.row(&[
             tag.into(),
-            format!("{:.3}", r.weighted_speedup(&base)),
+            format!("{:.3}", r.weighted_speedup(base)),
             format!("{}k", r.cycles / 1000),
             format!("{:.0}%", 100.0 * r.l3.hit_rate()),
             format!("{:.0}%", 100.0 * r.l4.hit_rate()),
@@ -1037,11 +1034,19 @@ fn inspect(ctx: &Ctx, workload: &str) -> String {
     format!("inspect {workload}\n\n{}", t.render())
 }
 
-/// Serializes every memoized run plus invocation metadata.
+/// The sweep's completed runs as `(tag, workload, report)`, in key order.
+fn completed(sweep: &SweepResult) -> impl Iterator<Item = (&str, &str, &RunReport)> {
+    sweep.outcomes.keys().filter_map(|(tag, wl)| {
+        let r = sweep.report(tag, wl).ok()?;
+        Some((tag.as_str(), wl.as_str(), &**r))
+    })
+}
+
+/// Serializes every completed run plus invocation metadata.
 ///
 /// Deliberately excludes scheduling details (jobs, cache hits, wall time)
 /// so the artifact is byte-identical for any `--jobs` / `--cache-dir`.
-fn json_dump(ctx: &Ctx, id: &str) -> Json {
+fn json_dump(ctx: &Ctx, id: &str, sweep: &SweepResult) -> Json {
     Json::Obj(vec![
         (
             "meta".into(),
@@ -1056,8 +1061,7 @@ fn json_dump(ctx: &Ctx, id: &str) -> Json {
         (
             "runs".into(),
             Json::Arr(
-                ctx.reports()
-                    .iter()
+                completed(sweep)
                     .map(|(tag, wl, r)| {
                         Json::Obj(vec![
                             ("tag".into(), Json::str(tag)),
@@ -1071,11 +1075,11 @@ fn json_dump(ctx: &Ctx, id: &str) -> Json {
     ])
 }
 
-/// Merges every memoized run's trace into one Chrome trace_event array,
+/// Merges every completed run's trace into one Chrome trace_event array,
 /// one process row per run.
-fn trace_dump(ctx: &Ctx) -> Json {
+fn trace_dump(sweep: &SweepResult) -> Json {
     let mut events = Vec::new();
-    for (pid, (tag, wl, r)) in ctx.reports().iter().enumerate() {
+    for (pid, (tag, wl, r)) in completed(sweep).enumerate() {
         let label = format!("{tag}/{wl}");
         if let Json::Arr(evs) = r.trace.export_chrome(&label, pid as u32 + 1, 3.2) {
             events.extend(evs);
@@ -1084,16 +1088,14 @@ fn trace_dump(ctx: &Ctx) -> Json {
     Json::Arr(events)
 }
 
-/// `--diagnostics`: decision-level diagnostics for every memoized run
+/// `--diagnostics`: decision-level diagnostics for every completed run
 /// that carried them (i.e. ran above `TraceLevel::Off`). Two tables: the
 /// CIP confusion matrices (predicted scheme x actual, read-time and
 /// fill-time), then the bandwidth-bloat split and phase-cycle
 /// attribution. Counts cover the whole run (warmup included, matching
 /// `cip_accuracy`); phases cover the measured window.
-fn render_diagnostics(ctx: &Ctx) -> String {
-    let runs: Vec<(String, dice_sim::RunDiag)> = ctx
-        .reports()
-        .iter()
+fn render_diagnostics(sweep: &SweepResult) -> String {
+    let runs: Vec<(String, dice_sim::RunDiag)> = completed(sweep)
         .filter_map(|(tag, wl, r)| r.diag.map(|d| (format!("{tag}/{wl}"), d)))
         .collect();
     if runs.is_empty() {
@@ -1161,79 +1163,77 @@ fn render_diagnostics(ctx: &Ctx) -> String {
     )
 }
 
-/// Declares every selected experiment's cells, runs them through the
-/// parallel engine, folds the results into `ctx`, and renders each
-/// experiment (unwind-isolated, so one broken figure doesn't lose the
-/// others). Returns the combined output and a list of failures.
+/// Runs `cells` as one sweep through the parallel engine and prints its
+/// summary. Returns the sweep and the error of each cell that failed or
+/// timed out.
+fn run_sweep(ctx: &Ctx, cells: Vec<Cell>, runner_cfg: RunnerConfig) -> (SweepResult, Vec<String>) {
+    let runner = Runner::new(runner_cfg).unwrap_or_else(|e| {
+        eprintln!("cannot open --cache-dir: {e}");
+        std::process::exit(2);
+    });
+    let sweep = runner.run(cells);
+    eprintln!("[experiments] {}", sweep.summary());
+    let engine = sweep.engine;
+    if engine.events_scheduled > 0 {
+        eprintln!(
+            "[experiments] engine: {} events scheduled, {} chained inline, {} wheel cascades",
+            engine.events_scheduled, engine.events_chained, engine.wheel_cascades
+        );
+    }
+    if ctx.verbose {
+        let h = &sweep.cell_wall_ms;
+        eprintln!(
+            "[experiments] cell wall time: p50 {} ms, p95 {} ms, max {} ms",
+            h.quantile(0.5),
+            h.quantile(0.95),
+            h.max()
+        );
+    }
+    let failures = sweep
+        .outcomes
+        .keys()
+        .filter_map(|(tag, wl)| sweep.report(tag, wl).err())
+        .collect();
+    (sweep, failures)
+}
+
+/// Renders one experiment, unwind-isolated so one broken figure doesn't
+/// lose the others: a panic becomes a FAILED line in the output and an
+/// entry in `failures`.
+fn render_isolated(
+    id: &str,
+    render: impl FnOnce() -> String,
+    failures: &mut Vec<String>,
+) -> String {
+    catch_unwind(AssertUnwindSafe(render)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            .unwrap_or_else(|| "non-string panic payload".to_owned());
+        failures.push(format!("{id}: {msg}"));
+        format!("{id}: FAILED — {msg}")
+    })
+}
+
+/// Separates the rendered experiments (and the diagnostics) on stdout.
+const SEPARATOR: &str = "\n\n================================================================\n\n";
+
+/// Declares every selected experiment's cells, runs them as one sweep,
+/// and renders each experiment from that sweep. Returns the combined
+/// output, the failures, and the sweep.
 fn run_experiments(
     ctx: &Ctx,
     exps: &[&Experiment],
     runner_cfg: RunnerConfig,
-) -> (String, Vec<String>) {
-    let mut failures = Vec::new();
-    let mut cells = Vec::new();
-    for e in exps {
-        cells.extend((e.cells)(ctx));
-    }
-    if !cells.is_empty() {
-        let runner = Runner::new(runner_cfg).unwrap_or_else(|e| {
-            eprintln!("cannot open --cache-dir: {e}");
-            std::process::exit(2);
-        });
-        let sweep = runner.run(cells);
-        eprintln!("[experiments] {}", sweep.summary());
-        let engine = sweep.engine;
-        if engine.events_scheduled > 0 {
-            eprintln!(
-                "[experiments] engine: {} events scheduled, {} chained inline, {} wheel cascades",
-                engine.events_scheduled, engine.events_chained, engine.wheel_cascades
-            );
-        }
-        if ctx.verbose {
-            let mut reg = MetricRegistry::new();
-            sweep.register(&mut reg);
-            let h = &sweep.cell_wall_ms;
-            eprintln!(
-                "[experiments] cell wall time: p50 {} ms, p95 {} ms, max {} ms",
-                h.quantile(0.5),
-                h.quantile(0.95),
-                h.max()
-            );
-        }
-        for ((tag, wl), outcome) in &sweep.outcomes {
-            match outcome {
-                CellOutcome::Completed { .. } => {}
-                CellOutcome::Failed { error } => {
-                    failures.push(format!("cell {tag}/{wl}: {error}"));
-                }
-                CellOutcome::TimedOut { budget } => {
-                    failures.push(format!(
-                        "cell {tag}/{wl}: timed out after {:.1}s",
-                        budget.as_secs_f64()
-                    ));
-                }
-            }
-        }
-        ctx.absorb(&sweep);
-    }
-    let mut parts = Vec::new();
-    for e in exps {
-        match catch_unwind(AssertUnwindSafe(|| (e.render)(ctx))) {
-            Ok(text) => parts.push(text),
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
-                failures.push(format!("{}: {msg}", e.id));
-                parts.push(format!("{}: FAILED — {msg}", e.id));
-            }
-        }
-    }
-    let out =
-        parts.join("\n\n================================================================\n\n");
-    (out, failures)
+) -> (String, Vec<String>, SweepResult) {
+    let cells = exps.iter().flat_map(|e| (e.cells)(ctx)).collect();
+    let (sweep, mut failures) = run_sweep(ctx, cells, runner_cfg);
+    let parts: Vec<String> = exps
+        .iter()
+        .map(|e| render_isolated(e.id, || (e.render)(ctx, &sweep), &mut failures))
+        .collect();
+    (parts.join(SEPARATOR), failures, sweep)
 }
 
 /// `--inject garbled-trace`: packs a small `.dtf` trace, flips one byte of
@@ -1304,17 +1304,43 @@ fn poison_cache_entries(dir: &std::path::Path) -> usize {
     entries.len()
 }
 
+/// Refuses a malformed command line with one line naming the flag.
+fn refuse(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| refuse(&format!("{flag} needs a value")))
+}
+
+/// The number after `flag`.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let v = value(args, flag);
+    v.parse()
+        .unwrap_or_else(|_| refuse(&format!("{flag} {v:?} is not a valid number")))
+}
+
+/// What one invocation runs.
+enum Selection {
+    /// Catalog experiments: one id, or all of them.
+    Experiments(Vec<&'static Experiment>),
+    /// `inspect=NAME`: the main organizations on one workload.
+    Inspect(WorkloadSet),
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut ctx = Ctx::standard();
     let mut id: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut diagnostics = false;
     let mut runner_cfg = RunnerConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--list" => {
                 // The shared catalog: byte-identical to dice-serve's
                 // /v1/experiments (asserted by tests on both sides), so
@@ -1322,78 +1348,82 @@ fn main() {
                 print!("{}", dice_bench::catalog_json().render());
                 return;
             }
-            "--scale" => {
-                i += 1;
-                ctx.scale = args[i].parse().expect("--scale N");
-            }
-            "--warmup" => {
-                i += 1;
-                ctx.warmup = args[i].parse().expect("--warmup N");
-            }
-            "--measure" => {
-                i += 1;
-                ctx.measure = args[i].parse().expect("--measure N");
-            }
-            "--seed" => {
-                i += 1;
-                ctx.seed = args[i].parse().expect("--seed N");
-            }
-            "--jobs" => {
-                i += 1;
-                runner_cfg.jobs = args[i].parse().expect("--jobs N");
-                assert!(runner_cfg.jobs >= 1, "--jobs must be >= 1");
-            }
+            "--scale" => ctx.scale = number(&mut args, "--scale"),
+            "--warmup" => ctx.warmup = number(&mut args, "--warmup"),
+            "--measure" => ctx.measure = number(&mut args, "--measure"),
+            "--seed" => ctx.seed = number(&mut args, "--seed"),
+            "--jobs" => runner_cfg.jobs = number(&mut args, "--jobs"),
             "--cache-dir" => {
-                i += 1;
-                runner_cfg.cache_dir = Some(PathBuf::from(args.get(i).expect("--cache-dir PATH")));
+                runner_cfg.cache_dir = Some(PathBuf::from(value(&mut args, "--cache-dir")));
             }
             "--quiet" => ctx.verbose = false,
-            "--audit" => {
-                i += 1;
-                ctx.audit_every = args[i].parse().expect("--audit N");
-            }
+            "--audit" => ctx.audit_every = number(&mut args, "--audit"),
             "--inject" => {
-                i += 1;
-                let name = args.get(i).expect("--inject KIND");
-                let kind = dice_core::FaultKind::parse(name).unwrap_or_else(|| {
+                let name = value(&mut args, "--inject");
+                let kind = dice_core::FaultKind::parse(&name).unwrap_or_else(|| {
                     let names: Vec<_> =
                         dice_core::FaultKind::ALL.iter().map(|k| k.name()).collect();
-                    eprintln!("unknown fault {name:?}; one of: {}", names.join(", "));
-                    std::process::exit(2);
+                    refuse(&format!(
+                        "unknown fault {name:?}; one of: {}",
+                        names.join(", ")
+                    ))
                 });
                 ctx.inject = Some(dice_core::FaultPlan::seeded(kind));
             }
             "--cell-timeout" => {
-                i += 1;
-                let secs: f64 = args[i].parse().expect("--cell-timeout SECONDS");
-                assert!(secs > 0.0, "--cell-timeout must be positive");
-                runner_cfg.cell_timeout = Some(std::time::Duration::from_secs_f64(secs));
+                let secs: f64 = number(&mut args, "--cell-timeout");
+                let budget = std::time::Duration::try_from_secs_f64(secs)
+                    .ok()
+                    .filter(|d| !d.is_zero())
+                    .unwrap_or_else(|| {
+                        refuse("--cell-timeout must be a positive number of seconds")
+                    });
+                runner_cfg.cell_timeout = Some(budget);
             }
-            "--retries" => {
-                i += 1;
-                runner_cfg.retries = args[i].parse().expect("--retries N");
-            }
+            "--retries" => runner_cfg.retries = number(&mut args, "--retries"),
             "--diagnostics" => {
                 diagnostics = true;
                 ctx.obs.trace_level = TraceLevel::Decisions;
             }
-            "--json" => {
-                i += 1;
-                json_path = Some(args.get(i).expect("--json PATH").clone());
-            }
+            "--json" => json_path = Some(value(&mut args, "--json")),
             "--trace" => {
-                i += 1;
-                trace_path = Some(args.get(i).expect("--trace PATH").clone());
+                trace_path = Some(value(&mut args, "--trace"));
                 // 64k events ≈ a few MB of JSON; the ring keeps the newest.
                 ctx.obs.trace_capacity = 65_536;
             }
-            other => {
-                assert!(id.is_none(), "unexpected argument {other}");
-                id = Some(other.to_owned());
-            }
+            _ if id.is_some() => refuse(&format!("unexpected argument {arg}")),
+            _ => id = Some(arg),
         }
-        i += 1;
     }
+    // The bounds dice-serve's sweep specs enforce, checked before any
+    // cell is declared.
+    if !ctx.scale.is_power_of_two() {
+        refuse("--scale must be a power of two");
+    }
+    if ctx.measure == 0 {
+        refuse("--measure must be positive");
+    }
+    if runner_cfg.jobs == 0 {
+        refuse("--jobs must be at least 1");
+    }
+    let id = id.unwrap_or_else(|| "all".to_owned());
+    let selection = if let Some(name) = id.strip_prefix("inspect=") {
+        let spec = spec_table()
+            .into_iter()
+            .find(|w| w.name == name)
+            .unwrap_or_else(|| refuse(&format!("inspect={name}: unknown workload")));
+        Selection::Inspect(WorkloadSet::rate(spec, ctx.seed))
+    } else if id == "all" {
+        Selection::Experiments(EXPERIMENTS.iter().collect())
+    } else {
+        match EXPERIMENTS.iter().find(|e| e.id == id) {
+            Some(e) => Selection::Experiments(vec![e]),
+            None => refuse(&format!(
+                "unknown experiment '{id}'; try fig1f fig4 fig7 fig10 fig11 fig12 \
+                 fig13 fig14 fig15 tab4 tab5 tab6 tab7 tab8 cip ingest all"
+            )),
+        }
+    };
     runner_cfg.verbose = ctx.verbose;
     // Two fault kinds live outside the simulator: garbled-trace is a
     // self-test of the `.dtf` frame checks, and poisoned-cache corrupts the
@@ -1421,7 +1451,6 @@ fn main() {
         }
         _ => {}
     }
-    let id = id.unwrap_or_else(|| "all".to_owned());
     // Fail on an unwritable output path now, not after a long run.
     for path in [&json_path, &trace_path].into_iter().flatten() {
         if let Err(e) = std::fs::write(path, "") {
@@ -1430,37 +1459,29 @@ fn main() {
         }
     }
     let started = std::time::Instant::now();
-    let (out, failures) = match id.as_str() {
-        "all" => run_experiments(&ctx, &EXPERIMENTS.iter().collect::<Vec<_>>(), runner_cfg),
-        other if other.starts_with("inspect=") => {
-            // Developer path: four runs, serial, nothing to parallelize.
-            (inspect(&ctx, other.trim_start_matches("inspect=")), vec![])
+    let (mut out, failures, sweep) = match &selection {
+        Selection::Experiments(exps) => run_experiments(&ctx, exps, runner_cfg),
+        Selection::Inspect(wl) => {
+            let (sweep, mut failures) = run_sweep(&ctx, inspect_cells(&ctx, wl), runner_cfg);
+            let out = render_isolated(&id, || inspect(&sweep, &wl.name), &mut failures);
+            (out, failures, sweep)
         }
-        other => match EXPERIMENTS.iter().find(|e| e.id == other) {
-            Some(e) => run_experiments(&ctx, &[e], runner_cfg),
-            None => {
-                eprintln!(
-                    "unknown experiment '{other}'; try fig1f fig4 fig7 fig10 fig11 fig12 \
-                     fig13 fig14 fig15 tab4 tab5 tab6 tab7 tab8 cip ingest all"
-                );
-                std::process::exit(2);
-            }
-        },
     };
-    println!("{out}");
     if diagnostics {
-        println!("\n================================================================\n");
-        println!("{}", render_diagnostics(&ctx));
+        out.push_str(SEPARATOR);
+        out.push_str(&render_diagnostics(&sweep));
     }
+    println!("{out}");
     if let Some(path) = json_path {
-        std::fs::write(&path, json_dump(&ctx, &id).render()).expect("writing --json output");
+        std::fs::write(&path, json_dump(&ctx, &id, &sweep).render())
+            .expect("writing --json output");
         eprintln!(
             "[experiments] wrote {} run reports to {path}",
-            ctx.cached_runs()
+            completed(&sweep).count()
         );
     }
     if let Some(path) = trace_path {
-        std::fs::write(&path, trace_dump(&ctx).render()).expect("writing --trace output");
+        std::fs::write(&path, trace_dump(&sweep).render()).expect("writing --trace output");
         eprintln!("[experiments] wrote Chrome trace to {path} (open in ui.perfetto.dev)");
     }
     eprintln!(
@@ -1481,11 +1502,32 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{render_diagnostics, trace_dump, EXPERIMENTS};
+    use super::{
+        fig11, ingest_trace, ingest_trace_path, render_diagnostics, spec_named, trace_dump, DICE,
+        EXPERIMENTS, INGEST_STREAM_RECORDS,
+    };
     use dice_bench::{Ctx, EXPERIMENT_CATALOG};
+    use dice_core::Organization;
+    use dice_ingest::{DtfWriter, TraceBinding};
     use dice_obs::{register_counters, validate_chrome_trace, Json, MetricRegistry, TraceLevel};
+    use dice_runner::{Cell, Runner, RunnerConfig, SweepResult};
     use dice_sim::WorkloadSet;
-    use dice_workloads::spec_table;
+    use dice_workloads::TraceGen;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn sweep(cells: Vec<Cell>) -> SweepResult {
+        let runner = Runner::new(RunnerConfig {
+            jobs: 2,
+            ..RunnerConfig::default()
+        })
+        .expect("a runner without a cache");
+        runner.run(cells)
+    }
+
+    /// `mcf` in rate mode, the workload these tests simulate.
+    fn mcf(ctx: &Ctx) -> WorkloadSet {
+        WorkloadSet::rate(spec_named("mcf"), ctx.seed)
+    }
 
     /// The dispatch table and the shared catalog must agree exactly —
     /// same ids, same order — so `--list` / `/v1/experiments` can never
@@ -1497,6 +1539,21 @@ mod tests {
         assert_eq!(dispatch, catalog);
     }
 
+    /// A renderer simulates nothing: reading a cell the sweep lacks fails
+    /// the experiment with a message naming the cell.
+    #[test]
+    fn renderer_names_a_cell_missing_from_the_sweep() {
+        let ctx = Ctx::quick();
+        let empty = sweep(Vec::new());
+        let payload = catch_unwind(AssertUnwindSafe(|| fig11(&ctx, &empty)))
+            .expect_err("fig11 must not render without its cells");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert_eq!(msg, "cell dice36/mcf is not in the sweep");
+    }
+
     /// `--diagnostics` output must agree with the counters every other
     /// consumer reads: the CIP sweep's `cip_accuracy`/`cip_predictions`
     /// and the registry counters a diag snapshot exports.
@@ -1504,12 +1561,9 @@ mod tests {
     fn diagnostics_cross_check_report_and_registry_counters() {
         let mut ctx = Ctx::quick();
         ctx.obs.trace_level = TraceLevel::Decisions;
-        let spec = spec_table()
-            .into_iter()
-            .find(|w| w.name == "mcf")
-            .expect("mcf is in the spec table");
-        let wl = WorkloadSet::rate(spec, ctx.seed);
-        let r = ctx.dice(&wl);
+        let wl = mcf(&ctx);
+        let sweep = sweep(vec![ctx.cell("dice36", ctx.cfg(DICE), &wl)]);
+        let r = sweep.report("dice36", "mcf").expect("the cell completed");
         let diag = r.diag.expect("Decisions-level run reports diagnostics");
         let d = diag.decisions;
 
@@ -1531,7 +1585,7 @@ mod tests {
         assert_eq!(reg.counter_value("diag_bytes_moved"), Some(d.bytes_moved));
 
         // And the rendered table carries the cross-checked numbers.
-        let table = render_diagnostics(&ctx);
+        let table = render_diagnostics(&sweep);
         assert!(table.contains("dice36/"));
         assert!(table.contains(&format!("{:.1}%", 100.0 * d.read_accuracy())));
         assert!(table.contains(&d.cip_read_bai_bai.to_string()));
@@ -1541,26 +1595,29 @@ mod tests {
     #[test]
     fn diagnostics_renderer_reports_absence_at_trace_off() {
         let ctx = Ctx::quick();
-        let text = render_diagnostics(&ctx);
+        let wl = mcf(&ctx);
+        let sweep = sweep(vec![ctx.cell("dice36", ctx.cfg(DICE), &wl)]);
+        assert!(sweep.report("dice36", "mcf").is_ok());
+        let text = render_diagnostics(&sweep);
         assert!(text.contains("no completed run"));
     }
 
     /// `--trace` writes one Chrome document that the shared validator
-    /// accepts: one process row per memoized run, each carrying every
+    /// accepts: one process row per completed run, each carrying every
     /// event its ring retained.
     #[test]
     fn trace_dump_is_one_valid_chrome_document() {
         let mut ctx = Ctx::quick();
         ctx.obs.trace_capacity = 64;
-        let spec = spec_table()
-            .into_iter()
-            .find(|w| w.name == "mcf")
-            .expect("mcf is in the spec table");
-        let wl = WorkloadSet::rate(spec, ctx.seed);
+        let wl = mcf(&ctx);
+        let sweep = sweep(vec![
+            ctx.cell("base", ctx.cfg(Organization::UncompressedAlloy), &wl),
+            ctx.cell("dice36", ctx.cfg(DICE), &wl),
+        ]);
         // Runs export sorted by tag: `base` is pid 1, `dice36` pid 2.
-        let runs = [ctx.baseline(&wl), ctx.dice(&wl)];
+        let runs = ["base", "dice36"].map(|tag| sweep.report(tag, "mcf").expect("completed"));
 
-        let doc = trace_dump(&ctx);
+        let doc = trace_dump(&sweep);
         validate_chrome_trace(&doc).expect("trace dump validates");
         let events = doc.as_arr().expect("a trace_event array");
         let pids = |ph: &str| -> Vec<u64> {
@@ -1576,5 +1633,32 @@ mod tests {
             assert_eq!(r.trace.len(), 64, "mcf fills a 64-event ring");
             assert_eq!(transactions.iter().filter(|&&p| p == pid).count(), 64);
         }
+    }
+
+    /// The ingest trace is rebuilt on every run: a foreign file of the
+    /// right shape at its path is replaced, not reused.
+    #[test]
+    fn ingest_trace_replaces_a_foreign_file() {
+        let mut ctx = Ctx::quick();
+        ctx.seed = 0x1a57_f00d; // no other test writes this seed's trace
+        let fresh = ingest_trace(&ctx).content_hash();
+
+        let path = ingest_trace_path(&ctx);
+        let mut w = DtfWriter::create(&path, 4, true).expect("planting a trace");
+        let lbm = spec_named("lbm");
+        for core in 0..4 {
+            let mut gen = TraceGen::with_scale(&lbm, core, 1, ctx.scale);
+            for _ in 0..INGEST_STREAM_RECORDS {
+                w.push_record(core, gen.next_record()).expect("encoding");
+            }
+        }
+        w.finish().expect("writing the planted trace");
+        let planted = TraceBinding::open(&path).expect("the planted trace binds");
+        assert_eq!(planted.cores(), 4);
+        assert_eq!(planted.records(), 4 * INGEST_STREAM_RECORDS);
+        assert_ne!(planted.content_hash(), fresh);
+
+        assert_eq!(ingest_trace(&ctx).content_hash(), fresh);
+        std::fs::remove_file(&path).expect("removing the test trace");
     }
 }

@@ -1,25 +1,15 @@
-//! Experiment context: shared scale settings and a run memo.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+//! Experiment context: the scale and window settings every cell shares.
 
 use dice_core::{FaultPlan, Organization};
 use dice_obs::ObsConfig;
-use dice_runner::{Cell, CellOutcome, SweepResult};
-use dice_sim::{RunReport, SimConfig, System, WorkloadSet};
+use dice_runner::Cell;
+use dice_sim::{SimConfig, WorkloadSet};
 
-/// Shared settings for one harness invocation plus a cache of completed
-/// runs keyed by `(config tag, workload name)`, so experiments that share
-/// configurations (every figure needs the uncompressed baseline) pay for
-/// each simulation once.
-///
-/// The memo is `Send + Sync`: the parallel runner simulates a sweep's
-/// cells on worker threads, [`absorb`](Ctx::absorb) folds the results in,
-/// and the figure renderers then hit the memo instead of simulating.
-/// [`run_cfg`](Ctx::run_cfg) still simulates on a miss, so partial sweeps
-/// (or none at all) stay correct — just serial.
+/// Shared settings for one harness invocation. Experiments build their
+/// cells' configurations through [`cfg`](Ctx::cfg); the runner simulates
+/// the cells, and the renderers read the finished sweep.
 pub struct Ctx {
-    /// Footprint/capacity scale divisor (DESIGN.md §3; 64 by default for
+    /// Footprint/capacity scale divisor (DESIGN.md §3; 256 by default for
     /// the harness, 16 for higher-fidelity runs, 1 = the paper's 1 GB).
     pub scale: u64,
     /// Warm-up records per core.
@@ -40,11 +30,6 @@ pub struct Ctx {
     /// Fault injector armed on every run built through
     /// [`cfg`](Ctx::cfg); `None` in normal operation.
     pub inject: Option<FaultPlan>,
-    cache: Mutex<HashMap<(String, String), Arc<RunReport>>>,
-    /// Cells the runner reported as failed; [`run_cfg`](Ctx::run_cfg)
-    /// re-panics with the recorded message instead of re-simulating a
-    /// known-diverging configuration.
-    failed: Mutex<HashMap<(String, String), String>>,
 }
 
 impl Ctx {
@@ -62,8 +47,6 @@ impl Ctx {
             obs: ObsConfig::default(),
             audit_every: 0,
             inject: None,
-            cache: Mutex::new(HashMap::new()),
-            failed: Mutex::new(HashMap::new()),
         }
     }
 
@@ -74,13 +57,8 @@ impl Ctx {
             scale: 512,
             warmup: 2_000,
             measure: 5_000,
-            seed: 0xd1ce,
             verbose: false,
-            obs: ObsConfig::default(),
-            audit_every: 0,
-            inject: None,
-            cache: Mutex::new(HashMap::new()),
-            failed: Mutex::new(HashMap::new()),
+            ..Self::standard()
         }
     }
 
@@ -95,188 +73,9 @@ impl Ctx {
         cfg
     }
 
-    /// A runner [`Cell`] for `cfg` on `wl` under `tag` (the declarative
-    /// counterpart of [`run_cfg`](Ctx::run_cfg)).
+    /// A runner [`Cell`] for `cfg` on `wl` under `tag`.
     #[must_use]
     pub fn cell(&self, tag: &str, cfg: SimConfig, wl: &WorkloadSet) -> Cell {
         Cell::new(tag, cfg, wl.clone())
-    }
-
-    /// Folds a runner sweep into the memo: completed cells become memo
-    /// hits, failed cells are recorded so later lookups fail fast with the
-    /// original panic message.
-    pub fn absorb(&self, sweep: &SweepResult) {
-        let mut cache = self.cache.lock().expect("ctx memo mutex poisoned");
-        let mut failed = self.failed.lock().expect("ctx memo mutex poisoned");
-        for (key, outcome) in &sweep.outcomes {
-            match outcome {
-                CellOutcome::Completed { report, .. } => {
-                    cache.insert(key.clone(), Arc::clone(report));
-                }
-                CellOutcome::Failed { error } => {
-                    failed.insert(key.clone(), error.clone());
-                }
-                CellOutcome::TimedOut { budget } => {
-                    failed.insert(
-                        key.clone(),
-                        format!("timed out after {:.1}s", budget.as_secs_f64()),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Runs (or recalls) `cfg` on `wl`. `tag` must uniquely identify the
-    /// configuration — it is the memo key together with the workload name.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with the recorded message) if the parallel runner already
-    /// reported this cell as failed.
-    pub fn run_cfg(&self, tag: &str, cfg: SimConfig, wl: &WorkloadSet) -> Arc<RunReport> {
-        let key = (tag.to_owned(), wl.name.clone());
-        if let Some(r) = self
-            .cache
-            .lock()
-            .expect("ctx memo mutex poisoned")
-            .get(&key)
-        {
-            return Arc::clone(r);
-        }
-        if let Some(error) = self
-            .failed
-            .lock()
-            .expect("ctx memo mutex poisoned")
-            .get(&key)
-        {
-            panic!("cell {tag}/{} failed in the runner: {error}", wl.name);
-        }
-        if self.verbose {
-            eprintln!("  [run] {:<12} {}", tag, wl.name);
-        }
-        let report = Arc::new(System::new(cfg, wl).run());
-        self.cache
-            .lock()
-            .expect("ctx memo mutex poisoned")
-            .insert(key, Arc::clone(&report));
-        report
-    }
-
-    /// Runs (or recalls) the plain organization `org` on `wl`.
-    pub fn run_org(&self, tag: &str, org: Organization, wl: &WorkloadSet) -> Arc<RunReport> {
-        self.run_cfg(tag, self.cfg(org), wl)
-    }
-
-    /// The uncompressed Alloy baseline for `wl`.
-    pub fn baseline(&self, wl: &WorkloadSet) -> Arc<RunReport> {
-        self.run_org("base", Organization::UncompressedAlloy, wl)
-    }
-
-    /// DICE with the paper's default 36 B threshold.
-    pub fn dice(&self, wl: &WorkloadSet) -> Arc<RunReport> {
-        self.run_org("dice36", Organization::Dice { threshold: 36 }, wl)
-    }
-
-    /// Number of memoized runs (introspection for tests).
-    #[must_use]
-    pub fn cached_runs(&self) -> usize {
-        self.cache.lock().expect("ctx memo mutex poisoned").len()
-    }
-
-    /// Every memoized run as `(tag, workload, report)`, sorted by key for
-    /// deterministic export.
-    #[must_use]
-    pub fn reports(&self) -> Vec<(String, String, Arc<RunReport>)> {
-        let cache = self.cache.lock().expect("ctx memo mutex poisoned");
-        let mut out: Vec<_> = cache
-            .iter()
-            .map(|((tag, wl), r)| (tag.clone(), wl.clone(), Arc::clone(r)))
-            .collect();
-        out.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dice_runner::{Runner, RunnerConfig};
-    use dice_workloads::spec_table;
-
-    // The whole point of the refactor: a context can be shared across the
-    // runner's worker threads.
-    const _: fn() = || {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Ctx>();
-    };
-
-    fn gcc_set() -> WorkloadSet {
-        let spec = spec_table().into_iter().find(|w| w.name == "gcc").unwrap();
-        WorkloadSet::rate(spec, 1)
-    }
-
-    #[test]
-    fn memoizes_runs() {
-        let ctx = Ctx::quick();
-        let wl = gcc_set();
-        let a = ctx.baseline(&wl);
-        assert_eq!(ctx.cached_runs(), 1);
-        let b = ctx.baseline(&wl);
-        assert_eq!(ctx.cached_runs(), 1);
-        assert_eq!(a.cycles, b.cycles);
-    }
-
-    #[test]
-    fn distinct_tags_are_distinct_runs() {
-        let ctx = Ctx::quick();
-        let wl = gcc_set();
-        let _ = ctx.baseline(&wl);
-        let _ = ctx.dice(&wl);
-        assert_eq!(ctx.cached_runs(), 2);
-    }
-
-    #[test]
-    fn absorbed_sweep_results_become_memo_hits() {
-        let ctx = Ctx::quick();
-        let wl = gcc_set();
-        let cells = vec![ctx.cell("base", ctx.cfg(Organization::UncompressedAlloy), &wl)];
-        let sweep = Runner::new(RunnerConfig {
-            jobs: 1,
-            ..RunnerConfig::default()
-        })
-        .unwrap()
-        .run(cells);
-        ctx.absorb(&sweep);
-        assert_eq!(ctx.cached_runs(), 1);
-        // A memo hit: identical Arc, no second simulation.
-        let from_runner = match &sweep.outcomes[&("base".to_owned(), "gcc".to_owned())] {
-            CellOutcome::Completed { report, .. } => Arc::clone(report),
-            other => panic!("unexpected outcome: {other:?}"),
-        };
-        assert!(Arc::ptr_eq(&from_runner, &ctx.baseline(&wl)));
-    }
-
-    #[test]
-    fn absorbed_failures_panic_on_lookup() {
-        let ctx = Ctx::quick();
-        let bad = WorkloadSet::mix(
-            "bad-mix",
-            vec![spec_table().into_iter().next().unwrap(); 3],
-            1,
-        );
-        let cells = vec![ctx.cell("base", ctx.cfg(Organization::UncompressedAlloy), &bad)];
-        let sweep = Runner::new(RunnerConfig {
-            jobs: 1,
-            ..RunnerConfig::default()
-        })
-        .unwrap()
-        .run(cells);
-        ctx.absorb(&sweep);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ctx.run_cfg("base", ctx.cfg(Organization::UncompressedAlloy), &bad)
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("failed in the runner"), "got {msg:?}");
     }
 }

@@ -4,8 +4,9 @@
 //! The heavy lifting lives in `dice-sim`; this crate adds:
 //!
 //! * [`Ctx`] — experiment context: the scale/window settings shared by all
-//!   experiments and a memo cache so e.g. the uncompressed-baseline run of
-//!   each workload is simulated once and reused by every figure;
+//!   experiments, from which each one builds the runner cells it declares
+//!   (the `dice-runner` sweep simulates each unique cell once, and the
+//!   figures render from that sweep);
 //! * [`workloads`] — the paper's workload lists (RATE / MIX / GAP /
 //!   ALL26 / non-memory-intensive) in Table 3 order;
 //! * [`catalog`] — the experiment id/description table shared by

@@ -261,6 +261,25 @@ impl SweepResult {
         self.count(|o| matches!(o, CellOutcome::TimedOut { .. }))
     }
 
+    /// The report of the completed cell `tag` on `workload`.
+    ///
+    /// # Errors
+    ///
+    /// Names the cell when it failed, timed out, or was never declared.
+    pub fn report(&self, tag: &str, workload: &str) -> Result<&Arc<RunReport>, String> {
+        let error = match self.outcomes.get(&(tag.to_owned(), workload.to_owned())) {
+            Some(CellOutcome::Completed { report, .. }) => return Ok(report),
+            Some(CellOutcome::Failed { error }) => error.clone(),
+            Some(CellOutcome::TimedOut { budget }) => {
+                format!("timed out after {:.1}s", budget.as_secs_f64())
+            }
+            None => return Err(format!("cell {tag}/{workload} is not in the sweep")),
+        };
+        Err(format!(
+            "cell {tag}/{workload} failed in the runner: {error}"
+        ))
+    }
+
     /// Adds the sweep's counters and its per-cell wall-time histogram to
     /// `runner.*` in `reg`, and its engine counters to `sim.*`. Every
     /// counter only goes up, so a long-lived registry (one per

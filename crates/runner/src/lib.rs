@@ -21,7 +21,8 @@
 //!   [`cell_key`] (a stable hash over every config/workload field plus
 //!   the crate version), so re-runs and resumed sweeps skip completed
 //!   work. Corrupt entries degrade to misses with a warning.
-//! * [`SweepResult`] — sorted outcomes plus scheduling stats, exportable
+//! * [`SweepResult`] — sorted outcomes plus scheduling stats, read back
+//!   by `(tag, workload)` through [`SweepResult::report`] and exportable
 //!   into a [`dice_obs::MetricRegistry`] (`runner.*` counters and a
 //!   per-cell wall-time histogram).
 //!

@@ -39,6 +39,13 @@ fn run_with_jobs(jobs: usize) -> Vec<((String, String), String)> {
     .unwrap();
     let result = runner.run(small_sweep());
     assert_eq!(result.failed(), 0);
+    // A completed cell reads back through the lookup; an undeclared one
+    // is named in the error.
+    assert!(result.report("dice36", "mcf").is_ok());
+    assert_eq!(
+        result.report("dice40", "mcf").unwrap_err(),
+        "cell dice40/mcf is not in the sweep"
+    );
     result
         .outcomes
         .into_iter()

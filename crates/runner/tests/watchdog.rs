@@ -47,6 +47,10 @@ fn timed_out_cell_does_not_abort_the_sweep() {
         }
         other => panic!("expected a timeout, got {other:?}"),
     }
+    assert_eq!(
+        result.report("hung", "gcc").unwrap_err(),
+        "cell hung/gcc failed in the runner: timed out after 3.0s"
+    );
     assert!(
         result.summary().contains("1 timed out"),
         "summary should surface the timeout: {}",
@@ -87,6 +91,12 @@ fn panicked_cell_is_retried_then_failed() {
         ),
         other => panic!("expected failure, got {other:?}"),
     }
+    let err = result.report("bad", "gcc").unwrap_err();
+    assert!(
+        err.starts_with("cell bad/gcc failed in the runner: ")
+            && err.contains("injected mid-cell panic"),
+        "the lookup should name the cell and carry the panic, got {err:?}"
+    );
 
     let mut reg = dice_obs::MetricRegistry::new();
     result.register(&mut reg);
