@@ -25,7 +25,8 @@
 //!             --in PATH       the trace to drive every core from
 //!             --spec NAME     value/compressibility model (mcf)
 //!             --seed N        data-model seed (7)
-//!             --scale N       system scale divisor (256)
+//!             --scale N       system scale divisor, a power of two up
+//!                             to 8192 (256)
 //!             --warmup N      warm-up records per core (20000)
 //!             --measure N     measured records per core (60000)
 //!             --jobs N        worker threads (default: all cores)
@@ -323,6 +324,10 @@ fn cmd_sweep(args: &Args) {
         "--jobs",
         std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
     ) as usize;
+    if let Err((field, rule)) = SimConfig::check_bounds(scale, measure) {
+        eprintln!("--{field} {rule}");
+        std::process::exit(2);
+    }
 
     let binding = TraceBinding::open(&input)
         .unwrap_or_else(|e| fail(&format!("opening {}", input.display()), &e))

@@ -6,12 +6,12 @@
 //! cargo run --release -p dice-bench --bin experiments -- <id> [flags]
 //!
 //! ids:   fig1f fig4 fig7 fig10 fig11 fig12 fig13 fig14 fig15
-//!        tab4 tab5 tab6 tab7 tab8 cip ingest all
+//!        tab4 tab5 tab6 tab7 tab8 cip ablation ingest all
 //! flags: --list         print the experiment id/description catalog as
 //!                       JSON (the same bytes `dice-serve` serves at
 //!                       /v1/experiments) and exit
-//!        --scale N      footprint/capacity divisor, a power of two
-//!                       (default 256)
+//!        --scale N      footprint/capacity divisor, a power of two up
+//!                       to 8192 (default 256)
 //!        --warmup N     warm-up records per core (default 60000)
 //!        --measure N    measured records per core, positive (default
 //!                       100000)
@@ -60,13 +60,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use dice_bench::workloads::{all26, group_geomeans, nonmem, Group};
-use dice_bench::{Ctx, Table};
+use dice_bench::{Ctx, Table, EXPERIMENT_CATALOG};
 use dice_compress::{compressed_size, pair_compressed_size};
 use dice_core::{DramCacheConfig, Organization, TagVariant};
 use dice_ingest::{DtfWriter, TraceBinding};
 use dice_obs::{DiceError, Json, TraceLevel};
 use dice_runner::{Cell, Runner, RunnerConfig, SweepResult};
-use dice_sim::{RunReport, SimConfig, WorkloadSet};
+use dice_sim::{geomean, RunReport, SimConfig, WorkloadSet};
 use dice_workloads::{spec_table, DataModel, TraceGen, TraceRecord, WorkloadSpec};
 
 fn pct(x: f64) -> String {
@@ -110,67 +110,67 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         id: "fig1f",
-        cells: |ctx| sweep_cells(ctx, &fig1f_variants()),
+        cells: |ctx| cells(ctx, &all26_sets(ctx), &fig1f_variants()),
         render: fig1f,
     },
     Experiment {
         id: "fig7",
-        cells: |ctx| sweep_cells(ctx, &fig7_variants()),
+        cells: |ctx| cells(ctx, &all26_sets(ctx), &fig7_variants()),
         render: fig7,
     },
     Experiment {
         id: "fig10",
-        cells: |ctx| sweep_cells(ctx, &fig10_variants()),
+        cells: |ctx| cells(ctx, &all26_sets(ctx), &fig10_variants()),
         render: fig10,
     },
     Experiment {
         id: "fig11",
-        cells: fig11_cells,
+        cells: |ctx| cells(ctx, &all26_sets(ctx), &fig11_variants()),
         render: fig11,
     },
     Experiment {
         id: "fig12",
-        cells: fig12_cells,
+        cells: |ctx| cells(ctx, &all26_sets(ctx), &fig12_variants()),
         render: fig12,
     },
     Experiment {
         id: "fig13",
-        cells: fig13_cells,
+        cells: |ctx| cells(ctx, &nonmem(ctx.seed), &fig13_variants()),
         render: fig13,
     },
     Experiment {
         id: "fig14",
-        cells: fig14_cells,
+        cells: |ctx| cells(ctx, &all26_sets(ctx), &compressed_variants()),
         render: fig14,
     },
     Experiment {
         id: "fig15",
-        cells: |ctx| sweep_cells(ctx, &fig15_variants()),
+        cells: |ctx| cells(ctx, &all26_sets(ctx), &fig15_variants()),
         render: fig15,
     },
     Experiment {
         id: "tab4",
-        cells: tab4_cells,
+        cells: |ctx| cells(ctx, &all26_sets(ctx), &tab4_variants()),
         render: tab4,
     },
     Experiment {
         id: "tab5",
-        cells: tab5_cells,
+        cells: |ctx| cells(ctx, &all26_sets(ctx), &tab5_variants()),
         render: tab5,
     },
     Experiment {
         id: "tab6",
-        cells: tab6_cells,
+        cells: |ctx| cells(ctx, &all26_sets(ctx), &tab6_variants()),
         render: tab6,
     },
     Experiment {
         id: "tab7",
-        cells: |ctx| sweep_cells(ctx, &tab7_variants()),
+        cells: |ctx| cells(ctx, &all26_sets(ctx), &tab7_variants()),
         render: tab7,
     },
     Experiment {
         id: "tab8",
-        cells: tab8_cells,
+        cells: |ctx| cells(ctx, &all26_sets(ctx), &tab8_variants()),
         render: tab8,
     },
     Experiment {
@@ -179,84 +179,173 @@ const EXPERIMENTS: &[Experiment] = &[
         render: cip,
     },
     Experiment {
+        id: "ablation",
+        cells: |ctx| cells(ctx, &ablation_sets(ctx), &ablation_variants()),
+        render: ablation,
+    },
+    Experiment {
         id: "ingest",
         cells: ingest_cells,
         render: ingest,
     },
 ];
 
-/// One labeled configuration in a speedup sweep.
+/// Builds a cell's configuration from the context's settings.
+type MakeCfg = Box<dyn Fn(&Ctx) -> SimConfig>;
+
+/// One labeled configuration in a table, and the baseline its ratios
+/// divide by. A table's `Variant` list is the only place that names its
+/// cells: [`cells`] declares them and the renderer reads them back.
 struct Variant {
     label: &'static str,
     tag: &'static str,
-    cfg: Box<dyn Fn(&Ctx) -> SimConfig>,
+    cfg: MakeCfg,
+    /// The baseline's tag and configuration; `None` when the table reads
+    /// the variant's runs on their own.
+    base: Option<(&'static str, MakeCfg)>,
 }
 
 impl Variant {
+    /// `org` against the uncompressed baseline.
     fn org(label: &'static str, tag: &'static str, org: Organization) -> Self {
-        Self {
-            label,
-            tag,
-            cfg: Box::new(move |ctx| ctx.cfg(org)),
-        }
+        Self::with(label, tag, move |ctx| ctx.cfg(org))
     }
 
+    /// The configuration `f` builds, against the uncompressed baseline.
     fn with(
         label: &'static str,
         tag: &'static str,
         f: impl Fn(&Ctx) -> SimConfig + 'static,
     ) -> Self {
+        let base = |ctx: &Ctx| ctx.cfg(Organization::UncompressedAlloy);
         Self {
             label,
             tag,
             cfg: Box::new(f),
+            base: Some(("base", Box::new(base))),
         }
+    }
+
+    /// This variant against the baseline `tag` that `f` builds.
+    fn against(self, tag: &'static str, f: impl Fn(&Ctx) -> SimConfig + 'static) -> Self {
+        Self {
+            base: Some((tag, Box::new(f))),
+            ..self
+        }
+    }
+
+    /// This variant without a baseline.
+    fn alone(self) -> Self {
+        Self { base: None, ..self }
+    }
+
+    /// The variant's run on workload `wl`, and its baseline's.
+    fn runs<'a>(&self, sweep: &'a SweepResult, wl: &str) -> (&'a RunReport, &'a RunReport) {
+        let (base, _) = self.base.as_ref().expect("a ratio needs a baseline");
+        (report(sweep, self.tag, wl), report(sweep, base, wl))
+    }
+
+    /// The variant's speedup on workload `wl` over its baseline.
+    fn speedup(&self, sweep: &SweepResult, wl: &str) -> f64 {
+        let (r, base) = self.runs(sweep, wl);
+        r.weighted_speedup(base)
     }
 }
 
-/// Cells for a [`speedup_sweep`]: the uncompressed baseline plus every
-/// variant, over ALL26.
-fn sweep_cells(ctx: &Ctx, variants: &[Variant]) -> Vec<Cell> {
+/// The cells of `variants` on each of `workloads`: every variant, and each
+/// baseline once per workload, just before the first variant naming it.
+fn cells(ctx: &Ctx, workloads: &[WorkloadSet], variants: &[Variant]) -> Vec<Cell> {
     let mut cells = Vec::new();
-    for (_, wl) in all26(ctx.seed) {
-        cells.push(ctx.cell("base", ctx.cfg(Organization::UncompressedAlloy), &wl));
+    for wl in workloads {
+        let mut bases = Vec::new();
         for v in variants {
-            cells.push(ctx.cell(v.tag, (v.cfg)(ctx), &wl));
+            if let Some((tag, cfg)) = &v.base {
+                if !bases.contains(tag) {
+                    bases.push(*tag);
+                    cells.push(ctx.cell(tag, cfg(ctx), wl));
+                }
+            }
+            cells.push(ctx.cell(v.tag, (v.cfg)(ctx), wl));
         }
     }
     cells
 }
 
-/// Runs `variants` over ALL26, reporting per-workload speedup vs the
-/// uncompressed baseline plus RATE/MIX/GAP/ALL26 geometric means.
-fn speedup_sweep(ctx: &Ctx, sweep: &SweepResult, title: &str, variants: &[Variant]) -> String {
-    let mut headers = vec!["workload"];
-    headers.extend(variants.iter().map(|v| v.label));
-    let mut t = Table::new(&headers);
-    let sets = all26(ctx.seed);
-    let mut per_variant: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
-    let groups: Vec<Group> = sets.iter().map(|(g, _)| *g).collect();
+/// `value` of each variant on each of `workloads`: one column per variant.
+fn columns(
+    workloads: &[WorkloadSet],
+    variants: &[Variant],
+    value: impl Fn(&Variant, &str) -> f64,
+) -> Vec<Vec<f64>> {
+    variants
+        .iter()
+        .map(|v| workloads.iter().map(|wl| value(v, &wl.name)).collect())
+        .collect()
+}
 
-    for (_, wl) in &sets {
-        let base = report(sweep, "base", &wl.name);
-        let mut cells = vec![wl.name.clone()];
-        for (vi, v) in variants.iter().enumerate() {
-            let s = report(sweep, v.tag, &wl.name).weighted_speedup(base);
-            per_variant[vi].push(s);
-            cells.push(format!("{s:.3}"));
-        }
-        t.row(&cells);
+/// ALL26's workload sets, in presentation order.
+fn all26_sets(ctx: &Ctx) -> Vec<WorkloadSet> {
+    all26(ctx.seed).into_iter().map(|(_, wl)| wl).collect()
+}
+
+/// A table headed by `first`, then one column per variant.
+fn variant_table(first: &str, variants: &[Variant]) -> Table {
+    let mut headers = vec![first];
+    headers.extend(variants.iter().map(|v| v.label));
+    Table::new(&headers)
+}
+
+/// A figure's summary rows: `(label, index into group_geomeans)`.
+const FIGURE_GROUPS: [(&str, usize); 4] = [("RATE", 0), ("MIX", 1), ("GAP", 2), ("ALL26", 3)];
+/// A table's summary rows, which leave MIX out as the paper's tables do.
+const TABLE_GROUPS: [(&str, usize); 3] = [("SPEC RATE", 0), ("GAP", 2), ("GMEAN26", 3)];
+
+/// Appends one row per `(label, index)` of `rows`: each column's ALL26
+/// geomean at that index of [`group_geomeans`], formatted by `fmt`.
+fn group_rows(
+    t: &mut Table,
+    ctx: &Ctx,
+    rows: &[(&str, usize)],
+    cols: &[Vec<f64>],
+    fmt: fn(f64) -> String,
+) {
+    let groups: Vec<Group> = all26(ctx.seed).into_iter().map(|(g, _)| g).collect();
+    let means: Vec<[f64; 4]> = cols.iter().map(|c| group_geomeans(&groups, c)).collect();
+    for &(label, i) in rows {
+        let mut row = vec![label.to_owned()];
+        row.extend(means.iter().map(|m| fmt(m[i])));
+        t.row(&row);
+    }
+}
+
+/// Runs `variants` over ALL26, reporting per-workload speedup vs each
+/// variant's baseline plus RATE/MIX/GAP/ALL26 geometric means.
+fn speedup_sweep(ctx: &Ctx, sweep: &SweepResult, title: &str, variants: &[Variant]) -> String {
+    let mut t = variant_table("workload", variants);
+    let sets = all26_sets(ctx);
+    let cols = columns(&sets, variants, |v, wl| v.speedup(sweep, wl));
+    for (i, wl) in sets.iter().enumerate() {
+        let mut row = vec![wl.name.clone()];
+        row.extend(cols.iter().map(|c| format!("{:.3}", c[i])));
+        t.row(&row);
     }
     t.separator();
-    for (label, pick) in [("RATE", 0usize), ("MIX", 1), ("GAP", 2), ("ALL26", 3)] {
-        let mut cells = vec![label.to_owned()];
-        for vals in &per_variant {
-            let (r, m, g, all) = group_geomeans(&groups, vals);
-            let v = [r, m, g, all][pick];
-            cells.push(pct(v));
-        }
-        t.row(&cells);
-    }
+    group_rows(&mut t, ctx, &FIGURE_GROUPS, &cols, pct);
+    format!("{title}\n\n{}", t.render())
+}
+
+/// `value` of `variants` over ALL26 as SPEC RATE/GAP/GMEAN26 geometric
+/// means only, formatted by `fmt`.
+fn group_table(
+    ctx: &Ctx,
+    title: &str,
+    variants: &[Variant],
+    value: impl Fn(&Variant, &str) -> f64,
+    fmt: fn(f64) -> String,
+) -> String {
+    let mut t = variant_table("group", variants);
+    let cols = columns(&all26_sets(ctx), variants, value);
+    group_rows(&mut t, ctx, &TABLE_GROUPS, &cols, fmt);
     format!("{title}\n\n{}", t.render())
 }
 
@@ -385,21 +474,19 @@ fn fig10(ctx: &Ctx, sweep: &SweepResult) -> String {
     )
 }
 
-fn fig11_cells(ctx: &Ctx) -> Vec<Cell> {
-    all26(ctx.seed)
-        .iter()
-        .map(|(_, wl)| ctx.cell("dice36", ctx.cfg(DICE), wl))
-        .collect()
+fn fig11_variants() -> [Variant; 1] {
+    [Variant::org("DICE", "dice36", DICE).alone()]
 }
 
 /// Figure 11: install-index distribution under DICE.
 fn fig11(ctx: &Ctx, sweep: &SweepResult) -> String {
+    let [dice] = fig11_variants();
     let mut t = Table::new(&["workload", "invariant", "TSI", "BAI"]);
     let mut tsi_sum = 0.0;
     let mut bai_sum = 0.0;
-    let sets = all26(ctx.seed);
-    for (_, wl) in &sets {
-        let r = report(sweep, "dice36", &wl.name);
+    let sets = all26_sets(ctx);
+    for wl in &sets {
+        let r = report(sweep, dice.tag, &wl.name);
         let total = r.l4.installs().max(1) as f64;
         let inv = 100.0 * r.l4.installs_invariant as f64 / total;
         let tsi = 100.0 * r.l4.installs_tsi as f64 / total;
@@ -440,69 +527,41 @@ fn knl_cfg(ctx: &Ctx, org: Organization) -> SimConfig {
     cfg
 }
 
-fn fig12_cells(ctx: &Ctx) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for (_, wl) in all26(ctx.seed) {
-        cells.push(ctx.cell(
-            "knl-base",
-            knl_cfg(ctx, Organization::UncompressedAlloy),
-            &wl,
-        ));
-        cells.push(ctx.cell("knl-dice", knl_cfg(ctx, DICE), &wl));
-    }
-    cells
+fn fig12_variants() -> Vec<Variant> {
+    vec![
+        Variant::with("DICE-on-KNL", "knl-dice", |c| knl_cfg(c, DICE))
+            .against("knl-base", |c| knl_cfg(c, Organization::UncompressedAlloy)),
+    ]
 }
 
 /// Figure 12: DICE on a KNL-style cache (no neighbor tag).
 fn fig12(ctx: &Ctx, sweep: &SweepResult) -> String {
-    let sets = all26(ctx.seed);
-    let mut t = Table::new(&["workload", "DICE-on-KNL"]);
-    let mut vals = Vec::new();
-    let groups: Vec<Group> = sets.iter().map(|(g, _)| *g).collect();
-    for (_, wl) in &sets {
-        let base = report(sweep, "knl-base", &wl.name);
-        let s = report(sweep, "knl-dice", &wl.name).weighted_speedup(base);
-        vals.push(s);
-        t.row(&[wl.name.clone(), format!("{s:.3}")]);
-    }
-    t.separator();
-    let (r, m, g, all) = group_geomeans(&groups, &vals);
-    for (label, v) in [("RATE", r), ("MIX", m), ("GAP", g), ("ALL26", all)] {
-        t.row(&[label.into(), pct(v)]);
-    }
-    format!(
+    speedup_sweep(
+        ctx,
+        sweep,
         "Figure 12: DICE on an Intel Knights Landing-style DRAM cache\n\
          Paper: +17.5% (within 2% of DICE on Alloy), because merged same-row\n\
-         second probes keep the both-location miss checks cheap.\n\n{}",
-        t.render()
+         second probes keep the both-location miss checks cheap.",
+        &fig12_variants(),
     )
 }
 
-fn fig13_cells(ctx: &Ctx) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for wl in nonmem(ctx.seed) {
-        cells.push(ctx.cell("base", ctx.cfg(Organization::UncompressedAlloy), &wl));
-        cells.push(ctx.cell("dice36", ctx.cfg(DICE), &wl));
-    }
-    cells
+fn fig13_variants() -> [Variant; 1] {
+    [Variant::org("DICE speedup", "dice36", DICE)]
 }
 
 /// Figure 13: non-memory-intensive workloads.
 fn fig13(ctx: &Ctx, sweep: &SweepResult) -> String {
-    let mut t = Table::new(&["workload", "DICE speedup"]);
+    let [dice] = fig13_variants();
+    let mut t = Table::new(&["workload", dice.label]);
     let mut vals = Vec::new();
     for wl in nonmem(ctx.seed) {
-        let base = report(sweep, "base", &wl.name);
-        let s = report(sweep, "dice36", &wl.name).weighted_speedup(base);
+        let s = dice.speedup(sweep, &wl.name);
         vals.push(s);
         t.row(&[wl.name.clone(), format!("{s:.3}")]);
     }
     t.separator();
-    let gm = {
-        let s: f64 = vals.iter().map(|v: &f64| v.ln()).sum();
-        (s / vals.len() as f64).exp()
-    };
-    t.row(&["GMEAN".into(), pct(gm)]);
+    t.row(&["GMEAN".into(), pct(geomean(&vals))]);
     format!(
         "Figure 13: DICE on non-memory-intensive SPEC (L3 MPKI < 2)\n\
          Paper: ~+2% average, and crucially no workload degrades.\n\n{}",
@@ -510,51 +569,43 @@ fn fig13(ctx: &Ctx, sweep: &SweepResult) -> String {
     )
 }
 
-/// The `(tag, organization)` columns of Figure 14 / Table 5.
-const COMPRESSED_ORGS: [(&str, Organization); 3] = [
-    ("tsi", Organization::CompressedTsi),
-    ("bai", Organization::CompressedBai),
-    ("dice36", DICE),
-];
-
-fn fig14_cells(ctx: &Ctx) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for (_, wl) in all26(ctx.seed) {
-        cells.push(ctx.cell("base", ctx.cfg(Organization::UncompressedAlloy), &wl));
-        for (tag, org) in COMPRESSED_ORGS {
-            cells.push(ctx.cell(tag, ctx.cfg(org), &wl));
-        }
-    }
-    cells
+/// TSI, BAI and DICE against the uncompressed baseline: Figure 14's
+/// columns, and Table 5's without the baseline.
+fn compressed_variants() -> Vec<Variant> {
+    vec![
+        Variant::org("TSI", "tsi", Organization::CompressedTsi),
+        Variant::org("BAI", "bai", Organization::CompressedBai),
+        Variant::org("DICE", "dice36", DICE),
+    ]
 }
+
+/// A run's ratio to its baseline's run.
+type Ratio = fn(&RunReport, &RunReport) -> f64;
+
+/// Figure 14's rows.
+const FIG14_METRICS: [(&str, Ratio); 4] = [
+    ("Power", |r, b| {
+        r.energy.power_watts() / b.energy.power_watts()
+    }),
+    ("Performance", |r, b| r.weighted_speedup(b)),
+    ("Energy", |r, b| {
+        r.energy.total_joules() / b.energy.total_joules()
+    }),
+    ("EDP", |r, b| r.energy.edp() / b.energy.edp()),
+];
 
 /// Figure 14: power / performance / energy / EDP, normalized to baseline.
 fn fig14(ctx: &Ctx, sweep: &SweepResult) -> String {
     let mut t = Table::new(&["metric", "Baseline", "TSI", "BAI", "DICE"]);
-    let sets = all26(ctx.seed);
-    // Log-sums of per-workload ratios per org: [power, perf, energy, edp].
-    let mut sums = [[0.0f64; 4]; 3];
-    for (_, wl) in &sets {
-        let base = report(sweep, "base", &wl.name);
-        for (oi, (tag, _)) in COMPRESSED_ORGS.iter().enumerate() {
-            let r = report(sweep, tag, &wl.name);
-            let speed = r.weighted_speedup(base);
-            let power = r.energy.power_watts() / base.energy.power_watts();
-            let energy = r.energy.total_joules() / base.energy.total_joules();
-            let edp = r.energy.edp() / base.energy.edp();
-            for (k, v) in [power, speed, energy, edp].into_iter().enumerate() {
-                sums[oi][k] += v.max(1e-12).ln();
-            }
-        }
-    }
-    let n = sets.len() as f64;
-    let names = ["Power", "Performance", "Energy", "EDP"];
-    for (k, name) in names.iter().enumerate() {
-        let mut cells = vec![(*name).to_owned(), "1.00".to_owned()];
-        for org_sums in &sums {
-            cells.push(format!("{:.2}", (org_sums[k] / n).exp()));
-        }
-        t.row(&cells);
+    let sets = all26_sets(ctx);
+    for (name, metric) in FIG14_METRICS {
+        let cols = columns(&sets, &compressed_variants(), |v, wl| {
+            let (r, base) = v.runs(sweep, wl);
+            metric(r, base)
+        });
+        let mut row = vec![name.to_owned(), "1.00".to_owned()];
+        row.extend(cols.iter().map(|c| format!("{:.2}", geomean(c))));
+        t.row(&row);
     }
     format!(
         "Figure 14: L4+memory power, performance, energy and EDP (normalized)\n\
@@ -582,136 +633,77 @@ fn fig15(ctx: &Ctx, sweep: &SweepResult) -> String {
     )
 }
 
-/// Table 4's threshold sweep: `(tag, threshold)`.
-const TAB4_THRESHOLDS: [(&str, u32); 3] = [("dice32", 32), ("dice36", 36), ("dice40", 40)];
-
-fn tab4_cells(ctx: &Ctx) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for (_, wl) in all26(ctx.seed) {
-        cells.push(ctx.cell("base", ctx.cfg(Organization::UncompressedAlloy), &wl));
-        for (tag, thr) in TAB4_THRESHOLDS {
-            cells.push(ctx.cell(tag, ctx.cfg(Organization::Dice { threshold: thr }), &wl));
-        }
-    }
-    cells
+fn tab4_variants() -> Vec<Variant> {
+    vec![
+        Variant::org("<=32B", "dice32", Organization::Dice { threshold: 32 }),
+        Variant::org("<=36B", "dice36", DICE),
+        Variant::org("<=40B", "dice40", Organization::Dice { threshold: 40 }),
+    ]
 }
 
 /// Table 4: sensitivity to the DICE insertion threshold.
 fn tab4(ctx: &Ctx, sweep: &SweepResult) -> String {
-    let sets = all26(ctx.seed);
-    let groups: Vec<Group> = sets.iter().map(|(g, _)| *g).collect();
-    let mut t = Table::new(&["group", "<=32B", "<=36B", "<=40B"]);
-    let mut per: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for (_, wl) in &sets {
-        let base = report(sweep, "base", &wl.name);
-        for (i, (tag, _)) in TAB4_THRESHOLDS.into_iter().enumerate() {
-            per[i].push(report(sweep, tag, &wl.name).weighted_speedup(base));
-        }
-    }
-    let mut cols: Vec<[f64; 3]> = Vec::new();
-    for p in &per {
-        let (r, m, g, all) = group_geomeans(&groups, p);
-        let _ = m;
-        cols.push([r, g, all]);
-    }
-    for (label, idx) in [("SPEC RATE", 0usize), ("GAP", 1), ("GMEAN26", 2)] {
-        t.row(&[
-            label.into(),
-            pct(cols[0][idx]),
-            pct(cols[1][idx]),
-            pct(cols[2][idx]),
-        ]);
-    }
-    format!(
+    group_table(
+        ctx,
         "Table 4: DICE threshold sensitivity\n\
          Paper: 36B maximizes performance (BDI's B4D2 single is 36B; the pair\n\
-         shares a base into 68B, exactly one shared-tag TAD).\n\n{}",
-        t.render()
+         shares a base into 68B, exactly one shared-tag TAD).",
+        &tab4_variants(),
+        |v, wl| v.speedup(sweep, wl),
+        pct,
     )
 }
 
-fn tab5_cells(ctx: &Ctx) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for (_, wl) in all26(ctx.seed) {
-        for (tag, org) in COMPRESSED_ORGS {
-            cells.push(ctx.cell(tag, ctx.cfg(org), &wl));
-        }
-    }
-    cells
+fn tab5_variants() -> Vec<Variant> {
+    compressed_variants()
+        .into_iter()
+        .map(Variant::alone)
+        .collect()
 }
 
 /// Table 5: effective capacity of TSI / BAI / DICE.
 fn tab5(ctx: &Ctx, sweep: &SweepResult) -> String {
-    let sets = all26(ctx.seed);
-    let groups: Vec<Group> = sets.iter().map(|(g, _)| *g).collect();
-    let mut t = Table::new(&["group", "TSI", "BAI", "DICE"]);
-    let mut per: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for (_, wl) in &sets {
-        for (i, (tag, _)) in COMPRESSED_ORGS.iter().enumerate() {
-            per[i].push(report(sweep, tag, &wl.name).capacity_ratio());
-        }
-    }
-    let mut cols: Vec<[f64; 3]> = Vec::new();
-    for p in &per {
-        let (r, m, g, all) = group_geomeans(&groups, p);
-        let _ = m;
-        cols.push([r, g, all]);
-    }
-    for (label, idx) in [("SPEC RATE", 0usize), ("GAP", 1), ("GMEAN26", 2)] {
-        t.row(&[
-            label.into(),
-            ratio(cols[0][idx]),
-            ratio(cols[1][idx]),
-            ratio(cols[2][idx]),
-        ]);
-    }
-    format!(
+    group_table(
+        ctx,
         "Table 5: effective DRAM-cache capacity (valid lines / baseline lines)\n\
-         Paper: TSI 1.24x, BAI 1.69x, DICE 1.62x on average; GAP up to ~5x.\n\n{}",
-        t.render()
+         Paper: TSI 1.24x, BAI 1.69x, DICE 1.62x on average; GAP up to ~5x.",
+        &tab5_variants(),
+        |v, wl| report(sweep, v.tag, wl).capacity_ratio(),
+        ratio,
     )
 }
 
-fn tab6_cells(ctx: &Ctx) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for (_, wl) in all26(ctx.seed) {
-        cells.push(ctx.cell("base", ctx.cfg(Organization::UncompressedAlloy), &wl));
-        cells.push(ctx.cell("dice36", ctx.cfg(DICE), &wl));
-    }
-    cells
+fn tab6_variants() -> Vec<Variant> {
+    vec![
+        Variant::org("BASE", "base", Organization::UncompressedAlloy).alone(),
+        Variant::org("DICE", "dice36", DICE).alone(),
+    ]
 }
 
 /// Table 6: L3 hit rate, baseline vs DICE.
 fn tab6(ctx: &Ctx, sweep: &SweepResult) -> String {
+    let variants = tab6_variants();
+    let mut t = variant_table("group", &variants);
     let sets = all26(ctx.seed);
-    let groups: Vec<Group> = sets.iter().map(|(g, _)| *g).collect();
-    let mut base_v = Vec::new();
-    let mut dice_v = Vec::new();
-    for (_, wl) in &sets {
-        base_v.push(report(sweep, "base", &wl.name).l3.hit_rate() * 100.0);
-        dice_v.push(report(sweep, "dice36", &wl.name).l3.hit_rate() * 100.0);
-    }
-    let mean = |v: &[f64], g: Option<Group>| -> f64 {
-        let vals: Vec<f64> = v
-            .iter()
-            .zip(&groups)
-            .filter(|(_, gg)| g.is_none() || Some(**gg) == g)
-            .map(|(x, _)| *x)
-            .collect();
-        vals.iter().sum::<f64>() / vals.len() as f64
-    };
-    let mut t = Table::new(&["group", "BASE", "DICE"]);
     for (label, g) in [
         ("SPEC RATE", Some(Group::Rate)),
         ("SPEC MIX", Some(Group::Mix)),
         ("GAP", Some(Group::Gap)),
         ("AVG26", None),
     ] {
-        t.row(&[
-            label.into(),
-            format!("{:.1}%", mean(&base_v, g)),
-            format!("{:.1}%", mean(&dice_v, g)),
-        ]);
+        let members: Vec<&WorkloadSet> = sets
+            .iter()
+            .filter(|(gg, _)| g.is_none() || Some(*gg) == g)
+            .map(|(_, wl)| wl)
+            .collect();
+        let mut row = vec![label.to_owned()];
+        for v in &variants {
+            let rates = members
+                .iter()
+                .map(|wl| report(sweep, v.tag, &wl.name).l3.hit_rate() * 100.0);
+            row.push(format!("{:.1}%", rates.sum::<f64>() / members.len() as f64));
+        }
+        t.row(&row);
     }
     format!(
         "Table 6: L3 hit rate — the free adjacent lines DICE installs in L3\n\
@@ -756,62 +748,53 @@ fn tab7(ctx: &Ctx, sweep: &SweepResult) -> String {
 
 type Adjust = fn(SimConfig) -> SimConfig;
 
-/// Table 8's cache variants: `(baseline tag, DICE tag, adjuster)`.
-const TAB8_VARIANTS: [(&str, &str, Adjust); 4] = [
-    ("base", "dice36", |c| c),
-    ("2xcap", "dice-2xcap", SimConfig::with_double_l4_capacity),
-    ("2xbw", "dice-2xbw", SimConfig::with_double_l4_bandwidth),
-    ("base-hl", "dice-hl", SimConfig::with_half_l4_latency),
+/// Table 8's caches: `(label, baseline tag, DICE tag, adjuster)`. DICE on
+/// each is measured against the uncompressed cache the same adjuster
+/// builds.
+const TAB8_CACHES: [(&str, &str, &str, Adjust); 4] = [
+    ("Base", "base", "dice36", |c| c),
+    (
+        "2xCap",
+        "2xcap",
+        "dice-2xcap",
+        SimConfig::with_double_l4_capacity,
+    ),
+    (
+        "2xBW",
+        "2xbw",
+        "dice-2xbw",
+        SimConfig::with_double_l4_bandwidth,
+    ),
+    (
+        "50%Lat",
+        "base-hl",
+        "dice-hl",
+        SimConfig::with_half_l4_latency,
+    ),
 ];
 
-fn tab8_cells(ctx: &Ctx) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for (_, wl) in all26(ctx.seed) {
-        for (base_tag, dice_tag, adjust) in TAB8_VARIANTS {
-            cells.push(ctx.cell(
-                base_tag,
-                adjust(ctx.cfg(Organization::UncompressedAlloy)),
-                &wl,
-            ));
-            cells.push(ctx.cell(dice_tag, adjust(ctx.cfg(DICE)), &wl));
-        }
-    }
-    cells
+fn tab8_variants() -> Vec<Variant> {
+    TAB8_CACHES
+        .iter()
+        .map(|&(label, base, tag, adjust)| {
+            Variant::with(label, tag, move |c| adjust(c.cfg(DICE))).against(base, move |c| {
+                adjust(c.cfg(Organization::UncompressedAlloy))
+            })
+        })
+        .collect()
 }
 
 /// Table 8: DICE on bigger / wider / faster caches.
 fn tab8(ctx: &Ctx, sweep: &SweepResult) -> String {
-    let sets = all26(ctx.seed);
-    let groups: Vec<Group> = sets.iter().map(|(g, _)| *g).collect();
-    let mut t = Table::new(&["group", "Base", "2xCap", "2xBW", "50%Lat"]);
-    let mut per: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    for (_, wl) in &sets {
-        for (i, (base_tag, dice_tag, _)) in TAB8_VARIANTS.iter().enumerate() {
-            let base = report(sweep, base_tag, &wl.name);
-            per[i].push(report(sweep, dice_tag, &wl.name).weighted_speedup(base));
-        }
-    }
-    let mut cols: Vec<[f64; 3]> = Vec::new();
-    for p in &per {
-        let (r, m, g, all) = group_geomeans(&groups, p);
-        let _ = m;
-        cols.push([r, g, all]);
-    }
-    for (label, idx) in [("SPEC RATE", 0usize), ("GAP", 1), ("GMEAN26", 2)] {
-        t.row(&[
-            label.into(),
-            pct(cols[0][idx]),
-            pct(cols[1][idx]),
-            pct(cols[2][idx]),
-            pct(cols[3][idx]),
-        ]);
-    }
-    format!(
+    group_table(
+        ctx,
         "Table 8: DICE speedup on different cache configurations (each vs its\n\
          own uncompressed counterpart)\n\
          Paper: +19.0% base, +13.2% at 2x capacity, +24.5% at 2x BW, +24.4% at\n\
-         half latency.\n\n{}",
-        t.render()
+         half latency.",
+        &tab8_variants(),
+        |v, wl| v.speedup(sweep, wl),
+        pct,
     )
 }
 
@@ -873,6 +856,73 @@ fn cip(_: &Ctx, sweep: &SweepResult) -> String {
         "CIP accuracy vs Last-Time-Table size (Section 5.3)\n\
          Paper: 93.2% at 512 entries to 94.1% at 8192; default 2048 = 256B at\n\
          93.8%; write (compressibility-based) prediction ~95%.\n\n{}",
+        t.render()
+    )
+}
+
+/// The ablation's workloads, spanning the compressibility spectrum.
+const ABLATION_SUBSET: [&str; 6] = ["mcf", "lbm", "soplex", "gcc", "libq", "cc_twi"];
+
+fn ablation_sets(ctx: &Ctx) -> Vec<WorkloadSet> {
+    ABLATION_SUBSET
+        .iter()
+        .map(|name| WorkloadSet::rate(spec_named(name), ctx.seed))
+        .collect()
+}
+
+/// One row per design choice varied alone. Rows that repeat DICE's
+/// default configuration share its `dice36` cells.
+fn ablation_variants() -> Vec<Variant> {
+    let threshold = |threshold| Organization::Dice { threshold };
+    vec![
+        // The insertion threshold (Table 4's knob) and its endpoints.
+        Variant::org("DICE threshold 0B", "dice0", threshold(0)),
+        Variant::org("DICE threshold 32B", "dice32", threshold(32)),
+        Variant::org("DICE threshold 36B", "dice36", DICE),
+        Variant::org("DICE threshold 40B", "dice40", threshold(40)),
+        Variant::org("DICE threshold 64B", "dice64", threshold(64)),
+        // The Alloy neighbor tag vs KNL-style both-location miss checks.
+        Variant::org("DICE, Alloy neighbor tag", "dice36", DICE),
+        Variant::with("DICE, KNL-style tag", "knl-dice", |c| knl_cfg(c, DICE)),
+        // The CIP's Last-Time Table size.
+        Variant::with("DICE, LTT 64 entries", "cip-64", |c| cip_cfg(c, 64)),
+        Variant::with("DICE, LTT 512 entries", "cip-512", |c| cip_cfg(c, 512)),
+        Variant::org("DICE, LTT 2048 entries", "dice36", DICE),
+        Variant::with("DICE, LTT 8192 entries", "cip-8192", |c| cip_cfg(c, 8192)),
+        // Installing the free pair line into L3 (§6.4).
+        Variant::org("DICE with L3 pair install", "dice36", DICE),
+        Variant::with("DICE without L3 pair install", "dice-nopair", |c| {
+            let mut cfg = c.cfg(DICE);
+            cfg.install_pair_in_l3 = false;
+            cfg
+        }),
+        // Static indexing for reference (NSI is §4.5's strawman).
+        Variant::org("static TSI", "tsi", Organization::CompressedTsi),
+        Variant::org("static NSI", "nsi", Organization::CompressedNsi),
+        Variant::org("static BAI", "bai", Organization::CompressedBai),
+    ]
+}
+
+/// Ablation: each design choice's speedup over the uncompressed baseline
+/// on every workload of [`ABLATION_SUBSET`], then their geomean.
+fn ablation(ctx: &Ctx, sweep: &SweepResult) -> String {
+    let variants = ablation_variants();
+    let cols = columns(&ablation_sets(ctx), &variants, |v, wl| v.speedup(sweep, wl));
+    let mut headers = vec!["configuration"];
+    headers.extend(ABLATION_SUBSET);
+    headers.push("GMEAN");
+    let mut t = Table::new(&headers);
+    for (v, speedups) in variants.iter().zip(&cols) {
+        let mut row = vec![v.label.to_owned()];
+        row.extend(speedups.iter().map(|s| format!("{s:.3}")));
+        row.push(pct(geomean(speedups)));
+        t.row(&row);
+    }
+    format!(
+        "Ablation: DICE's design choices varied one at a time, on six workloads\n\
+         spanning the compressibility spectrum (speedup vs the uncompressed baseline)\n\
+         Paper: 36B is the best threshold (Table 4), KNL-style tags cost ~2% (Fig 12)\n\
+         and the LTT gains little past 512 entries (Section 5.3).\n\n{}",
         t.render()
     )
 }
@@ -1397,11 +1447,8 @@ fn main() {
     }
     // The bounds dice-serve's sweep specs enforce, checked before any
     // cell is declared.
-    if !ctx.scale.is_power_of_two() {
-        refuse("--scale must be a power of two");
-    }
-    if ctx.measure == 0 {
-        refuse("--measure must be positive");
+    if let Err((field, rule)) = SimConfig::check_bounds(ctx.scale, ctx.measure) {
+        refuse(&format!("--{field} {rule}"));
     }
     if runner_cfg.jobs == 0 {
         refuse("--jobs must be at least 1");
@@ -1418,10 +1465,13 @@ fn main() {
     } else {
         match EXPERIMENTS.iter().find(|e| e.id == id) {
             Some(e) => Selection::Experiments(vec![e]),
-            None => refuse(&format!(
-                "unknown experiment '{id}'; try fig1f fig4 fig7 fig10 fig11 fig12 \
-                 fig13 fig14 fig15 tab4 tab5 tab6 tab7 tab8 cip ingest all"
-            )),
+            None => {
+                let ids: Vec<&str> = EXPERIMENT_CATALOG.iter().map(|e| e.id).collect();
+                refuse(&format!(
+                    "unknown experiment '{id}'; try {} all",
+                    ids.join(" ")
+                ))
+            }
         }
     };
     runner_cfg.verbose = ctx.verbose;
@@ -1510,9 +1560,10 @@ mod tests {
     use dice_core::Organization;
     use dice_ingest::{DtfWriter, TraceBinding};
     use dice_obs::{register_counters, validate_chrome_trace, Json, MetricRegistry, TraceLevel};
-    use dice_runner::{Cell, Runner, RunnerConfig, SweepResult};
+    use dice_runner::{cell_key, Cell, Runner, RunnerConfig, SweepResult};
     use dice_sim::WorkloadSet;
     use dice_workloads::TraceGen;
+    use std::collections::BTreeMap;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn sweep(cells: Vec<Cell>) -> SweepResult {
@@ -1537,6 +1588,29 @@ mod tests {
         let dispatch: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
         let catalog: Vec<&str> = EXPERIMENT_CATALOG.iter().map(|e| e.id).collect();
         assert_eq!(dispatch, catalog);
+    }
+
+    /// `all` simulates the union of every experiment's cells and keeps the
+    /// first declaration of each `(tag, workload)`, so a tag must name one
+    /// configuration across the whole catalog.
+    #[test]
+    fn a_tag_names_one_configuration_across_the_catalog() {
+        let ctx = Ctx::quick();
+        let mut first: BTreeMap<(String, String), (u64, &str)> = BTreeMap::new();
+        for e in EXPERIMENTS {
+            for cell in (e.cells)(&ctx) {
+                let key = cell_key(&cell.cfg, &cell.workload);
+                let (kept, by) = *first.entry(cell.memo_key()).or_insert((key, e.id));
+                assert_eq!(
+                    kept,
+                    key,
+                    "{}: {:?} differs from {by}'s",
+                    e.id,
+                    cell.memo_key()
+                );
+            }
+        }
+        std::fs::remove_file(ingest_trace_path(&ctx)).expect("removing the ingest trace");
     }
 
     /// A renderer simulates nothing: reading a cell the sweep lacks fails

@@ -86,6 +86,10 @@ pub const EXPERIMENT_CATALOG: &[ExperimentInfo] = &[
         description: "CIP accuracy vs Last-Time-Table size (Section 5.3)",
     },
     ExperimentInfo {
+        id: "ablation",
+        description: "DICE's design choices varied one at a time on six workloads",
+    },
+    ExperimentInfo {
         id: "ingest",
         description: "Trace ingestion: DICE on a packed .dtf trace, streamed vs preloaded",
     },

@@ -57,9 +57,9 @@ pub fn nonmem(seed: u64) -> Vec<WorkloadSet> {
 }
 
 /// Group-wise and overall geometric means in the paper's reporting order:
-/// `(RATE, MIX, GAP, ALL26)`.
+/// `[RATE, MIX, GAP, ALL26]`.
 #[must_use]
-pub fn group_geomeans(groups: &[Group], values: &[f64]) -> (f64, f64, f64, f64) {
+pub fn group_geomeans(groups: &[Group], values: &[f64]) -> [f64; 4] {
     let pick = |g: Group| -> Vec<f64> {
         groups
             .iter()
@@ -69,12 +69,12 @@ pub fn group_geomeans(groups: &[Group], values: &[f64]) -> (f64, f64, f64, f64) 
             .collect()
     };
     let gm = dice_sim::geomean;
-    (
+    [
         gm(&pick(Group::Rate)),
         gm(&pick(Group::Mix)),
         gm(&pick(Group::Gap)),
         gm(values),
-    )
+    ]
 }
 
 #[cfg(test)]
@@ -103,7 +103,7 @@ mod tests {
     fn geomeans_group_correctly() {
         let groups = [Group::Rate, Group::Mix, Group::Gap, Group::Gap];
         let vals = [2.0, 3.0, 4.0, 1.0];
-        let (r, m, g, all) = group_geomeans(&groups, &vals);
+        let [r, m, g, all] = group_geomeans(&groups, &vals);
         assert!((r - 2.0).abs() < 1e-12);
         assert!((m - 3.0).abs() < 1e-12);
         assert!((g - 2.0).abs() < 1e-12);

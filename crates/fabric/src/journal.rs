@@ -252,12 +252,22 @@ fn read_frame(bytes: &[u8], offset: usize) -> Option<(JournalRecord, usize)> {
 mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> PathBuf {
+    /// A journal path in a fresh scratch directory, and a guard that
+    /// removes the directory when the test ends.
+    fn scratch(name: &str) -> (PathBuf, Scratch) {
         let dir =
             std::env::temp_dir().join(format!("dice-journal-test-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("scratch dir");
-        dir.join("sweeps.journal")
+        (dir.join("sweeps.journal"), Scratch(dir))
+    }
+
+    struct Scratch(PathBuf);
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn sample_records() -> Vec<JournalRecord> {
@@ -283,7 +293,7 @@ mod tests {
 
     #[test]
     fn append_replay_round_trips() {
-        let path = scratch("roundtrip");
+        let (path, _dir) = scratch("roundtrip");
         let records = sample_records();
         {
             let (journal, recovery) = Journal::open(&path).expect("open");
@@ -304,7 +314,7 @@ mod tests {
     /// usable for appends afterwards.
     #[test]
     fn truncation_at_every_offset_recovers_a_clean_prefix() {
-        let path = scratch("torn");
+        let (path, _dir) = scratch("torn");
         let records = sample_records();
         {
             let (journal, _) = Journal::open(&path).expect("open");
@@ -323,7 +333,7 @@ mod tests {
         }
         assert_eq!(boundaries.len(), records.len() + 1);
 
-        let torn = scratch("torn-case");
+        let (torn, _torn_dir) = scratch("torn-case");
         for cut in 0..=full.len() {
             std::fs::write(&torn, &full[..cut]).expect("write torn copy");
             let (journal, recovery) = Journal::open(&torn).expect("recovery must never error");
@@ -353,7 +363,7 @@ mod tests {
 
     #[test]
     fn garbled_tail_is_dropped_not_propagated() {
-        let path = scratch("garbled");
+        let (path, _dir) = scratch("garbled");
         let records = sample_records();
         {
             let (journal, _) = Journal::open(&path).expect("open");

@@ -22,12 +22,21 @@ use dice_runner::{Runner, RunnerConfig};
 use dice_serve::net::NetConfig;
 use dice_serve::{http_get, http_post, render_runs, SweepSpec};
 
-/// A fresh scratch directory under the system temp dir.
-fn scratch(name: &str) -> PathBuf {
+/// A fresh scratch directory under the system temp dir, removed when the
+/// guard drops: at the end of the test, after the nodes using it stopped.
+struct Scratch(PathBuf);
+
+fn scratch(name: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("dice-fabric-chaos-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    Scratch(dir)
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// The 4-cell spec under chaos; small enough that even a slow-read
@@ -39,11 +48,11 @@ fn spec_text(seed: u64) -> String {
 }
 
 /// What a direct single-node `dice-runner` invocation renders for `spec`.
-fn direct_report(spec: &str, cache: PathBuf) -> String {
+fn direct_report(spec: &str, cache: Scratch) -> String {
     let spec = SweepSpec::parse(spec).expect("valid spec");
     let runner = Runner::new(RunnerConfig {
         jobs: 2,
-        cache_dir: Some(cache),
+        cache_dir: Some(cache.0.clone()),
         ..RunnerConfig::default()
     })
     .expect("runner");
@@ -54,10 +63,12 @@ struct TestWorker {
     addr: String,
     handle: dice_fabric::WorkerHandle,
     thread: Option<std::thread::JoinHandle<()>>,
+    /// The worker's cache, removed after `drop` has stopped the worker.
+    _cache: Scratch,
 }
 
 impl TestWorker {
-    fn boot(cache: PathBuf) -> Self {
+    fn boot(cache: Scratch) -> Self {
         let worker = Worker::bind(WorkerConfig {
             net: NetConfig {
                 port: 0,
@@ -66,7 +77,7 @@ impl TestWorker {
             },
             runner: RunnerConfig {
                 jobs: 1,
-                cache_dir: Some(cache),
+                cache_dir: Some(cache.0.clone()),
                 ..RunnerConfig::default()
             },
             inject: None,
@@ -79,6 +90,7 @@ impl TestWorker {
             addr,
             handle,
             thread: Some(thread),
+            _cache: cache,
         }
     }
 }

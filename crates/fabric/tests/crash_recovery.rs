@@ -24,12 +24,21 @@ use dice_runner::{Runner, RunnerConfig};
 use dice_serve::net::NetConfig;
 use dice_serve::{http_get, http_post, render_runs, sse_data_lines, sweep_key, SweepSpec};
 
-/// A fresh scratch directory under the system temp dir.
-fn scratch(name: &str) -> PathBuf {
+/// A fresh scratch directory under the system temp dir, removed when the
+/// guard drops: at the end of the test, after the nodes using it stopped.
+struct Scratch(PathBuf);
+
+fn scratch(name: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("dice-fabric-crash-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    Scratch(dir)
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// The fast 4-cell spec used by the in-process tests.
@@ -48,11 +57,11 @@ fn slow_spec_text(seed: u64) -> String {
 }
 
 /// What a direct single-node `dice-runner` invocation renders for `spec`.
-fn direct_report(spec: &str, cache: PathBuf) -> String {
+fn direct_report(spec: &str, cache: Scratch) -> String {
     let spec = SweepSpec::parse(spec).expect("valid spec");
     let runner = Runner::new(RunnerConfig {
         jobs: 2,
-        cache_dir: Some(cache),
+        cache_dir: Some(cache.0.clone()),
         ..RunnerConfig::default()
     })
     .expect("runner");
@@ -63,10 +72,12 @@ struct TestWorker {
     addr: String,
     handle: dice_fabric::WorkerHandle,
     thread: Option<std::thread::JoinHandle<()>>,
+    /// The worker's cache, removed after `drop` has stopped the worker.
+    _cache: Scratch,
 }
 
 impl TestWorker {
-    fn boot(cache: PathBuf) -> Self {
+    fn boot(cache: Scratch) -> Self {
         let worker = Worker::bind(WorkerConfig {
             net: NetConfig {
                 port: 0,
@@ -75,7 +86,7 @@ impl TestWorker {
             },
             runner: RunnerConfig {
                 jobs: 1,
-                cache_dir: Some(cache),
+                cache_dir: Some(cache.0.clone()),
                 ..RunnerConfig::default()
             },
             inject: None,
@@ -88,6 +99,7 @@ impl TestWorker {
             addr,
             handle,
             thread: Some(thread),
+            _cache: cache,
         }
     }
 }
@@ -198,10 +210,12 @@ fn planted_journal_resumes_only_missing_cells() {
     // Plant a journal: the sweep was accepted and two of its four cells
     // finished before the "crash". The outcomes come from a real runner
     // so they are exactly what a worker would have journaled.
-    let journal_path = scratch("plant-journal").join("sweep.journal");
+    let journal_dir = scratch("plant-journal");
+    let journal_path = journal_dir.0.join("sweep.journal");
+    let prerun_cache = scratch("plant-prerun");
     let runner = Runner::new(RunnerConfig {
         jobs: 1,
-        cache_dir: Some(scratch("plant-prerun")),
+        cache_dir: Some(prerun_cache.0.clone()),
         ..RunnerConfig::default()
     })
     .expect("runner");
@@ -277,7 +291,8 @@ fn planted_journal_resumes_only_missing_cells() {
 fn finished_sweeps_are_not_resurrected() {
     let spec = SweepSpec::parse(&spec_text(32)).expect("valid spec");
     let id = sweep_key(&spec.to_cells());
-    let journal_path = scratch("done-journal").join("sweep.journal");
+    let journal_dir = scratch("done-journal");
+    let journal_path = journal_dir.0.join("sweep.journal");
     {
         let (journal, _) = Journal::open(&journal_path).expect("open journal");
         journal
@@ -338,7 +353,8 @@ fn spawn_coordinator(
 fn sigkilled_coordinator_resumes_to_byte_identical_report() {
     let spec = slow_spec_text(33);
     let direct = direct_report(&spec, scratch("kill-direct"));
-    let journal_path = scratch("kill-journal").join("sweep.journal");
+    let journal_dir = scratch("kill-journal");
+    let journal_path = journal_dir.0.join("sweep.journal");
 
     // Workers are in-process so they survive the coordinator's death —
     // exactly the production topology, where only the coordinator host

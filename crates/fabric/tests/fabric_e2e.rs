@@ -17,12 +17,21 @@ use dice_runner::{Runner, RunnerConfig};
 use dice_serve::net::NetConfig;
 use dice_serve::{http_get, http_post, render_runs, sse_data_lines, SweepSpec};
 
-/// A fresh scratch directory under the system temp dir.
-fn scratch(name: &str) -> PathBuf {
+/// A fresh scratch directory under the system temp dir, removed when the
+/// guard drops: at the end of the test, after the nodes using it stopped.
+struct Scratch(PathBuf);
+
+fn scratch(name: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("dice-fabric-e2e-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    Scratch(dir)
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// The spec under test: 2 orgs x 2 workloads = 4 cells, small enough to
@@ -34,11 +43,11 @@ fn spec_text(seed: u64) -> String {
 }
 
 /// What a direct single-node `dice-runner` invocation renders for `spec`.
-fn direct_report(spec: &str, cache: PathBuf) -> String {
+fn direct_report(spec: &str, cache: Scratch) -> String {
     let spec = SweepSpec::parse(spec).expect("valid spec");
     let runner = Runner::new(RunnerConfig {
         jobs: 2,
-        cache_dir: Some(cache),
+        cache_dir: Some(cache.0.clone()),
         ..RunnerConfig::default()
     })
     .expect("runner");
@@ -49,10 +58,12 @@ struct TestWorker {
     addr: String,
     handle: dice_fabric::WorkerHandle,
     thread: Option<std::thread::JoinHandle<()>>,
+    /// The worker's cache, removed after `drop` has stopped the worker.
+    _cache: Scratch,
 }
 
 impl TestWorker {
-    fn boot(cache: PathBuf, inject: Option<FaultKind>) -> Self {
+    fn boot(cache: Scratch, inject: Option<FaultKind>) -> Self {
         let worker = Worker::bind(WorkerConfig {
             net: NetConfig {
                 port: 0,
@@ -61,7 +72,7 @@ impl TestWorker {
             },
             runner: RunnerConfig {
                 jobs: 1,
-                cache_dir: Some(cache),
+                cache_dir: Some(cache.0.clone()),
                 ..RunnerConfig::default()
             },
             inject,
@@ -74,6 +85,7 @@ impl TestWorker {
             addr,
             handle,
             thread: Some(thread),
+            _cache: cache,
         }
     }
 

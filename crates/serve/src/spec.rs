@@ -127,9 +127,9 @@ fn u64_field(j: &Json, field: &str, default: u64) -> Result<u64, SpecError> {
 impl SweepSpec {
     /// Parses and fully validates a spec from JSON text: every
     /// organization tag resolves, every workload exists in the Table 3
-    /// spec table, the scale is a power of two, and the cross product
-    /// fits [`MAX_CELLS`]. A spec that parses cannot fail later in
-    /// [`SweepSpec::to_cells`].
+    /// spec table, scale and measure pass [`SimConfig::check_bounds`],
+    /// and the cross product fits [`MAX_CELLS`]. A spec that parses
+    /// cannot fail later in [`SweepSpec::to_cells`].
     pub fn parse(text: &str) -> Result<SweepSpec, SpecError> {
         let j = Json::parse(text).map_err(|e| err(e.to_string()))?;
         Self::from_json(&j)
@@ -148,12 +148,8 @@ impl SweepSpec {
             measure: u64_field(j, "measure", DEFAULT_MEASURE)?,
             seed: u64_field(j, "seed", DEFAULT_SEED)?,
         };
-        if spec.scale == 0 || !spec.scale.is_power_of_two() {
-            return Err(err("\"scale\" must be a power of two"));
-        }
-        if spec.measure == 0 {
-            return Err(err("\"measure\" must be positive"));
-        }
+        SimConfig::check_bounds(spec.scale, spec.measure)
+            .map_err(|(field, rule)| err(format!("{field:?} {rule}")))?;
         if spec.orgs.len().saturating_mul(spec.workloads.len()) > MAX_CELLS {
             return Err(err(format!("sweep exceeds {MAX_CELLS} cells")));
         }
@@ -344,6 +340,7 @@ mod tests {
             r#"{"orgs":[],"workloads":["gcc"]}"#,
             r#"{"orgs":["base"],"workloads":[1]}"#,
             r#"{"orgs":["base"],"workloads":["gcc"],"scale":3}"#,
+            r#"{"orgs":["base"],"workloads":["gcc"],"scale":16384}"#,
             r#"{"orgs":["base"],"workloads":["gcc"],"measure":0}"#,
             r#"{"orgs":["base"],"workloads":["nosuch"]}"#,
             r#"{"orgs":["quantum"],"workloads":["gcc"]}"#,

@@ -1,6 +1,7 @@
 //! Simulation configuration (paper Table 2, with a scale knob).
 
 use dice_cache::L3FetchPolicy;
+use dice_compress::LINE_BYTES;
 use dice_core::{DramCacheConfig, FaultPlan, Organization};
 use dice_dram::DramConfig;
 use dice_ingest::TraceBinding;
@@ -8,6 +9,14 @@ use dice_obs::ObsConfig;
 use dice_workloads::WorkloadSpec;
 
 use crate::Cycle;
+
+/// The full-scale L3's capacity and associativity (Table 2).
+const L3_BYTES: u64 = 8 << 20;
+const L3_WAYS: u64 = 16;
+
+/// The largest scale [`SimConfig::scaled`] can build: the divisor at
+/// which its L3 keeps a single set.
+const MAX_SCALE: u64 = L3_BYTES / (L3_WAYS * LINE_BYTES as u64);
 
 /// Full system configuration.
 #[derive(Debug, Clone)]
@@ -29,7 +38,7 @@ pub struct SimConfig {
     /// L3 fetch policy (Table 7 baselines).
     pub l3_fetch: L3FetchPolicy,
     /// Install the free pair line into L3 on compressed hits (§6.4); the
-    /// ablation example turns this off.
+    /// `experiments ablation` table turns this off in one row.
     pub install_pair_in_l3: bool,
     /// Maximum outstanding L3-level accesses per core (memory-level
     /// parallelism window).
@@ -67,14 +76,14 @@ impl SimConfig {
 
     /// A 1/`scale` system: L4 and L3 capacities and workload footprints all
     /// divided by `scale`, keeping every ratio of the paper's configuration
-    /// (`scale` must be a power of two).
+    /// (`scale` must pass [`SimConfig::check_bounds`]).
     #[must_use]
     pub fn scaled(organization: Organization, scale: u64) -> Self {
         let l4_capacity = (1u64 << 30) / scale;
         Self {
             cores: 8,
-            l3_bytes: ((8u64 << 20) / scale) as usize,
-            l3_ways: 16,
+            l3_bytes: (L3_BYTES / scale) as usize,
+            l3_ways: L3_WAYS as usize,
             l3_hit_latency: 30,
             l4: DramCacheConfig::with_capacity(organization, l4_capacity),
             l4_dram: DramConfig::stacked_l4(),
@@ -90,6 +99,25 @@ impl SimConfig {
             audit_every: 0,
             inject: None,
         }
+    }
+
+    /// Checks a sweep's settings before any cell is built from them:
+    /// `scale` must be a power of two that still leaves the L3 one set
+    /// (at most 8192), and `measure` must be positive.
+    ///
+    /// # Errors
+    ///
+    /// The name of the first setting out of bounds (`scale` or
+    /// `measure`), and what it must be.
+    pub fn check_bounds(scale: u64, measure: u64) -> Result<(), (&'static str, String)> {
+        if !scale.is_power_of_two() || scale > MAX_SCALE {
+            let rule = format!("must be a power of two no larger than {MAX_SCALE}");
+            return Err(("scale", rule));
+        }
+        if measure == 0 {
+            return Err(("measure", "must be positive".to_owned()));
+        }
+        Ok(())
     }
 
     /// Doubles the L4 capacity (idealized "2x Capacity" comparison and
@@ -225,6 +253,18 @@ mod tests {
         let c = SimConfig::scaled(Organization::UncompressedAlloy, 16);
         assert_eq!(c.l4.capacity_bytes, (1 << 30) / 16);
         assert_eq!(c.l3_bytes, (8 << 20) / 16);
+    }
+
+    #[test]
+    fn bounds_stop_at_a_one_set_l3() {
+        let c = SimConfig::scaled(Organization::UncompressedAlloy, 8192);
+        assert_eq!(c.l3_bytes, c.l3_ways * LINE_BYTES, "one L3 set");
+        assert_eq!(SimConfig::check_bounds(8192, 1), Ok(()));
+        let refused = |scale, measure| SimConfig::check_bounds(scale, measure).map_err(|e| e.0);
+        for scale in [16384, 3, 0] {
+            assert_eq!(refused(scale, 1), Err("scale"), "scale {scale}");
+        }
+        assert_eq!(refused(8192, 0), Err("measure"));
     }
 
     #[test]
