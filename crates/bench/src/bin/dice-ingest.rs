@@ -10,10 +10,11 @@
 //!   gen     generate a synthetic multi-core trace and pack it
 //!             --out PATH      output .dtf file (required)
 //!             --spec NAME     workload spec driving the generator (mcf)
-//!             --cores N       independent streams (8)
-//!             --records N     records per stream (100000)
+//!             --cores N       independent streams, positive (8)
+//!             --records N     records per stream, positive (100000)
 //!             --seed N        generator seed (53709)
-//!             --scale N       footprint scale divisor (256)
+//!             --scale N       footprint scale divisor, a power of two
+//!                             up to 8192 (256)
 //!             --no-compress   store frames raw
 //!   pack    convert a text trace (`gap line_hex r|w` per line) to .dtf
 //!             --in PATH --out PATH [--no-compress]
@@ -29,7 +30,8 @@
 //!                             to 8192 (256)
 //!             --warmup N      warm-up records per core (20000)
 //!             --measure N     measured records per core (60000)
-//!             --jobs N        worker threads (default: all cores)
+//!             --jobs N        worker threads, positive (default: all
+//!                             cores)
 //!             --replay-in-memory  preload the trace instead of streaming
 //!                             (the report is byte-identical either way)
 //!             --skew          give even-indexed cells a 6x measure window,
@@ -39,85 +41,27 @@
 //! `sweep` prints a deterministic JSON report on stdout (identical for
 //! streamed and preloaded replay, and for any `--jobs`), and scheduler
 //! statistics — including `steals=` and `tail_idle_ms=` — on stderr.
+//! A malformed flag or an out-of-bounds value exits 2 with one stderr
+//! line naming it, before any file is written or cell declared.
 
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
 use dice_core::Organization;
 use dice_ingest::{pack_records, scan, DtfWriter, TraceBinding};
+use dice_obs::cli::Flags;
 use dice_obs::{DiceError, DiceResult, Json};
 use dice_runner::{Cell, Runner, RunnerConfig};
 use dice_sim::{RunReport, SimConfig, WorkloadSet};
 use dice_workloads::{spec_table, TraceGen, TraceRecord, WorkloadSpec};
 
-/// Flag parser shared by every subcommand; whines and exits on anything
-/// a subcommand did not declare.
-struct Args {
-    flags: Vec<(String, Option<String>)>,
-}
-
-impl Args {
-    fn parse(raw: &[String], value_flags: &[&str], bool_flags: &[&str]) -> Self {
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let name = raw[i].as_str();
-            if value_flags.contains(&name) {
-                i += 1;
-                let Some(v) = raw.get(i) else {
-                    eprintln!("{name} needs a value");
-                    std::process::exit(2);
-                };
-                flags.push((name.to_owned(), Some(v.clone())));
-            } else if bool_flags.contains(&name) {
-                flags.push((name.to_owned(), None));
-            } else {
-                eprintln!("unexpected argument {name:?}");
-                std::process::exit(2);
-            }
-            i += 1;
-        }
-        Self { flags }
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
-    }
-
-    fn num(&self, name: &str, default: u64) -> u64 {
-        self.get(name).map_or(default, |v| {
-            v.parse().unwrap_or_else(|e| {
-                eprintln!("{name} {v:?}: {e}");
-                std::process::exit(2);
-            })
-        })
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        let Some(v) = self.get(name) else {
-            eprintln!("{name} PATH is required");
-            std::process::exit(2);
-        };
-        PathBuf::from(v)
-    }
-}
-
-fn spec_named(name: &str) -> WorkloadSpec {
+/// The workload spec `--spec` names (`mcf` when absent).
+fn spec_flag(flags: &mut Flags) -> WorkloadSpec {
+    let name = flags.value("--spec").unwrap_or_else(|| "mcf".to_owned());
     spec_table()
         .into_iter()
         .find(|s| s.name == name)
-        .unwrap_or_else(|| {
-            eprintln!("unknown workload spec {name:?}");
-            std::process::exit(2);
-        })
+        .unwrap_or_else(|| flags.refuse(format!("--spec {name:?} is not a workload spec")))
 }
 
 fn fail(context: &str, e: &dyn std::fmt::Display) -> ! {
@@ -126,14 +70,24 @@ fn fail(context: &str, e: &dyn std::fmt::Display) -> ! {
 }
 
 /// `gen`: pack synthetic per-core generator streams.
-fn cmd_gen(args: &Args) {
-    let out = args.path("--out");
-    let spec = spec_named(args.get("--spec").unwrap_or("mcf"));
-    let cores = args.num("--cores", 8) as u32;
-    let records = args.num("--records", 100_000);
-    let seed = args.num("--seed", 0xd1cd);
-    let scale = args.num("--scale", 256);
-    let compress = !args.has("--no-compress");
+fn cmd_gen(flags: &mut Flags) {
+    let out = PathBuf::from(flags.required("--out"));
+    let spec = spec_flag(flags);
+    let cores = flags.count("--cores", 8_u32);
+    let records = flags.number("--records", 100_000);
+    let seed = flags.number("--seed", 0xd1cd);
+    let scale = flags.number("--scale", 256);
+    let compress = !flags.switch("--no-compress");
+    flags.finish();
+    // A policy, not a need of any sweep: the file stores neither value,
+    // and a sweep reads its own --scale. Holding --scale and --records
+    // to the bounds of a sweep's --scale and --measure gives each flag
+    // one rule in this binary, and refuses --scale 0 (a divide by zero)
+    // and --records 0 (an empty trace) before the file exists.
+    if let Err((field, rule)) = SimConfig::check_bounds(scale, records) {
+        let flag = if field == "measure" { "records" } else { field };
+        flags.refuse(format!("--{flag} {rule}"));
+    }
     let mut w = DtfWriter::create(&out, cores, compress)
         .unwrap_or_else(|e| fail(&format!("creating {}", out.display()), &e));
     for core in 0..cores {
@@ -228,10 +182,11 @@ fn read_text_trace(path: &Path) -> DiceResult<Vec<TraceRecord>> {
 }
 
 /// `pack`: text trace to a single-stream `.dtf`.
-fn cmd_pack(args: &Args) {
-    let input = args.path("--in");
-    let out = args.path("--out");
-    let compress = !args.has("--no-compress");
+fn cmd_pack(flags: &mut Flags) {
+    let input = PathBuf::from(flags.required("--in"));
+    let out = PathBuf::from(flags.required("--out"));
+    let compress = !flags.switch("--no-compress");
+    flags.finish();
     let records = read_text_trace(&input)
         .unwrap_or_else(|e| fail(&format!("reading {}", input.display()), &e));
     if records.is_empty() {
@@ -252,10 +207,11 @@ fn cmd_pack(args: &Args) {
 }
 
 /// `unpack`: one `.dtf` stream back to the text format.
-fn cmd_unpack(args: &Args) {
-    let input = args.path("--in");
-    let out = args.path("--out");
-    let core = args.num("--core", 0) as u32;
+fn cmd_unpack(flags: &mut Flags) {
+    let input = PathBuf::from(flags.required("--in"));
+    let out = PathBuf::from(flags.required("--out"));
+    let core = flags.number("--core", 0_u32);
+    flags.finish();
     let records = dice_ingest::read_core_records(&input, core)
         .unwrap_or_else(|e| fail(&format!("reading {}", input.display()), &e));
     let plain: Vec<_> = records.iter().map(|r| r.rec).collect();
@@ -269,10 +225,12 @@ fn cmd_unpack(args: &Args) {
 }
 
 /// `info`: scan and report container statistics.
-fn cmd_info(args: &Args) {
-    let input = args.path("--in");
-    let info = scan(&input, args.has("--strict"))
-        .unwrap_or_else(|e| fail(&format!("scanning {}", input.display()), &e));
+fn cmd_info(flags: &mut Flags) {
+    let input = PathBuf::from(flags.required("--in"));
+    let strict = flags.switch("--strict");
+    flags.finish();
+    let info =
+        scan(&input, strict).unwrap_or_else(|e| fail(&format!("scanning {}", input.display()), &e));
     let hash = dice_ingest::file_content_hash(&input)
         .unwrap_or_else(|e| fail(&format!("hashing {}", input.display()), &e));
     println!("file:          {}", input.display());
@@ -311,22 +269,20 @@ const SWEEP_ORGS: [(&str, Organization); 6] = [
 ];
 
 /// `sweep`: the organization comparison driven by a packed trace.
-fn cmd_sweep(args: &Args) {
-    let input = args.path("--in");
-    let spec = spec_named(args.get("--spec").unwrap_or("mcf"));
-    let seed = args.num("--seed", 7);
-    let scale = args.num("--scale", 256);
-    let warmup = args.num("--warmup", 20_000);
-    let measure = args.num("--measure", 60_000);
-    let preload = args.has("--replay-in-memory");
-    let skew = args.has("--skew");
-    let jobs = args.num(
-        "--jobs",
-        std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-    ) as usize;
+fn cmd_sweep(flags: &mut Flags) {
+    let input = PathBuf::from(flags.required("--in"));
+    let spec = spec_flag(flags);
+    let seed = flags.number("--seed", 7);
+    let scale = flags.number("--scale", 256);
+    let warmup = flags.number("--warmup", 20_000);
+    let measure = flags.number("--measure", 60_000);
+    let preload = flags.switch("--replay-in-memory");
+    let skew = flags.switch("--skew");
+    let mut runner_cfg = RunnerConfig::default();
+    runner_cfg.jobs = flags.count("--jobs", runner_cfg.jobs);
+    flags.finish();
     if let Err((field, rule)) = SimConfig::check_bounds(scale, measure) {
-        eprintln!("--{field} {rule}");
-        std::process::exit(2);
+        flags.refuse(format!("--{field} {rule}"));
     }
 
     let binding = TraceBinding::open(&input)
@@ -348,12 +304,7 @@ fn cmd_sweep(args: &Args) {
         cells.push(Cell::new(tag, cfg, wl.clone()));
     }
 
-    let runner = Runner::new(RunnerConfig {
-        jobs,
-        verbose: false,
-        ..RunnerConfig::default()
-    })
-    .unwrap_or_else(|e| fail("building runner", &e));
+    let runner = Runner::new(runner_cfg).unwrap_or_else(|e| fail("building runner", &e));
     let sweep = runner.run(cells);
     eprintln!(
         "[dice-ingest] sweep: {} steals={} tail_idle_ms={} mode={}",
@@ -424,60 +375,53 @@ fn cmd_sweep(args: &Args) {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().map(String::as_str) else {
-        eprintln!("usage: dice-ingest <gen|pack|unpack|info|sweep> [flags] (see --help)");
-        std::process::exit(2);
-    };
-    let rest = &raw[1..];
-    match cmd {
-        "gen" => cmd_gen(&Args::parse(
-            rest,
-            &[
-                "--out",
-                "--spec",
-                "--cores",
-                "--records",
-                "--seed",
-                "--scale",
-            ],
-            &["--no-compress"],
+    let mut flags = Flags::from_env("dice-ingest");
+    match flags.positional().as_deref() {
+        Some("gen") => cmd_gen(&mut flags),
+        Some("pack") => cmd_pack(&mut flags),
+        Some("unpack") => cmd_unpack(&mut flags),
+        Some("info") => cmd_info(&mut flags),
+        Some("sweep") => cmd_sweep(&mut flags),
+        Some("help" | "-h") => help(&flags),
+        None if flags.switch("--help") => help(&flags),
+        None => flags.refuse("expected a command: gen, pack, unpack, info or sweep (see --help)"),
+        Some(other) => flags.refuse(format!(
+            "unknown command {other:?}; one of: gen pack unpack info sweep"
         )),
-        "pack" => cmd_pack(&Args::parse(rest, &["--in", "--out"], &["--no-compress"])),
-        "unpack" => cmd_unpack(&Args::parse(rest, &["--in", "--out", "--core"], &[])),
-        "info" => cmd_info(&Args::parse(rest, &["--in"], &["--strict"])),
-        "sweep" => cmd_sweep(&Args::parse(
-            rest,
-            &[
-                "--in",
-                "--spec",
-                "--seed",
-                "--scale",
-                "--warmup",
-                "--measure",
-                "--jobs",
-            ],
-            &["--replay-in-memory", "--skew"],
-        )),
-        "--help" | "-h" | "help" => {
-            eprintln!("commands: gen pack unpack info sweep (see the module docs)");
-        }
-        other => {
-            eprintln!("unknown command {other:?}; one of: gen pack unpack info sweep");
-            std::process::exit(2);
-        }
     }
+}
+
+fn help(flags: &Flags) {
+    flags.finish();
+    eprintln!("commands: gen pack unpack info sweep (see the module docs)");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Removes its directory when dropped, at the end of the test.
+    struct Scratch(PathBuf);
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A fresh directory named by test and process, removed with the
+    /// guard.
+    fn scratch(name: &str) -> Scratch {
+        let dir =
+            std::env::temp_dir().join(format!("dice-trace-test-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("dice-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t1.trace");
+        let dir = scratch("round-trip");
+        let path = dir.0.join("t1.trace");
         let recs = vec![
             TraceRecord {
                 gap: 0,
@@ -496,9 +440,8 @@ mod tests {
 
     #[test]
     fn loader_rejects_garbage() {
-        let dir = std::env::temp_dir().join("dice-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.trace");
+        let dir = scratch("garbage");
+        let path = dir.0.join("bad.trace");
         std::fs::write(&path, "1 zz r\n").unwrap();
         assert!(read_text_trace(&path).is_err());
         std::fs::write(&path, "1 10 x\n").unwrap();
@@ -511,9 +454,8 @@ mod tests {
     /// parse error carrying the path and the 1-based offending line.
     #[test]
     fn malformed_records_report_line_context() {
-        let dir = std::env::temp_dir().join("dice-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ctx.trace");
+        let dir = scratch("context");
+        let path = dir.0.join("ctx.trace");
         let cases: [(&str, u64, &str); 5] = [
             ("# ok\n5 1f r\n7 2a\n", 3, "truncated record"),
             ("x 1f r\n", 1, "non-numeric gap"),

@@ -32,8 +32,9 @@
 //!                       size-lie, garbled-trace, poisoned-cache,
 //!                       cell-panic or cell-timeout (pair with --audit to
 //!                       watch detection and recovery)
-//!        --cell-timeout S  per-cell wall-clock budget in seconds; cells
-//!                       over budget report as timed out, the sweep goes on
+//!        --cell-timeout S  per-cell wall-clock budget in seconds, positive,
+//!                       fractions allowed; cells over budget report as
+//!                       timed out, the sweep goes on
 //!        --retries N    retry a panicked cell up to N times before
 //!                       recording it as failed
 //!        --diagnostics  run every cell at TraceLevel::Decisions and append
@@ -49,7 +50,8 @@
 //! nothing: it reads runs by `(tag, workload)`, and a cell that failed or
 //! that no experiment declared fails that experiment. A cell or figure
 //! that panics is reported and skipped — the rest of the sweep still
-//! completes, and the process exits nonzero. A malformed flag exits 2
+//! completes, and the process exits nonzero. A malformed flag, or a zero
+//! `--jobs` or `--cell-timeout`, exits 2 with one stderr line naming it
 //! before any cell is declared.
 //!
 //! Absolute numbers differ from the paper (different substrate, synthetic
@@ -64,6 +66,7 @@ use dice_bench::{Ctx, Table, EXPERIMENT_CATALOG};
 use dice_compress::{compressed_size, pair_compressed_size};
 use dice_core::{DramCacheConfig, Organization, TagVariant};
 use dice_ingest::{DtfWriter, TraceBinding};
+use dice_obs::cli::{Flags, Unit};
 use dice_obs::{DiceError, Json, TraceLevel};
 use dice_runner::{Cell, Runner, RunnerConfig, SweepResult};
 use dice_sim::{geomean, RunReport, SimConfig, WorkloadSet};
@@ -1354,25 +1357,6 @@ fn poison_cache_entries(dir: &std::path::Path) -> usize {
     entries.len()
 }
 
-/// Refuses a malformed command line with one line naming the flag.
-fn refuse(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
-/// The value after `flag`.
-fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    args.next()
-        .unwrap_or_else(|| refuse(&format!("{flag} needs a value")))
-}
-
-/// The number after `flag`.
-fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    let v = value(args, flag);
-    v.parse()
-        .unwrap_or_else(|_| refuse(&format!("{flag} {v:?} is not a valid number")))
-}
-
 /// What one invocation runs.
 enum Selection {
     /// Catalog experiments: one id, or all of them.
@@ -1382,83 +1366,59 @@ enum Selection {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
+    let mut flags = Flags::from_env("experiments");
+    let list = flags.switch("--list");
     let mut ctx = Ctx::standard();
-    let mut id: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut diagnostics = false;
+    ctx.scale = flags.number("--scale", ctx.scale);
+    ctx.warmup = flags.number("--warmup", ctx.warmup);
+    ctx.measure = flags.number("--measure", ctx.measure);
+    ctx.seed = flags.number("--seed", ctx.seed);
+    ctx.verbose = !flags.switch("--quiet");
+    ctx.audit_every = flags.number("--audit", ctx.audit_every);
+    ctx.inject = flags.value("--inject").map(|name| {
+        let kind = dice_core::FaultKind::parse(&name).unwrap_or_else(|| {
+            let names: Vec<_> = dice_core::FaultKind::ALL.iter().map(|k| k.name()).collect();
+            flags.refuse(format!(
+                "--inject {name:?} is not a fault kind; one of: {}",
+                names.join(", ")
+            ))
+        });
+        dice_core::FaultPlan::seeded(kind)
+    });
     let mut runner_cfg = RunnerConfig::default();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--list" => {
-                // The shared catalog: byte-identical to dice-serve's
-                // /v1/experiments (asserted by tests on both sides), so
-                // no trailing newline.
-                print!("{}", dice_bench::catalog_json().render());
-                return;
-            }
-            "--scale" => ctx.scale = number(&mut args, "--scale"),
-            "--warmup" => ctx.warmup = number(&mut args, "--warmup"),
-            "--measure" => ctx.measure = number(&mut args, "--measure"),
-            "--seed" => ctx.seed = number(&mut args, "--seed"),
-            "--jobs" => runner_cfg.jobs = number(&mut args, "--jobs"),
-            "--cache-dir" => {
-                runner_cfg.cache_dir = Some(PathBuf::from(value(&mut args, "--cache-dir")));
-            }
-            "--quiet" => ctx.verbose = false,
-            "--audit" => ctx.audit_every = number(&mut args, "--audit"),
-            "--inject" => {
-                let name = value(&mut args, "--inject");
-                let kind = dice_core::FaultKind::parse(&name).unwrap_or_else(|| {
-                    let names: Vec<_> =
-                        dice_core::FaultKind::ALL.iter().map(|k| k.name()).collect();
-                    refuse(&format!(
-                        "unknown fault {name:?}; one of: {}",
-                        names.join(", ")
-                    ))
-                });
-                ctx.inject = Some(dice_core::FaultPlan::seeded(kind));
-            }
-            "--cell-timeout" => {
-                let secs: f64 = number(&mut args, "--cell-timeout");
-                let budget = std::time::Duration::try_from_secs_f64(secs)
-                    .ok()
-                    .filter(|d| !d.is_zero())
-                    .unwrap_or_else(|| {
-                        refuse("--cell-timeout must be a positive number of seconds")
-                    });
-                runner_cfg.cell_timeout = Some(budget);
-            }
-            "--retries" => runner_cfg.retries = number(&mut args, "--retries"),
-            "--diagnostics" => {
-                diagnostics = true;
-                ctx.obs.trace_level = TraceLevel::Decisions;
-            }
-            "--json" => json_path = Some(value(&mut args, "--json")),
-            "--trace" => {
-                trace_path = Some(value(&mut args, "--trace"));
-                // 64k events ≈ a few MB of JSON; the ring keeps the newest.
-                ctx.obs.trace_capacity = 65_536;
-            }
-            _ if id.is_some() => refuse(&format!("unexpected argument {arg}")),
-            _ => id = Some(arg),
-        }
+    runner_cfg.jobs = flags.count("--jobs", runner_cfg.jobs);
+    runner_cfg.cache_dir = flags.value("--cache-dir").map(PathBuf::from);
+    runner_cfg.cell_timeout = flags.duration("--cell-timeout", Unit::Seconds);
+    runner_cfg.retries = flags.number("--retries", runner_cfg.retries);
+    let diagnostics = flags.switch("--diagnostics");
+    if diagnostics {
+        ctx.obs.trace_level = TraceLevel::Decisions;
+    }
+    let json_path = flags.value("--json");
+    let trace_path = flags.value("--trace");
+    if trace_path.is_some() {
+        // 64k events ≈ a few MB of JSON; the ring keeps the newest.
+        ctx.obs.trace_capacity = 65_536;
+    }
+    let id = flags.positional().unwrap_or_else(|| "all".to_owned());
+    flags.finish();
+    if list {
+        // The shared catalog: byte-identical to dice-serve's
+        // /v1/experiments (asserted by tests on both sides), so no
+        // trailing newline.
+        print!("{}", dice_bench::catalog_json().render());
+        return;
     }
     // The bounds dice-serve's sweep specs enforce, checked before any
     // cell is declared.
     if let Err((field, rule)) = SimConfig::check_bounds(ctx.scale, ctx.measure) {
-        refuse(&format!("--{field} {rule}"));
+        flags.refuse(format!("--{field} {rule}"));
     }
-    if runner_cfg.jobs == 0 {
-        refuse("--jobs must be at least 1");
-    }
-    let id = id.unwrap_or_else(|| "all".to_owned());
     let selection = if let Some(name) = id.strip_prefix("inspect=") {
         let spec = spec_table()
             .into_iter()
             .find(|w| w.name == name)
-            .unwrap_or_else(|| refuse(&format!("inspect={name}: unknown workload")));
+            .unwrap_or_else(|| flags.refuse(format!("inspect={name}: unknown workload")));
         Selection::Inspect(WorkloadSet::rate(spec, ctx.seed))
     } else if id == "all" {
         Selection::Experiments(EXPERIMENTS.iter().collect())
@@ -1467,7 +1427,7 @@ fn main() {
             Some(e) => Selection::Experiments(vec![e]),
             None => {
                 let ids: Vec<&str> = EXPERIMENT_CATALOG.iter().map(|e| e.id).collect();
-                refuse(&format!(
+                flags.refuse(format!(
                     "unknown experiment '{id}'; try {} all",
                     ids.join(" ")
                 ))
@@ -1485,8 +1445,7 @@ fn main() {
         }
         Some(plan) if plan.kind == dice_core::FaultKind::PoisonedCache => {
             let Some(dir) = &runner_cfg.cache_dir else {
-                eprintln!("--inject poisoned-cache needs --cache-dir to poison");
-                std::process::exit(2);
+                flags.refuse("--inject poisoned-cache needs --cache-dir to poison");
             };
             let n = poison_cache_entries(dir);
             eprintln!(
@@ -1502,10 +1461,11 @@ fn main() {
         _ => {}
     }
     // Fail on an unwritable output path now, not after a long run.
-    for path in [&json_path, &trace_path].into_iter().flatten() {
-        if let Err(e) = std::fs::write(path, "") {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
+    for (flag, path) in [("--json", &json_path), ("--trace", &trace_path)] {
+        if let Some(path) = path {
+            if let Err(e) = std::fs::write(path, "") {
+                flags.refuse(format!("{flag}: cannot write {path}: {e}"));
+            }
         }
     }
     let started = std::time::Instant::now();

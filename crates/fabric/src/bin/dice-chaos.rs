@@ -14,68 +14,41 @@
 //! Binds 127.0.0.1 (`--port 0` = ephemeral) and announces
 //! `dice-chaos listening on 127.0.0.1:PORT` on stdout for scripts.
 //! SIGTERM/SIGINT stops accepting and prints the per-fault injection
-//! tally before exiting.
+//! tally before exiting. A malformed flag or a zero duration exits 2
+//! with one stderr line naming it, before anything binds.
 
 use std::io::Write;
-use std::time::Duration;
 
 use dice_fabric::{ChaosConfig, ChaosProxy, NetFault};
+use dice_obs::cli::{Flags, Unit};
 use dice_serve::signal;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: dice-chaos --upstream ADDR [--port P] [--seed N] [--percent PCT]\n\
-         \x20                [--fault KIND ...] [--latency-ms MS] [--io-timeout SECS]\n\
-         \x20     KIND: refuse | latency | slow-read | truncate | garble"
-    );
-    std::process::exit(2);
-}
 
 fn main() {
     signal::install();
-    let mut config = ChaosConfig::default();
-    let mut faults: Vec<NetFault> = Vec::new();
-    let mut args = std::env::args();
-    let _ = args.next();
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("dice-chaos: {arg} needs {what}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--upstream" => config.upstream = value("an address"),
-            "--port" => config.port = value("a port").parse().unwrap_or_else(|_| usage()),
-            "--seed" => config.seed = value("a seed").parse().unwrap_or_else(|_| usage()),
-            "--percent" => {
-                config.percent = value("a percent").parse().unwrap_or_else(|_| usage());
-            }
-            "--fault" => {
-                let kind = value("a fault kind");
-                faults.push(NetFault::parse(&kind).unwrap_or_else(|| {
-                    eprintln!("dice-chaos: unknown fault kind {kind:?}");
-                    std::process::exit(2);
-                }));
-            }
-            "--latency-ms" => {
-                let ms: u64 = value("milliseconds").parse().unwrap_or_else(|_| usage());
-                config.latency = Duration::from_millis(ms);
-            }
-            "--io-timeout" => {
-                let secs: u64 = value("seconds").parse().unwrap_or_else(|_| usage());
-                config.io_timeout = Duration::from_secs(secs);
-            }
-            _ => usage(),
-        }
-    }
-    if config.upstream.is_empty() {
-        eprintln!("dice-chaos: --upstream ADDR is required");
-        std::process::exit(2);
-    }
+    let mut flags = Flags::from_env("dice-chaos");
+    let mut config = ChaosConfig {
+        upstream: flags.required("--upstream"),
+        ..ChaosConfig::default()
+    };
+    config.port = flags.number("--port", config.port);
+    config.seed = flags.number("--seed", config.seed);
+    config.percent = flags.number("--percent", config.percent);
+    let faults: Vec<NetFault> = flags
+        .values("--fault")
+        .iter()
+        .map(|kind| {
+            NetFault::parse(kind)
+                .unwrap_or_else(|| flags.refuse(format!("--fault {kind:?} is not a fault kind")))
+        })
+        .collect();
     if !faults.is_empty() {
         config.faults = faults;
     }
+    let latency = flags.duration("--latency-ms", Unit::Millis);
+    config.latency = latency.unwrap_or(config.latency);
+    let io_timeout = flags.duration("--io-timeout", Unit::Seconds);
+    config.io_timeout = io_timeout.unwrap_or(config.io_timeout);
+    flags.finish();
 
     let proxy = match ChaosProxy::bind(config) {
         Ok(proxy) => proxy,

@@ -21,30 +21,17 @@
 //! cleanly`. A worker's `--inject KIND` arms a PR-4 fault injector
 //! (`cell-panic`, `cell-timeout`, …) on every cell it runs — the fault
 //! drill the fabric-recovery tests are built on.
+//!
+//! `--cell-timeout` takes seconds, fractions allowed. A malformed flag,
+//! a zero count or a zero duration exits 2 with one stderr line naming
+//! it, before anything binds.
 
 use std::io::Write;
-use std::time::Duration;
 
 use dice_core::FaultKind;
 use dice_fabric::{Coordinator, CoordinatorConfig, Worker, WorkerConfig};
+use dice_obs::cli::{Flags, Unit};
 use dice_serve::signal;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: dice-fabric worker      [--port P] [--conn-workers N] [--cache DIR]\n\
-         \x20                           [--cell-timeout SECS] [--retries N]\n\
-         \x20                           [--inject KIND] [--verbose]\n\
-         \x20      dice-fabric coordinator [--port P] --worker ADDR [--worker ADDR ...]\n\
-         \x20                           [--conn-workers N] [--vnodes N] [--capacity N]\n\
-         \x20                           [--scatter-width N] [--retries N]\n\
-         \x20                           [--backoff-ms MS] [--cell-timeout SECS]\n\
-         \x20                           [--journal PATH] [--hedge-ms MS]\n\
-         \x20                           [--breaker-threshold N] [--breaker-open-ms MS]\n\
-         \x20                           [--probe-budget N] [--probe-connect-ms MS]\n\
-         \x20                           [--probe-read-ms MS]"
-    );
-    std::process::exit(2);
-}
 
 /// The first signal drains; later ones just report (the drain already
 /// stops everything this process owns).
@@ -67,39 +54,19 @@ fn announce(role: &str, addr: std::net::SocketAddr) {
     let _ = out.flush();
 }
 
-fn run_worker(args: &mut std::env::Args) -> i32 {
+fn run_worker(mut flags: Flags) -> i32 {
     let mut config = WorkerConfig::default();
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("dice-fabric: {arg} needs {what}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--port" => config.net.port = value("a port").parse().unwrap_or_else(|_| usage()),
-            "--conn-workers" => {
-                config.net.conn_workers = value("a count").parse().unwrap_or_else(|_| usage());
-            }
-            "--cache" => config.runner.cache_dir = Some(value("a directory").into()),
-            "--cell-timeout" => {
-                let secs: u64 = value("seconds").parse().unwrap_or_else(|_| usage());
-                config.runner.cell_timeout = Some(Duration::from_secs(secs));
-            }
-            "--retries" => {
-                config.runner.retries = value("a count").parse().unwrap_or_else(|_| usage());
-            }
-            "--inject" => {
-                let kind = value("a fault kind");
-                config.inject = Some(FaultKind::parse(&kind).unwrap_or_else(|| {
-                    eprintln!("dice-fabric: unknown fault kind {kind:?}");
-                    std::process::exit(2);
-                }));
-            }
-            "--verbose" => config.runner.verbose = true,
-            _ => usage(),
-        }
-    }
+    config.net.port = flags.number("--port", config.net.port);
+    config.net.conn_workers = flags.count("--conn-workers", config.net.conn_workers);
+    config.runner.cache_dir = flags.value("--cache").map(Into::into);
+    config.runner.cell_timeout = flags.duration("--cell-timeout", Unit::Seconds);
+    config.runner.retries = flags.number("--retries", config.runner.retries);
+    config.inject = flags.value("--inject").map(|kind| {
+        FaultKind::parse(&kind)
+            .unwrap_or_else(|| flags.refuse(format!("--inject {kind:?} is not a fault kind")))
+    });
+    config.runner.verbose = flags.switch("--verbose");
+    flags.finish();
     let worker = match Worker::bind(config) {
         Ok(worker) => worker,
         Err(e) => {
@@ -118,67 +85,33 @@ fn run_worker(args: &mut std::env::Args) -> i32 {
     0
 }
 
-fn run_coordinator(args: &mut std::env::Args) -> i32 {
+fn run_coordinator(mut flags: Flags) -> i32 {
     let mut config = CoordinatorConfig::default();
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("dice-fabric: {arg} needs {what}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--port" => config.net.port = value("a port").parse().unwrap_or_else(|_| usage()),
-            "--conn-workers" => {
-                config.net.conn_workers = value("a count").parse().unwrap_or_else(|_| usage());
-            }
-            "--worker" => config.workers.push(value("an address")),
-            "--vnodes" => config.vnodes = value("a count").parse().unwrap_or_else(|_| usage()),
-            "--capacity" => config.capacity = value("a count").parse().unwrap_or_else(|_| usage()),
-            "--scatter-width" => {
-                config.scatter_width = value("a count").parse().unwrap_or_else(|_| usage());
-            }
-            "--retries" => {
-                config.retry_rounds = value("a count").parse().unwrap_or_else(|_| usage());
-            }
-            "--backoff-ms" => {
-                let ms: u64 = value("milliseconds").parse().unwrap_or_else(|_| usage());
-                config.backoff = Duration::from_millis(ms);
-            }
-            "--cell-timeout" => {
-                let secs: u64 = value("seconds").parse().unwrap_or_else(|_| usage());
-                config.cell_timeout = Duration::from_secs(secs);
-            }
-            "--journal" => config.journal = Some(value("a path").into()),
-            "--hedge-ms" => {
-                let ms: u64 = value("milliseconds").parse().unwrap_or_else(|_| usage());
-                config.hedge_after = Some(Duration::from_millis(ms));
-            }
-            "--breaker-threshold" => {
-                config.breaker.failure_threshold =
-                    value("a count").parse().unwrap_or_else(|_| usage());
-            }
-            "--breaker-open-ms" => {
-                let ms: u64 = value("milliseconds").parse().unwrap_or_else(|_| usage());
-                config.breaker.open_base = Duration::from_millis(ms);
-            }
-            "--probe-budget" => {
-                config.breaker.probe_budget = value("a count").parse().unwrap_or_else(|_| usage());
-            }
-            "--probe-connect-ms" => {
-                let ms: u64 = value("milliseconds").parse().unwrap_or_else(|_| usage());
-                config.probe_connect = Duration::from_millis(ms);
-            }
-            "--probe-read-ms" => {
-                let ms: u64 = value("milliseconds").parse().unwrap_or_else(|_| usage());
-                config.probe_read = Duration::from_millis(ms);
-            }
-            _ => usage(),
-        }
-    }
+    config.net.port = flags.number("--port", config.net.port);
+    config.net.conn_workers = flags.count("--conn-workers", config.net.conn_workers);
+    config.workers = flags.values("--worker");
+    config.vnodes = flags.count("--vnodes", config.vnodes);
+    config.capacity = flags.count("--capacity", config.capacity);
+    config.scatter_width = flags.count("--scatter-width", config.scatter_width);
+    config.retry_rounds = flags.number("--retries", config.retry_rounds);
+    let backoff = flags.duration("--backoff-ms", Unit::Millis);
+    config.backoff = backoff.unwrap_or(config.backoff);
+    let cell_timeout = flags.duration("--cell-timeout", Unit::Seconds);
+    config.cell_timeout = cell_timeout.unwrap_or(config.cell_timeout);
+    config.journal = flags.value("--journal").map(Into::into);
+    config.hedge_after = flags.duration("--hedge-ms", Unit::Millis);
+    let breaker = &mut config.breaker;
+    breaker.failure_threshold = flags.count("--breaker-threshold", breaker.failure_threshold);
+    let open_base = flags.duration("--breaker-open-ms", Unit::Millis);
+    breaker.open_base = open_base.unwrap_or(breaker.open_base);
+    breaker.probe_budget = flags.count("--probe-budget", breaker.probe_budget);
+    let probe_connect = flags.duration("--probe-connect-ms", Unit::Millis);
+    config.probe_connect = probe_connect.unwrap_or(config.probe_connect);
+    let probe_read = flags.duration("--probe-read-ms", Unit::Millis);
+    config.probe_read = probe_read.unwrap_or(config.probe_read);
+    flags.finish();
     if config.workers.is_empty() {
-        eprintln!("dice-fabric-coordinator: at least one --worker ADDR is required");
-        return 2;
+        flags.refuse("at least one --worker ADDR is required");
     }
     let coordinator = match Coordinator::bind(config) {
         Ok(coordinator) => coordinator,
@@ -203,12 +136,14 @@ fn run_coordinator(args: &mut std::env::Args) -> i32 {
 
 fn main() {
     signal::install();
-    let mut args = std::env::args();
-    let _ = args.next();
-    let code = match args.next().as_deref() {
-        Some("worker") => run_worker(&mut args),
-        Some("coordinator") => run_coordinator(&mut args),
-        _ => usage(),
+    let mut flags = Flags::from_env("dice-fabric");
+    let code = match flags.positional().as_deref() {
+        Some("worker") => run_worker(flags),
+        Some("coordinator") => run_coordinator(flags),
+        Some(role) => flags.refuse(format!(
+            "unknown role {role:?}; one of: worker, coordinator"
+        )),
+        None => flags.refuse("a role is required: worker or coordinator"),
     };
     std::process::exit(code);
 }

@@ -29,7 +29,7 @@
 use std::io::{BufRead, Read, Seek, Write};
 use std::path::Path;
 
-use dice_obs::{DiceError, DiceResult};
+use dice_obs::{fnv1a64, fnv1a64_extend, DiceError, DiceResult};
 use dice_workloads::TraceRecord;
 
 use crate::lz;
@@ -75,20 +75,6 @@ impl DtfRecord {
         Self { rec, value: None }
     }
 }
-
-/// FNV-1a over `bytes`, seedable for incremental use.
-#[must_use]
-pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// The FNV-1a offset basis (initial seed).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn parse_err(path: &str, frame: u64, reason: impl Into<String>) -> DiceError {
     DiceError::TraceParse {
@@ -289,7 +275,7 @@ pub fn encode_frame(core: u32, records: &[DtfRecord], compress: bool) -> Vec<u8>
     }
     let mut core_bytes = Vec::with_capacity(2);
     put_varint(&mut core_bytes, u64::from(core));
-    let checksum = fnv1a64(fnv1a64(FNV_OFFSET, &core_bytes), &body);
+    let checksum = fnv1a64_extend(fnv1a64(&core_bytes), &body);
     let mut frame = Vec::with_capacity(body.len() + 16);
     frame.push(FRAME_MARKER);
     frame.extend_from_slice(&core_bytes);
@@ -319,7 +305,7 @@ pub fn decode_body(
 ) -> DiceResult<()> {
     let mut core_bytes = Vec::with_capacity(2);
     put_varint(&mut core_bytes, u64::from(core));
-    let got = fnv1a64(fnv1a64(FNV_OFFSET, &core_bytes), body);
+    let got = fnv1a64_extend(fnv1a64(&core_bytes), body);
     if got != checksum {
         return Err(parse_err(
             path,
@@ -707,7 +693,7 @@ pub fn file_content_hash(path: impl AsRef<Path>) -> DiceResult<u64> {
     let shown = path.display().to_string();
     let mut f =
         std::fs::File::open(path).map_err(|e| DiceError::io(format!("open dtf {shown}"), &e))?;
-    let mut h = FNV_OFFSET;
+    let mut h = fnv1a64(&[]);
     let mut buf = vec![0u8; 64 << 10];
     loop {
         let n = f
@@ -716,7 +702,7 @@ pub fn file_content_hash(path: impl AsRef<Path>) -> DiceResult<u64> {
         if n == 0 {
             return Ok(h);
         }
-        h = fnv1a64(h, &buf[..n]);
+        h = fnv1a64_extend(h, &buf[..n]);
     }
 }
 

@@ -50,8 +50,8 @@ pub mod varint;
 pub mod writer;
 
 pub use frame::{
-    file_content_hash, fnv1a64, read_core_records, scan, CoreStat, DtfRecord, FrameStep, ScanInfo,
-    FLAG_COMPRESSED, FNV_OFFSET, FRAME_MARKER, MAGIC, MAX_BODY_BYTES, MAX_CORES, MAX_RAW_BYTES,
+    file_content_hash, read_core_records, scan, CoreStat, DtfRecord, FrameStep, ScanInfo,
+    FLAG_COMPRESSED, FRAME_MARKER, MAGIC, MAX_BODY_BYTES, MAX_CORES, MAX_RAW_BYTES,
 };
 pub use stream::{DtfCoreStream, TraceBinding};
 pub use writer::{pack_records, DtfWriter, WriteStats, FRAME_RECORDS};

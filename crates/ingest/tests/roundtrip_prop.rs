@@ -10,10 +10,22 @@ use dice_ingest::{
 use dice_workloads::{RecordSource, TraceRecord};
 use proptest::prelude::*;
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("dice-ingest-prop");
+/// Removes its directory when dropped, at the end of the test.
+struct Scratch(std::path::PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A path for the file `name` in a fresh directory of its own, named by
+/// file and process, and the guard that removes that directory.
+fn tmp(name: &str) -> (Scratch, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("dice-ingest-prop-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{name}-{}", std::process::id()))
+    let path = dir.join(name);
+    (Scratch(dir), path)
 }
 
 fn arb_record() -> impl Strategy<Value = DtfRecord> {
@@ -84,7 +96,7 @@ proptest! {
         frame_records in 1usize..9,
         compress in any::<bool>(),
     ) {
-        let path = tmp("rt.dtf");
+        let (_dir, path) = tmp("rt.dtf");
         write_streams(&path, &streams, frame_records, compress);
         for (core, expect) in streams.iter().enumerate() {
             let got = read_core_records(&path, core as u32).unwrap();
@@ -106,7 +118,7 @@ proptest! {
         flip in any::<u8>(),
     ) {
         let flip = if flip == 0 { 0xA5 } else { flip };
-        let path = tmp("corrupt.dtf");
+        let (_dir, path) = tmp("corrupt.dtf");
         write_streams(&path, &streams, 7, compress);
         let clean = std::fs::read(&path).unwrap();
         let header_len = frame::header_len(streams.len() as u32) as usize;
@@ -127,7 +139,7 @@ proptest! {
     /// not a frame boundary.
     #[test]
     fn truncation_at_every_offset_recovers_a_prefix(streams in arb_streams()) {
-        let path = tmp("trunc.dtf");
+        let (_dir, path) = tmp("trunc.dtf");
         write_streams(&path, &streams, 5, true);
         let clean = std::fs::read(&path).unwrap();
         let header_len = frame::header_len(streams.len() as u32) as usize;
@@ -159,7 +171,7 @@ proptest! {
         frame_records in 1usize..9,
         compress in any::<bool>(),
     ) {
-        let path = tmp("stream.dtf");
+        let (_dir, path) = tmp("stream.dtf");
         write_streams(&path, &streams, frame_records, compress);
         let binding = TraceBinding::open(&path).unwrap();
         let preload = binding.clone().with_preload(true);
@@ -187,7 +199,7 @@ proptest! {
 
 #[test]
 fn torn_tail_is_truncated_and_reported() {
-    let path = tmp("torn.dtf");
+    let (_dir, path) = tmp("torn.dtf");
     let records: Vec<DtfRecord> = (0..50)
         .map(|i| {
             DtfRecord::plain(TraceRecord {
@@ -222,7 +234,7 @@ fn torn_tail_is_truncated_and_reported() {
 
 #[test]
 fn content_hash_tracks_file_bytes() {
-    let path = tmp("hash.dtf");
+    let (_dir, path) = tmp("hash.dtf");
     let mk = |gap: u64| {
         vec![
             DtfRecord::plain(TraceRecord {
@@ -253,7 +265,7 @@ fn content_hash_tracks_file_bytes() {
 
 #[test]
 fn resident_memory_is_bounded_by_frame_size_not_file_size() {
-    let path = tmp("big.dtf");
+    let (_dir, path) = tmp("big.dtf");
     let mut w = DtfWriter::create(&path, 1, true).unwrap();
     let mut line = 0x8000u64;
     for i in 0..200_000u64 {
@@ -292,7 +304,7 @@ fn resident_memory_is_bounded_by_frame_size_not_file_size() {
 
 #[test]
 fn empty_or_headerless_files_are_typed_errors() {
-    let path = tmp("empty.dtf");
+    let (_dir, path) = tmp("empty.dtf");
     let w = DtfWriter::create(&path, 2, false).unwrap();
     let stats = w.finish().unwrap();
     assert_eq!(stats.records, 0);
@@ -307,7 +319,7 @@ fn empty_or_headerless_files_are_typed_errors() {
 
 #[test]
 fn empty_stream_in_multicore_file_is_rejected_at_open() {
-    let path = tmp("gap-core.dtf");
+    let (_dir, path) = tmp("gap-core.dtf");
     let recs: Vec<DtfRecord> = (0..4)
         .map(|i| {
             DtfRecord::plain(TraceRecord {

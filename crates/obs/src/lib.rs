@@ -23,7 +23,11 @@
 //! - [`render_prometheus`] — Prometheus text exposition of a whole
 //!   registry (served by `dice-serve`'s `/metrics`);
 //! - [`DiceError`] / [`ErrorClass`] — the workspace-wide typed error
-//!   hierarchy, with one obs counter per class via [`record_error`].
+//!   hierarchy, with one obs counter per class via [`record_error`];
+//! - [`cli::Flags`] — the one command-line reader of every binary, which
+//!   refuses a malformed line the same way everywhere;
+//! - [`fnv1a64`] — the one FNV-1a behind cache keys, job ids, `.dtf`
+//!   checksums and trace content hashes.
 //!
 //! # Conventions
 //!
@@ -36,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod chrome;
+pub mod cli;
 mod error;
 mod hist;
 mod json;
@@ -97,9 +102,35 @@ pub fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
+/// 64-bit FNV-1a. Stable across platforms and builds, and cheap.
+#[inline]
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues the FNV-1a hash `hash` over `bytes`:
+/// `fnv1a64_extend(fnv1a64(a), b)` is the hash of `a` followed by `b`.
+#[inline]
+#[must_use]
+pub fn fnv1a64_extend(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        // Published FNV-1a test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a64_extend(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
+    }
 
     #[test]
     fn ratio_is_zero_when_idle() {

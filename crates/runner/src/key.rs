@@ -20,19 +20,8 @@
 //! file in place therefore invalidates every cached cell that consumed
 //! the old bytes.
 
+use dice_obs::fnv1a64;
 use dice_sim::{SimConfig, WorkloadSet};
-
-/// 64-bit FNV-1a. Stable across platforms and builds, cheap, and good
-/// enough for a cache keyed by a few thousand distinct configurations.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The canonical text a cell's cache key is hashed from: every field of
 /// the configuration and the workload set.
@@ -58,14 +47,6 @@ pub fn cell_key(cfg: &SimConfig, workload: &WorkloadSet) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
 
     #[test]
     fn version_term_changes_the_key() {

@@ -40,7 +40,8 @@ mod engine;
 mod key;
 
 pub use cache::DiskCache;
+pub use dice_obs::fnv1a64;
 pub use engine::{
     Cell, CellOutcome, CellProgress, ProgressSink, Runner, RunnerConfig, SweepResult,
 };
-pub use key::{cell_fingerprint, cell_key, cell_key_with_version, fnv1a64};
+pub use key::{cell_fingerprint, cell_key, cell_key_with_version};

@@ -7,6 +7,15 @@ use dice_runner::{cell_fingerprint, cell_key};
 use dice_sim::{SimConfig, WorkloadSet};
 use dice_workloads::{spec_table, TraceRecord};
 
+/// Removes its directory when dropped, at the end of the test.
+struct Scratch(std::path::PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn pack(path: &std::path::Path, lines: &[u64]) {
     let mut w = DtfWriter::create(path, 1, false).unwrap();
     for &line in lines {
@@ -22,9 +31,10 @@ fn pack(path: &std::path::Path, lines: &[u64]) {
 
 #[test]
 fn rewriting_the_trace_file_changes_the_cell_key() {
-    let dir = std::env::temp_dir().join("dice-runner-trace-key");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("key-{}.dtf", std::process::id()));
+    let dir =
+        Scratch(std::env::temp_dir().join(format!("dice-runner-trace-key-{}", std::process::id())));
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let path = dir.0.join("key.dtf");
     let spec = spec_table().into_iter().find(|w| w.name == "gcc").unwrap();
     let cfg = SimConfig::scaled(Organization::UncompressedAlloy, 1024);
 

@@ -25,19 +25,12 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
+use dice_obs::cli::Flags;
 use dice_obs::{validate_chrome_trace, Json};
 use dice_runner::{Runner, RunnerConfig};
 use dice_serve::{http_get, http_post, render_runs, validate_prometheus, SweepSpec};
 
-#[derive(Default)]
-struct Args {
-    url: Option<String>,
-    spec: Option<String>,
-    direct: Option<String>,
-    check_metrics: bool,
-    check_trace: bool,
-}
-
+/// The modes, printed when none is given.
 fn usage() -> ! {
     eprintln!(
         "usage: dice-serve-loadgen --url HOST:PORT --spec '<json>'\n\
@@ -46,28 +39,6 @@ fn usage() -> ! {
          \x20      dice-serve-loadgen --url HOST:PORT --check-trace"
     );
     std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("dice-serve-loadgen: {arg} needs {what}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--url" => parsed.url = Some(normalize_url(&value("a host:port"))),
-            "--spec" => parsed.spec = Some(value("a JSON spec")),
-            "--direct" => parsed.direct = Some(value("a JSON spec")),
-            "--check-metrics" => parsed.check_metrics = true,
-            "--check-trace" => parsed.check_trace = true,
-            _ => usage(),
-        }
-    }
-    parsed
 }
 
 /// Accepts `http://host:port[/]` or bare `host:port`.
@@ -161,17 +132,23 @@ fn check_trace(addr: &str) -> Result<usize, String> {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut flags = Flags::from_env("dice-serve-loadgen");
+    let url = flags.value("--url").map(|url| normalize_url(&url));
+    let spec = flags.value("--spec");
+    let direct = flags.value("--direct");
+    let probe_metrics = flags.switch("--check-metrics");
+    let probe_trace = flags.switch("--check-trace");
+    flags.finish();
 
-    if let Some(spec) = &args.direct {
+    if let Some(spec) = &direct {
         std::process::exit(run_direct(spec));
     }
 
-    let Some(addr) = args.url.as_deref() else {
+    let Some(addr) = url.as_deref() else {
         usage();
     };
 
-    if args.check_metrics {
+    if probe_metrics {
         let resp = match http_get(addr, "/metrics") {
             Ok(resp) if resp.status == 200 => resp,
             Ok(resp) => {
@@ -195,7 +172,7 @@ fn main() {
         }
     }
 
-    if args.check_trace {
+    if probe_trace {
         match check_trace(addr) {
             Ok(events) => {
                 println!("/v1/sweeps/:id/trace is a valid Chrome trace ({events} events)");
@@ -208,7 +185,7 @@ fn main() {
         return;
     }
 
-    let Some(spec) = &args.spec else {
+    let Some(spec) = &spec else {
         usage();
     };
     match submit_and_wait(addr, spec) {

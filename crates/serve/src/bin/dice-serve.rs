@@ -11,67 +11,30 @@
 //! scripts can scrape it. The first termination signal starts a graceful
 //! drain (stop accepting, finish in-flight sweeps, persist their cells);
 //! a second signal cooperatively cancels the remaining cells. Exits 0 on
-//! a clean drain.
+//! a clean drain. A malformed flag or a zero count exits 2 with one
+//! stderr line naming it, before anything binds.
 
 use std::io::Write;
 
+use dice_obs::cli::Flags;
 use dice_serve::signal;
 use dice_serve::{ServeConfig, Server};
 
-struct Args {
-    config: ServeConfig,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: dice-serve [--port P] [--conn-workers N] [--queue N] \
-         [--sweep-workers N] [--jobs N] [--cache DIR] [--verbose]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut config = ServeConfig::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("dice-serve: {arg} needs {what}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--port" => {
-                config.port = value("a port").parse().unwrap_or_else(|_| usage());
-            }
-            "--conn-workers" => {
-                config.conn_workers = value("a count").parse().unwrap_or_else(|_| usage());
-            }
-            "--queue" => {
-                config.queue.capacity = value("a capacity").parse().unwrap_or_else(|_| usage());
-            }
-            "--sweep-workers" => {
-                config.queue.workers = value("a count").parse().unwrap_or_else(|_| usage());
-            }
-            "--jobs" => {
-                config.queue.runner.jobs = value("a count").parse().unwrap_or_else(|_| usage());
-            }
-            "--cache" => {
-                config.queue.runner.cache_dir = Some(value("a directory").into());
-            }
-            "--verbose" => config.queue.runner.verbose = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-    Args { config }
-}
-
 fn main() {
-    let args = parse_args();
+    let mut flags = Flags::from_env("dice-serve");
+    let mut config = ServeConfig::default();
+    config.port = flags.number("--port", config.port);
+    config.conn_workers = flags.count("--conn-workers", config.conn_workers);
+    config.queue.capacity = flags.count("--queue", config.queue.capacity);
+    config.queue.workers = flags.count("--sweep-workers", config.queue.workers);
+    let runner = &mut config.queue.runner;
+    runner.jobs = flags.count("--jobs", runner.jobs);
+    runner.cache_dir = flags.value("--cache").map(Into::into);
+    runner.verbose = flags.switch("--verbose");
+    flags.finish();
     signal::install();
 
-    let server = match Server::bind(args.config) {
+    let server = match Server::bind(config) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("dice-serve: bind failed: {e}");

@@ -18,6 +18,27 @@ fn small_cfg(org: Organization) -> SimConfig {
     SimConfig::scaled(org, 512).with_records(400, 1200)
 }
 
+/// Removes its directory when dropped, at the end of the test.
+struct Scratch(std::path::PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A `.dtf` path in a fresh directory of its own, named by test and
+/// process, and the guard that removes that directory.
+fn trace_path(name: &str) -> (Scratch, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!(
+        "dice-sim-trace-ingest-{name}-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{name}.dtf"));
+    (Scratch(dir), path)
+}
+
 /// Packs a synthetic multi-core trace.
 fn pack_trace(path: &std::path::Path, cores: usize, per_core: u64) {
     let s = spec("mcf");
@@ -36,9 +57,7 @@ fn pack_trace(path: &std::path::Path, cores: usize, per_core: u64) {
 
 #[test]
 fn streamed_trace_report_is_byte_identical_to_in_memory() {
-    let dir = std::env::temp_dir().join("dice-sim-trace-ingest");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("equiv-{}.dtf", std::process::id()));
+    let (_dir, path) = trace_path("equiv");
     pack_trace(&path, 8, 2000);
 
     let binding = TraceBinding::open(&path).unwrap();
@@ -75,9 +94,7 @@ fn streamed_trace_report_is_byte_identical_to_in_memory() {
 /// streamed and preloaded modes.
 #[test]
 fn narrow_trace_fans_out_over_more_cores() {
-    let dir = std::env::temp_dir().join("dice-sim-trace-ingest");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("narrow-{}.dtf", std::process::id()));
+    let (_dir, path) = trace_path("narrow");
     pack_trace(&path, 2, 1500);
 
     let binding = TraceBinding::open(&path).unwrap();

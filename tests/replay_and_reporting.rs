@@ -14,10 +14,25 @@ fn small_cfg(org: Organization) -> SimConfig {
     SimConfig::scaled(org, 1024).with_records(2_000, 4_000)
 }
 
-fn trace_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("dice-integration-trace");
+/// Removes its directory when dropped, at the end of the test.
+struct Scratch(std::path::PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A `.dtf` path in a fresh directory of its own, named by test and
+/// process, and the guard that removes that directory.
+fn trace_path(name: &str) -> (Scratch, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!(
+        "dice-integration-trace-{name}-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{name}-{}.dtf", std::process::id()))
+    let path = dir.join(format!("{name}.dtf"));
+    (Scratch(dir), path)
 }
 
 /// Recording a generator into a `.dtf` file and replaying it must
@@ -32,7 +47,7 @@ fn replayed_trace_matches_generated_run() {
 
     // Record exactly the records the run consumed (warmup + measure), one
     // stream per core, then replay the file.
-    let path = trace_path("generated");
+    let (_dir, path) = trace_path("generated");
     let total = cfg.warmup_records + cfg.measure_records;
     let mut w = DtfWriter::create(&path, 8, true).unwrap();
     for core in 0..8 {
@@ -55,7 +70,7 @@ fn replayed_trace_matches_generated_run() {
 /// stream replays them in order, looping at end of trace.
 #[test]
 fn trace_files_round_trip_through_disk() {
-    let path = trace_path("roundtrip");
+    let (_dir, path) = trace_path("roundtrip");
     let mut g = TraceGen::with_scale(&spec("mcf"), 2, 77, 512);
     let records: Vec<TraceRecord> = (0..5_000).map(|_| g.next_record()).collect();
     pack_records(&path, &records, true).unwrap();
