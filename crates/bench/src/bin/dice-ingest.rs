@@ -32,15 +32,11 @@
 //!             --measure N     measured records per core (60000)
 //!             --jobs N        worker threads, positive (default: all
 //!                             cores)
-//!             --replay-in-memory  preload the trace instead of streaming
-//!                             (the report is byte-identical either way)
-//!             --skew          give even-indexed cells a 6x measure window,
-//!                             forcing the scheduler to steal work
 //! ```
 //!
-//! `sweep` prints a deterministic JSON report on stdout (identical for
-//! streamed and preloaded replay, and for any `--jobs`), and scheduler
-//! statistics — including `steals=` and `tail_idle_ms=` — on stderr.
+//! `sweep` streams the trace off disk with bounded memory, prints a
+//! deterministic JSON report on stdout (identical for any `--jobs`), and
+//! the runner's summary with `tail_idle_ms=` on stderr.
 //! A malformed flag or an out-of-bounds value exits 2 with one stderr
 //! line naming it, before any file is written or cell declared.
 
@@ -276,8 +272,6 @@ fn cmd_sweep(flags: &mut Flags) {
     let scale = flags.number("--scale", 256);
     let warmup = flags.number("--warmup", 20_000);
     let measure = flags.number("--measure", 60_000);
-    let preload = flags.switch("--replay-in-memory");
-    let skew = flags.switch("--skew");
     let mut runner_cfg = RunnerConfig::default();
     runner_cfg.jobs = flags.count("--jobs", runner_cfg.jobs);
     flags.finish();
@@ -286,32 +280,24 @@ fn cmd_sweep(flags: &mut Flags) {
     }
 
     let binding = TraceBinding::open(&input)
-        .unwrap_or_else(|e| fail(&format!("opening {}", input.display()), &e))
-        .with_preload(preload);
+        .unwrap_or_else(|e| fail(&format!("opening {}", input.display()), &e));
     let wl_name = format!("trace-{}", spec.name);
     let wl = WorkloadSet::traced(&wl_name, spec, seed, binding.clone());
 
-    let mut cells = Vec::new();
-    for (i, (tag, org)) in SWEEP_ORGS.into_iter().enumerate() {
-        // The skew is keyed on the cell index, not the job count, so the
-        // report stays identical for any --jobs; only the schedule moves.
-        let m = if skew && i % 2 == 0 {
-            measure * 6
-        } else {
-            measure
-        };
-        let cfg = SimConfig::scaled(org, scale).with_records(warmup, m);
-        cells.push(Cell::new(tag, cfg, wl.clone()));
-    }
+    let cells = SWEEP_ORGS
+        .into_iter()
+        .map(|(tag, org)| {
+            let cfg = SimConfig::scaled(org, scale).with_records(warmup, measure);
+            Cell::new(tag, cfg, wl.clone())
+        })
+        .collect();
 
     let runner = Runner::new(runner_cfg).unwrap_or_else(|e| fail("building runner", &e));
     let sweep = runner.run(cells);
     eprintln!(
-        "[dice-ingest] sweep: {} steals={} tail_idle_ms={} mode={}",
+        "[dice-ingest] sweep: {} tail_idle_ms={}",
         sweep.summary(),
-        sweep.steals,
         sweep.tail_idle_ms,
-        if preload { "preload" } else { "streamed" },
     );
 
     let report_of = |tag: &str| -> &RunReport {
@@ -343,9 +329,8 @@ fn cmd_sweep(flags: &mut Flags) {
             ])
         })
         .collect();
-    // No scheduling or replay-mode facts on stdout: the report must be
-    // byte-identical between streamed and preloaded replay and for any
-    // --jobs (CI compares the two outputs with `cmp`).
+    // No scheduling facts on stdout: the report must be byte-identical
+    // for any --jobs (CI compares two job counts with `cmp`).
     let out = Json::Obj(vec![
         (
             "trace".into(),
@@ -366,7 +351,6 @@ fn cmd_sweep(flags: &mut Flags) {
                 ("scale".into(), Json::u64(scale)),
                 ("warmup_records".into(), Json::u64(warmup)),
                 ("measure_records".into(), Json::u64(measure)),
-                ("skew".into(), Json::Bool(skew)),
             ]),
         ),
         ("runs".into(), Json::Arr(runs)),

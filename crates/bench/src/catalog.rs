@@ -91,7 +91,7 @@ pub const EXPERIMENT_CATALOG: &[ExperimentInfo] = &[
     },
     ExperimentInfo {
         id: "ingest",
-        description: "Trace ingestion: DICE on a packed .dtf trace, streamed vs preloaded",
+        description: "Trace ingestion: DICE on a packed .dtf trace, streamed off disk",
     },
 ];
 

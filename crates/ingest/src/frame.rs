@@ -26,7 +26,8 @@
 //! dropped and reported, not an error — while a checksum mismatch on a
 //! complete frame is always a typed [`DiceError::TraceParse`].
 
-use std::io::{BufRead, Read, Seek, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use dice_obs::{fnv1a64, fnv1a64_extend, DiceError, DiceResult};
@@ -470,6 +471,134 @@ pub fn next_frame_header(
     })
 }
 
+/// A forward walk over one `.dtf` file's frames: the open file, its
+/// stream count, the number of the last frame header read (1-based; every
+/// error names it) and the reused body and decompression buffers.
+/// [`scan`], [`read_core_records`] and the streaming reader all step
+/// through a file with it.
+#[derive(Debug)]
+pub(crate) struct FrameCursor {
+    r: BufReader<File>,
+    path: String,
+    cores: u32,
+    file_len: u64,
+    frame_no: u64,
+    body: Vec<u8>,
+    scratch: Vec<u8>,
+}
+
+impl FrameCursor {
+    /// Opens `path` and reads its header; the cursor then stands on the
+    /// first frame.
+    fn open(path: &Path) -> DiceResult<Self> {
+        let shown = path.display().to_string();
+        let file = File::open(path).map_err(|e| DiceError::io(format!("open dtf {shown}"), &e))?;
+        let file_len = file
+            .metadata()
+            .map_err(|e| DiceError::io(format!("stat dtf {shown}"), &e))?
+            .len();
+        let mut r = BufReader::new(file);
+        let cores = read_header(&mut r, &shown)?;
+        Ok(Self {
+            r,
+            path: shown,
+            cores,
+            file_len,
+            frame_no: 0,
+            body: Vec::new(),
+            scratch: Vec::new(),
+        })
+    }
+
+    /// [`open`](Self::open) for reading stream `file_core`, which the
+    /// header must declare ([`DiceError::Config`] otherwise).
+    pub(crate) fn open_stream(path: &Path, file_core: u32) -> DiceResult<Self> {
+        let cursor = Self::open(path)?;
+        if file_core >= cursor.cores {
+            return Err(DiceError::Config {
+                field: "dtf core".to_owned(),
+                reason: format!("stream {file_core} requested, file has {}", cursor.cores),
+            });
+        }
+        Ok(cursor)
+    }
+
+    /// Steps to the next frame of stream `want`, seeking past other
+    /// streams' bodies, then checks and decodes it into `out`. With
+    /// `want` `None` every frame is taken, and one naming a stream the
+    /// header does not declare is an error. Returns the frame's header,
+    /// or how the file ended.
+    pub(crate) fn next(
+        &mut self,
+        want: Option<u32>,
+        keep_values: bool,
+        out: &mut Vec<DtfRecord>,
+    ) -> DiceResult<FrameStep> {
+        loop {
+            self.frame_no += 1;
+            let step = next_frame_header(&mut self.r, self.file_len, &self.path, self.frame_no)?;
+            let FrameStep::Frame {
+                core,
+                body_len,
+                checksum,
+            } = step
+            else {
+                return Ok(step);
+            };
+            match want {
+                Some(want) if want != core => {
+                    self.r
+                        .seek_relative(body_len as i64)
+                        .map_err(|e| DiceError::io(format!("seek dtf {}", self.path), &e))?;
+                    continue;
+                }
+                None if core >= self.cores => {
+                    return Err(self.error(format!(
+                        "frame for core {core} but header declares {}",
+                        self.cores
+                    )));
+                }
+                _ => {}
+            }
+            self.body.resize(body_len, 0);
+            self.r
+                .read_exact(&mut self.body)
+                .map_err(|e| DiceError::io(format!("read dtf {}", self.path), &e))?;
+            decode_body(
+                core,
+                checksum,
+                &self.body,
+                keep_values,
+                out,
+                &mut self.scratch,
+                &self.path,
+                self.frame_no,
+            )?;
+            return Ok(step);
+        }
+    }
+
+    /// Seeks back to the first frame and restarts the frame count.
+    pub(crate) fn rewind(&mut self) -> DiceResult<()> {
+        self.frame_no = 0;
+        self.r
+            .seek(SeekFrom::Start(header_len(self.cores)))
+            .map_err(|e| DiceError::io(format!("seek dtf {}", self.path), &e))?;
+        Ok(())
+    }
+
+    /// A [`DiceError::TraceParse`] naming the file and the last frame
+    /// header read.
+    pub(crate) fn error(&self, reason: impl Into<String>) -> DiceError {
+        parse_err(&self.path, self.frame_no, reason)
+    }
+
+    /// Capacity of the reused body and decompression buffers.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.body.capacity() + self.scratch.capacity()
+    }
+}
+
 /// Per-stream statistics collected by [`scan`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStat {
@@ -525,77 +654,37 @@ pub struct ScanInfo {
 /// Returns [`DiceError::Io`] on I/O failure and [`DiceError::TraceParse`]
 /// on any corruption (and, under `strict`, on a torn tail).
 pub fn scan(path: impl AsRef<Path>, strict: bool) -> DiceResult<ScanInfo> {
-    let path = path.as_ref();
-    let shown = path.display().to_string();
-    let file =
-        std::fs::File::open(path).map_err(|e| DiceError::io(format!("open dtf {shown}"), &e))?;
-    let file_len = file
-        .metadata()
-        .map_err(|e| DiceError::io(format!("stat dtf {shown}"), &e))?
-        .len();
-    let mut r = std::io::BufReader::new(file);
-    let cores = read_header(&mut r, &shown)?;
+    let mut frames = FrameCursor::open(path.as_ref())?;
     let mut info = ScanInfo {
-        cores,
+        cores: frames.cores,
         records: 0,
         frames: 0,
         compressed_frames: 0,
-        per_core: vec![CoreStat::default(); cores as usize],
+        per_core: vec![CoreStat::default(); frames.cores as usize],
         dropped_bytes: 0,
-        file_bytes: file_len,
+        file_bytes: frames.file_len,
         raw_payload_bytes: 0,
     };
-    let mut body = Vec::new();
     let mut records = Vec::new();
-    let mut scratch = Vec::new();
     loop {
-        let frame_no = info.frames + 1;
-        match next_frame_header(&mut r, file_len, &shown, frame_no)? {
+        match frames.next(None, false, &mut records)? {
             FrameStep::Eof => break,
             FrameStep::Torn { dropped } => {
                 if strict {
-                    return Err(parse_err(
-                        &shown,
-                        frame_no,
-                        format!("torn tail: {dropped} trailing bytes"),
-                    ));
+                    return Err(frames.error(format!("torn tail: {dropped} trailing bytes")));
                 }
                 info.dropped_bytes = dropped;
                 break;
             }
-            FrameStep::Frame {
-                core,
-                body_len,
-                checksum,
-            } => {
-                if core >= cores {
-                    return Err(parse_err(
-                        &shown,
-                        frame_no,
-                        format!("frame for core {core} but header declares {cores}"),
-                    ));
-                }
-                body.resize(body_len, 0);
-                r.read_exact(&mut body)
-                    .map_err(|e| DiceError::io(format!("read dtf {shown}"), &e))?;
-                decode_body(
-                    core,
-                    checksum,
-                    &body,
-                    false,
-                    &mut records,
-                    &mut scratch,
-                    &shown,
-                    frame_no,
-                )?;
+            FrameStep::Frame { core, .. } => {
                 let mut count_var = Vec::with_capacity(10);
                 put_varint(&mut count_var, records.len() as u64);
-                if body.first() == Some(&FLAG_COMPRESSED) {
+                if frames.body.first() == Some(&FLAG_COMPRESSED) {
                     info.compressed_frames += 1;
-                    // decode_body left the decompressed payload in scratch.
-                    info.raw_payload_bytes += scratch.len() as u64;
+                    // The decoder left the decompressed payload in scratch.
+                    info.raw_payload_bytes += frames.scratch.len() as u64;
                 } else {
-                    info.raw_payload_bytes += (body.len() - 1 - count_var.len()) as u64;
+                    info.raw_payload_bytes += (frames.body.len() - 1 - count_var.len()) as u64;
                 }
                 let stat = &mut info.per_core[core as usize];
                 for dr in &records {
@@ -617,8 +706,8 @@ pub fn scan(path: impl AsRef<Path>, strict: bool) -> DiceResult<ScanInfo> {
 }
 
 /// Fully decodes the records of one stream (values included) — the
-/// in-memory path the streamed reader is byte-compared against, and the
-/// unpacker's workhorse. Torn tails are truncated away (recovery
+/// unpacker's workhorse, and the reference the streamed reader is
+/// compared against in tests. Torn tails are truncated away (recovery
 /// semantics).
 ///
 /// # Errors
@@ -627,57 +716,11 @@ pub fn scan(path: impl AsRef<Path>, strict: bool) -> DiceResult<ScanInfo> {
 /// corruption, or [`DiceError::Config`] when `file_core` is outside the
 /// header's stream count.
 pub fn read_core_records(path: impl AsRef<Path>, file_core: u32) -> DiceResult<Vec<DtfRecord>> {
-    let path = path.as_ref();
-    let shown = path.display().to_string();
-    let file =
-        std::fs::File::open(path).map_err(|e| DiceError::io(format!("open dtf {shown}"), &e))?;
-    let file_len = file
-        .metadata()
-        .map_err(|e| DiceError::io(format!("stat dtf {shown}"), &e))?
-        .len();
-    let mut r = std::io::BufReader::new(file);
-    let cores = read_header(&mut r, &shown)?;
-    if file_core >= cores {
-        return Err(DiceError::Config {
-            field: "dtf core".to_owned(),
-            reason: format!("stream {file_core} requested, file has {cores}"),
-        });
-    }
+    let mut frames = FrameCursor::open_stream(path.as_ref(), file_core)?;
     let mut out = Vec::new();
-    let mut body = Vec::new();
     let mut records = Vec::new();
-    let mut scratch = Vec::new();
-    let mut frame_no = 0u64;
-    loop {
-        frame_no += 1;
-        match next_frame_header(&mut r, file_len, &shown, frame_no)? {
-            FrameStep::Eof | FrameStep::Torn { .. } => break,
-            FrameStep::Frame {
-                core,
-                body_len,
-                checksum,
-            } => {
-                if core != file_core {
-                    r.seek_relative(body_len as i64)
-                        .map_err(|e| DiceError::io(format!("seek dtf {shown}"), &e))?;
-                    continue;
-                }
-                body.resize(body_len, 0);
-                r.read_exact(&mut body)
-                    .map_err(|e| DiceError::io(format!("read dtf {shown}"), &e))?;
-                decode_body(
-                    core,
-                    checksum,
-                    &body,
-                    true,
-                    &mut records,
-                    &mut scratch,
-                    &shown,
-                    frame_no,
-                )?;
-                out.append(&mut records);
-            }
-        }
+    while let FrameStep::Frame { .. } = frames.next(Some(file_core), true, &mut records)? {
+        out.append(&mut records);
     }
     Ok(out)
 }
@@ -691,8 +734,7 @@ pub fn read_core_records(path: impl AsRef<Path>, file_core: u32) -> DiceResult<V
 pub fn file_content_hash(path: impl AsRef<Path>) -> DiceResult<u64> {
     let path = path.as_ref();
     let shown = path.display().to_string();
-    let mut f =
-        std::fs::File::open(path).map_err(|e| DiceError::io(format!("open dtf {shown}"), &e))?;
+    let mut f = File::open(path).map_err(|e| DiceError::io(format!("open dtf {shown}"), &e))?;
     let mut h = fnv1a64(&[]);
     let mut buf = vec![0u8; 64 << 10];
     loop {

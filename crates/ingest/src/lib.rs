@@ -26,9 +26,8 @@
 //!   is smaller.
 //! * **Bounded-memory streaming** — [`DtfCoreStream`] holds one decoded
 //!   frame per core stream and seeks past other cores' frames, so trace
-//!   size never affects resident memory; it loops at end-of-trace, and a
-//!   sweep driven by a streamed file is byte-identical to the same
-//!   records preloaded into memory.
+//!   size never affects resident memory; it loops at end-of-trace, and it
+//!   is the only way a bound file's records reach the simulator.
 //! * **Cache-safe bindings** — [`TraceBinding`] validates a file once,
 //!   records per-stream footprints and the file's FNV-1a content hash,
 //!   and travels inside `WorkloadSet` where its `Debug` rendering feeds
@@ -37,8 +36,8 @@
 //!   record streams, and `.dtf` is the only trace format it reads.
 //!
 //! The `dice-ingest` CLI (in `crates/bench`, next to `experiments`)
-//! packs text/synthetic traces into `.dtf`, inspects them, and runs
-//! streamed-vs-in-memory equivalence sweeps.
+//! packs text/synthetic traces into `.dtf`, inspects them, and runs the
+//! organization sweep straight off a packed file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

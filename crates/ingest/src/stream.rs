@@ -11,17 +11,15 @@
 //! data, which is exactly what flows into the runner's disk-cache key, so
 //! a cached cell can never outlive a changed trace file; its
 //! [`open_core`](TraceBinding::open_core) hands the simulator one looping
-//! record stream per core.
+//! [`DtfCoreStream`] per core, the only way a bound file's records reach
+//! it.
 
-use std::fs::File;
-use std::io::Read as _;
-use std::io::{BufReader, Seek, SeekFrom};
 use std::path::Path;
 
 use dice_obs::{DiceError, DiceResult};
 use dice_workloads::{RecordSource, TraceRecord};
 
-use crate::frame::{self, next_frame_header, CoreStat, DtfRecord, FrameStep};
+use crate::frame::{self, CoreStat, DtfRecord, FrameCursor, FrameStep};
 
 /// A validated, content-hashed reference to a `.dtf` trace file: the
 /// form in which a file-backed workload travels through `WorkloadSet`,
@@ -38,7 +36,6 @@ pub struct TraceBinding {
     core_records: Vec<u64>,
     core_footprints: Vec<u64>,
     dropped_bytes: u64,
-    preload: bool,
 }
 
 impl TraceBinding {
@@ -73,19 +70,7 @@ impl TraceBinding {
                 .map(CoreStat::footprint_lines)
                 .collect(),
             dropped_bytes: info.dropped_bytes,
-            preload: false,
         })
-    }
-
-    /// Switches the binding to preload mode: [`open_core`](Self::open_core)
-    /// decodes each stream into memory up front instead of streaming
-    /// frames. Used by the byte-identity harness (streamed vs in-memory)
-    /// and small traces; the flag is `Debug`-visible, so the two modes
-    /// never share a cache entry.
-    #[must_use]
-    pub fn with_preload(mut self, preload: bool) -> Self {
-        self.preload = preload;
-        self
     }
 
     /// The trace file path as bound.
@@ -133,13 +118,11 @@ impl TraceBinding {
         core % self.cores
     }
 
-    /// Opens a fresh record stream for simulated core `core` (file stream
-    /// [`map_core`](Self::map_core)`(core)`, so a trace recorded on fewer
-    /// cores still drives every core deterministically). The stream loops
-    /// at end of trace, since simulation windows often exceed trace
-    /// length. It is a bounded-memory [`DtfCoreStream`], or the stream's
-    /// records decoded up front in preload mode; both yield the same
-    /// records and footprint, so the two modes run byte-identically.
+    /// Opens a fresh bounded-memory [`DtfCoreStream`] for simulated core
+    /// `core` (file stream [`map_core`](Self::map_core)`(core)`, so a
+    /// trace recorded on fewer cores still drives every core
+    /// deterministically). The stream loops at end of trace, since
+    /// simulation windows often exceed trace length.
     ///
     /// # Errors
     ///
@@ -147,53 +130,19 @@ impl TraceBinding {
     /// records, or any I/O or parse error of the file.
     pub fn open_core(&self, core: u32) -> DiceResult<Box<dyn RecordSource + Send>> {
         let file_core = self.map_core(core);
-        let empty = || DiceError::Config {
-            field: "dtf trace".to_owned(),
-            reason: format!(
-                "{}: stream {file_core} (for core {core}) holds no records",
-                self.path
-            ),
-        };
         if self.core_records(file_core) == 0 {
-            return Err(empty());
+            return Err(DiceError::Config {
+                field: "dtf trace".to_owned(),
+                reason: format!(
+                    "{}: stream {file_core} (for core {core}) holds no records",
+                    self.path
+                ),
+            });
         }
         let footprint = self.core_footprints[file_core as usize];
-        if self.preload {
-            let records: Vec<TraceRecord> = frame::read_core_records(&self.path, file_core)?
-                .into_iter()
-                .map(|r| r.rec)
-                .collect();
-            if records.is_empty() {
-                return Err(empty());
-            }
-            return Ok(Box::new(Preloaded {
-                records,
-                pos: 0,
-                footprint,
-            }));
-        }
         Ok(Box::new(DtfCoreStream::open(
             &self.path, file_core, footprint,
         )?))
-    }
-}
-
-/// Preload mode's stream: one file stream's records in memory, looping.
-struct Preloaded {
-    records: Vec<TraceRecord>,
-    pos: usize,
-    footprint: u64,
-}
-
-impl RecordSource for Preloaded {
-    fn next_record(&mut self) -> TraceRecord {
-        let r = self.records[self.pos];
-        self.pos = (self.pos + 1) % self.records.len();
-        r
-    }
-
-    fn footprint_lines(&self) -> u64 {
-        self.footprint
     }
 }
 
@@ -203,23 +152,12 @@ impl RecordSource for Preloaded {
 /// (truncating any torn tail, like the fabric journal's recovery).
 #[derive(Debug)]
 pub struct DtfCoreStream {
-    r: BufReader<File>,
-    path: String,
+    frames: FrameCursor,
     file_core: u32,
-    /// Offset of the first frame (just past the header).
-    first_frame: u64,
-    file_len: u64,
     footprint: u64,
     /// Decoded records of the current frame (values dropped).
     buf: Vec<DtfRecord>,
     pos: usize,
-    /// Frames decoded since the last loop restart (error context + the
-    /// empty-pass guard).
-    frame_no: u64,
-    /// Reused frame-body buffer.
-    body: Vec<u8>,
-    /// Reused decompression buffer.
-    scratch: Vec<u8>,
 }
 
 impl DtfCoreStream {
@@ -231,45 +169,22 @@ impl DtfCoreStream {
     /// Returns [`DiceError::Io`] on I/O failure or [`DiceError::TraceParse`]
     /// on a bad header.
     pub fn open(path: impl AsRef<Path>, file_core: u32, footprint: u64) -> DiceResult<Self> {
-        let path = path.as_ref();
-        let shown = path.display().to_string();
-        let file = File::open(path).map_err(|e| DiceError::io(format!("open dtf {shown}"), &e))?;
-        let file_len = file
-            .metadata()
-            .map_err(|e| DiceError::io(format!("stat dtf {shown}"), &e))?
-            .len();
-        let mut r = BufReader::new(file);
-        let cores = frame::read_header(&mut r, &shown)?;
-        if file_core >= cores {
-            return Err(DiceError::Config {
-                field: "dtf core".to_owned(),
-                reason: format!("stream {file_core} requested, file has {cores}"),
-            });
-        }
-        let first_frame = frame::header_len(cores);
         Ok(Self {
-            r,
-            path: shown,
+            frames: FrameCursor::open_stream(path.as_ref(), file_core)?,
             file_core,
-            first_frame,
-            file_len,
             footprint,
             buf: Vec::new(),
             pos: 0,
-            frame_no: 0,
-            body: Vec::new(),
-            scratch: Vec::new(),
         })
     }
 
-    /// Current resident-buffer bytes (capacities of the three reusable
-    /// buffers). Bounded by the per-frame caps for any file size — the
-    /// memory contract the bounded-memory test pins down.
+    /// Current resident-buffer bytes (capacities of the frame-body,
+    /// decompression and decoded-record buffers). Bounded by the
+    /// per-frame caps for any file size — the memory contract the
+    /// bounded-memory test pins down.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.body.capacity()
-            + self.scratch.capacity()
-            + self.buf.capacity() * std::mem::size_of::<DtfRecord>()
+        self.frames.resident_bytes() + self.buf.capacity() * std::mem::size_of::<DtfRecord>()
     }
 
     /// Decodes the next frame belonging to this stream into `buf`,
@@ -277,58 +192,28 @@ impl DtfCoreStream {
     fn refill(&mut self) -> DiceResult<()> {
         let mut looped = false;
         loop {
-            self.frame_no += 1;
-            match next_frame_header(&mut self.r, self.file_len, &self.path, self.frame_no)? {
-                FrameStep::Eof | FrameStep::Torn { .. } => {
-                    if looped {
-                        // A full pass found no frame for this stream even
-                        // though the binding said there was one: the file
-                        // changed underneath us.
-                        return Err(DiceError::TraceParse {
-                            path: self.path.clone(),
-                            line: self.frame_no,
-                            reason: format!(
-                                "no frames for stream {} in a full pass",
-                                self.file_core
-                            ),
-                        });
-                    }
-                    looped = true;
-                    self.frame_no = 0;
-                    self.r
-                        .seek(SeekFrom::Start(self.first_frame))
-                        .map_err(|e| DiceError::io(format!("seek dtf {}", self.path), &e))?;
-                }
-                FrameStep::Frame {
-                    core,
-                    body_len,
-                    checksum,
-                } => {
-                    if core != self.file_core {
-                        self.r
-                            .seek_relative(body_len as i64)
-                            .map_err(|e| DiceError::io(format!("seek dtf {}", self.path), &e))?;
-                        continue;
-                    }
-                    self.body.resize(body_len, 0);
-                    self.r
-                        .read_exact(&mut self.body)
-                        .map_err(|e| DiceError::io(format!("read dtf {}", self.path), &e))?;
-                    frame::decode_body(
-                        core,
-                        checksum,
-                        &self.body,
-                        false,
-                        &mut self.buf,
-                        &mut self.scratch,
-                        &self.path,
-                        self.frame_no,
-                    )?;
-                    if self.buf.is_empty() {
-                        continue; // legal but useless frame; keep scanning
-                    }
+            match self
+                .frames
+                .next(Some(self.file_core), false, &mut self.buf)?
+            {
+                // A legal but useless empty frame; keep scanning.
+                FrameStep::Frame { .. } if self.buf.is_empty() => {}
+                FrameStep::Frame { .. } => {
                     self.pos = 0;
                     return Ok(());
+                }
+                // A full pass found no frame for this stream even though
+                // the binding said there was one: the file changed
+                // underneath us.
+                FrameStep::Eof | FrameStep::Torn { .. } if looped => {
+                    return Err(self.frames.error(format!(
+                        "no frames for stream {} in a full pass",
+                        self.file_core
+                    )));
+                }
+                FrameStep::Eof | FrameStep::Torn { .. } => {
+                    looped = true;
+                    self.frames.rewind()?;
                 }
             }
         }

@@ -2,23 +2,18 @@
 //!
 //! Declare-then-execute: callers enumerate every `(config, workload)`
 //! [`Cell`] of a sweep up front, and [`Runner::run`] schedules them across
-//! a pool of worker threads using **work-stealing deques**: cells are
-//! dealt round-robin into one double-ended queue per worker, each worker
-//! pops its own queue LIFO (back), and a worker that runs dry steals the
-//! front half (FIFO) of the longest remaining queue. Skewed sweeps — a
-//! few slow full-scale cells amid hundreds of fast ones — therefore keep
-//! every thread busy until the global queue set drains, instead of
-//! leaving late-claiming threads idle behind one shared work index.
-//! Steal operations and end-of-sweep idle time are reported as
-//! [`SweepResult::steals`] and [`SweepResult::tail_idle_ms`].
+//! a pool of worker threads that claim cells from **one shared counter**:
+//! each worker takes the highest unclaimed cell index, so a sweep runs
+//! back to front, and a worker exits when none is left. A cell simulates
+//! for tens of milliseconds, so a claim is cheap beside it. End-of-sweep
+//! idle time is reported as [`SweepResult::tail_idle_ms`].
 //!
 //! Three properties the harness depends on:
 //!
 //! * **Determinism** — a cell's result depends only on its config and
 //!   workload (the simulator is seeded), and results are keyed and
 //!   returned in a sorted map, so `--jobs 1` and `--jobs N` produce
-//!   byte-identical artifacts regardless of which worker ran (or stole)
-//!   which cell.
+//!   byte-identical artifacts regardless of which worker ran which cell.
 //! * **Fault isolation** — each cell runs under `catch_unwind`; a
 //!   diverging configuration turns into a [`CellOutcome::Failed`] entry
 //!   with the panic message, and every other cell still completes.
@@ -27,12 +22,12 @@
 //!   [`DiskCache`] attached, completed cells persist across invocations
 //!   and resume interrupted sweeps for free.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use dice_obs::{Histogram, MetricRegistry, SpanGuard, TraceCtx};
@@ -217,13 +212,13 @@ pub struct SweepResult {
     /// Cells never started because the [`RunnerConfig::cancel`] flag
     /// flipped mid-sweep (they have no entry in `outcomes`).
     pub cancelled: usize,
-    /// Successful steal operations: times an idle worker took the front
-    /// half of another worker's queue. Zero on single-job runs and on
-    /// sweeps balanced enough that no worker ever ran dry early.
+    /// Always 0: workers claim cells from one shared counter, so none
+    /// takes work from another. Kept because the benchmark harness reads
+    /// it.
     pub steals: u64,
     /// Total worker idle time at the sweep tail, in milliseconds: for
-    /// each worker, the gap between it running out of stealable work and
-    /// the last worker finishing, summed. Large values relative to
+    /// each worker, the gap between it finding no cell left to claim and
+    /// the sweep's end, summed. Large values relative to
     /// [`wall`](Self::wall) mean the tail was serialized on a few slow
     /// cells.
     pub tail_idle_ms: u64,
@@ -297,7 +292,6 @@ impl SweepResult {
             ("runner.deduped", self.deduped as u64),
             ("runner.cancelled", self.cancelled as u64),
             ("runner.cache_discarded", self.cache_discarded),
-            ("runner.steals", self.steals),
             ("runner.tail_idle_ms", self.tail_idle_ms),
             ("runner.wall_ms", self.wall.as_millis() as u64),
             ("sim.events_scheduled", self.engine.events_scheduled),
@@ -438,26 +432,29 @@ impl Runner {
         let mut engine = EngineCounters::default();
         let discarded_before = self.cache.as_ref().map_or(0, DiskCache::discarded);
         let workers = jobs.min(total.max(1));
-        // Work-stealing state: one deque per worker, dealt round-robin so
-        // every thread starts with local work; idle workers steal the
-        // front half of the longest remaining queue.
-        let queues = StealQueues::deal(total, workers);
-        let exits: Vec<Mutex<Option<Instant>>> = (0..workers).map(|_| Mutex::new(None)).collect();
+        // Cells are claimed back to front (claim `n` is cell
+        // `total - 1 - n`): on the benchmark's fig10_cold, front to back
+        // ran at about 2% more peak RSS. The counter publishes no data
+        // (the cells are shared before the workers start, and results
+        // return over the channel), so its claims can be `Relaxed`.
+        let claims = AtomicUsize::new(0);
+        let mut exits = Vec::with_capacity(workers);
         let (tx, rx) = mpsc::channel::<(usize, CellOutcome, u32, EngineCounters)>();
         let cells = &unique;
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
-            for (w, exit_slot) in exits.iter().enumerate() {
+            for _ in 0..workers {
                 let tx = tx.clone();
-                let queues = &queues;
+                let claims = &claims;
                 let cancel = self.config.cancel.clone();
                 handles.push(scope.spawn(move || {
                     loop {
                         if cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
                             break;
                         }
-                        let Some(i) = queues.next_task(w) else {
+                        let claim = claims.fetch_add(1, Ordering::Relaxed);
+                        let Some(i) = total.checked_sub(claim + 1) else {
                             break;
                         };
                         let cell = &cells[i];
@@ -475,7 +472,7 @@ impl Runner {
                             break;
                         }
                     }
-                    *lock(exit_slot) = Some(Instant::now());
+                    Instant::now()
                 }));
             }
             drop(tx);
@@ -540,20 +537,21 @@ impl Runner {
             // their closures, and a thread still exiting when the next
             // sweep starts its own keeps its malloc arena, so back-to-back
             // sweeps (a busy `dice-serve`) would keep adding arenas.
+            // Each worker returns when it found no cell left to claim.
             for handle in handles {
-                if let Err(panic) = handle.join() {
-                    std::panic::resume_unwind(panic);
+                match handle.join() {
+                    Ok(exit) => exits.push(exit),
+                    Err(panic) => std::panic::resume_unwind(panic),
                 }
             }
         });
 
-        // Tail idle: every worker has recorded when it ran out of
-        // stealable work; measure each gap back from the last exit.
+        // Tail idle: each worker's gap between its exit and the sweep's
+        // end.
         let end = Instant::now();
         let tail_idle_ms = exits
             .iter()
-            .filter_map(|slot| *lock(slot))
-            .map(|t| end.duration_since(t).as_millis() as u64)
+            .map(|t| end.duration_since(*t).as_millis() as u64)
             .sum();
 
         let cancelled = total - outcomes.len();
@@ -566,7 +564,7 @@ impl Runner {
             retried,
             cache_discarded: self.cache.as_ref().map_or(0, DiskCache::discarded) - discarded_before,
             cancelled,
-            steals: queues.steals.load(Ordering::Relaxed),
+            steals: 0,
             tail_idle_ms,
             engine,
         }
@@ -680,82 +678,6 @@ impl Runner {
             Err(_) => Err(CellFailure::TimedOut(budget)),
         }
     }
-}
-
-/// The work-stealing scheduler state: one deque of cell indices per
-/// worker plus the steal counter.
-///
-/// Locking discipline: a worker holds at most one deque lock at a time —
-/// a steal drains the victim under its lock, releases it, then pushes
-/// the surplus under the thief's own lock — so two workers stealing from
-/// each other can never deadlock. In the instant between those two locks
-/// the stolen batch is invisible to other scanners; a worker that exits
-/// because every queue *looked* empty only costs tail idle time (the
-/// thief still runs the batch), never a dropped cell.
-struct StealQueues {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    steals: AtomicU64,
-}
-
-impl StealQueues {
-    /// Deals cell indices `0..total` round-robin into `workers` deques.
-    fn deal(total: usize, workers: usize) -> Self {
-        let mut deques: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for i in 0..total {
-            deques[i % workers].push_back(i);
-        }
-        Self {
-            deques: deques.into_iter().map(Mutex::new).collect(),
-            steals: AtomicU64::new(0),
-        }
-    }
-
-    /// The next cell index for worker `me`: its own queue's back (LIFO),
-    /// else the front half of the longest other queue (FIFO steal).
-    /// `None` means every queue is empty — no more work will appear, so
-    /// the worker can exit.
-    fn next_task(&self, me: usize) -> Option<usize> {
-        if let Some(i) = lock(&self.deques[me]).pop_back() {
-            return Some(i);
-        }
-        loop {
-            // Snapshot lengths to pick the longest victim; lengths can
-            // move under us, so an empty grab just rescans.
-            let victim = self
-                .deques
-                .iter()
-                .enumerate()
-                .filter(|(v, _)| *v != me)
-                .map(|(v, dq)| (lock(dq).len(), v))
-                .max()?;
-            let (len, victim) = victim;
-            if len == 0 {
-                return None;
-            }
-            let mut batch = Vec::new();
-            {
-                let mut dq = lock(&self.deques[victim]);
-                let take = dq.len().div_ceil(2);
-                batch.extend(dq.drain(..take));
-            }
-            if batch.is_empty() {
-                continue;
-            }
-            self.steals.fetch_add(1, Ordering::Relaxed);
-            let first = batch.remove(0);
-            if !batch.is_empty() {
-                lock(&self.deques[me]).extend(batch);
-            }
-            return Some(first);
-        }
-    }
-}
-
-/// Locks a mutex, ignoring poisoning: a worker that panicked mid-lock
-/// (impossible here — guards are held only across queue ops) would still
-/// leave the queue contents valid.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Why one simulation attempt did not produce a report.

@@ -10,9 +10,8 @@
 //!   [`WorkloadSet`]); figure generators enumerate their cells up front
 //!   instead of simulating mid-render.
 //! * [`Runner`] — schedules unique cells across `jobs` worker threads
-//!   (std scoped threads over per-worker work-stealing deques: owner
-//!   pops LIFO, an idle thread steals the front half of the longest
-//!   queue; no dependencies), isolates each simulation with
+//!   (std scoped threads claiming cell indices, highest first, from one
+//!   shared counter; no dependencies), isolates each simulation with
 //!   `catch_unwind` so one diverging configuration reports a failed cell
 //!   instead of killing the sweep, and dedupes cells shared between
 //!   figures.

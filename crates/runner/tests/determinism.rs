@@ -1,7 +1,9 @@
 //! The runner's determinism and fault-isolation contract.
 
+use std::sync::{Arc, Mutex};
+
 use dice_core::Organization;
-use dice_runner::{Cell, CellOutcome, Runner, RunnerConfig};
+use dice_runner::{Cell, CellOutcome, ProgressSink, Runner, RunnerConfig};
 use dice_sim::{SimConfig, WorkloadSet};
 use dice_workloads::spec_table;
 
@@ -56,14 +58,42 @@ fn run_with_jobs(jobs: usize) -> Vec<((String, String), String)> {
         .collect()
 }
 
-/// The tentpole guarantee: `--jobs 4` and `--jobs 1` produce byte-identical
-/// report JSON for every cell of a sweep.
+/// The tentpole guarantee: `--jobs 2`, `4` and `8` produce report JSON
+/// byte-identical to `--jobs 1` for every cell of a sweep, whichever
+/// worker ran which cell.
 #[test]
 fn parallel_and_serial_reports_are_byte_identical() {
     let serial = run_with_jobs(1);
-    let parallel = run_with_jobs(4);
     assert_eq!(serial.len(), 4);
-    assert_eq!(serial, parallel);
+    for jobs in [2, 4, 8] {
+        assert_eq!(
+            serial,
+            run_with_jobs(jobs),
+            "jobs={jobs} diverged from jobs=1"
+        );
+    }
+}
+
+/// Workers claim the highest unclaimed cell first, so one worker runs a
+/// sweep back to front.
+#[test]
+fn one_worker_runs_cells_in_reverse_declaration_order() {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    let runner = Runner::new(RunnerConfig {
+        jobs: 1,
+        progress: Some(ProgressSink::new(move |p| {
+            sink.lock().unwrap().push((p.tag, p.workload));
+        })),
+        ..RunnerConfig::default()
+    })
+    .unwrap();
+    let cells = small_sweep();
+    let mut declared: Vec<_> = cells.iter().map(Cell::memo_key).collect();
+    declared.reverse();
+    let result = runner.run(cells);
+    assert_eq!(result.simulated(), 4);
+    assert_eq!(*seen.lock().unwrap(), declared);
 }
 
 /// One panicking cell reports as failed; every healthy cell still
@@ -133,6 +163,13 @@ fn sweep_registers_runner_metrics() {
     assert_eq!(reg.counter_value("errors.cell_panic"), Some(0));
     assert_eq!(reg.counter_value("errors.cell_timeout"), Some(0));
     assert_eq!(reg.histogram_ref("runner.cell_wall_ms").unwrap().count(), 4);
+    assert_eq!(
+        reg.counter_value("runner.tail_idle_ms"),
+        Some(result.tail_idle_ms)
+    );
+    // Workers claim from one shared counter and never take each other's
+    // work, so there is no steal count to export.
+    assert_eq!(reg.counter_value("runner.steals"), None);
 
     // Two of the cells again plus a duplicate of one: 2 cells, 1 deduped.
     let mut cells = small_sweep();

@@ -185,8 +185,8 @@ pub struct WorkloadSet {
     /// Human-readable name (workload column in the output tables).
     pub name: String,
     /// Recorded-trace binding: when set, per-core record streams come
-    /// from the bound `.dtf` file (streamed with bounded memory, or
-    /// preloaded) instead of the synthetic generator. The binding's
+    /// from the bound `.dtf` file, streamed with bounded memory, instead
+    /// of the synthetic generator. The binding's
     /// `Debug` form — including the file's content hash — feeds the
     /// runner's cell fingerprint, so cached results key on the exact
     /// trace bytes.
@@ -233,13 +233,6 @@ impl WorkloadSet {
             name: name.to_owned(),
             trace: Some(binding),
         }
-    }
-
-    /// Attaches (or clears) a recorded-trace binding.
-    #[must_use]
-    pub fn with_trace(mut self, binding: Option<TraceBinding>) -> Self {
-        self.trace = binding;
-        self
     }
 }
 

@@ -171,12 +171,10 @@ impl System {
     /// With a recorded-trace binding attached to the workload, each core
     /// streams its records from the bound `.dtf` file (core `i` maps to
     /// file stream `i % file_cores`) through
-    /// [`TraceBinding::open_core`](dice_ingest::TraceBinding::open_core) —
-    /// bounded-memory frame streaming, or records decoded up front when
-    /// the binding is in preload mode. Either way the record sequences
-    /// are identical, so the two modes produce byte-identical reports.
-    /// Values still come from the spec-driven data model: DTF value
-    /// payloads are reserved for future value-exact replay.
+    /// [`TraceBinding::open_core`](dice_ingest::TraceBinding::open_core),
+    /// one bounded-memory frame stream per core. Values still come from
+    /// the spec-driven data model: DTF value payloads are reserved for
+    /// future value-exact replay.
     ///
     /// # Panics
     ///

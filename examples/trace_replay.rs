@@ -12,16 +12,27 @@ use dice::ingest::{DtfWriter, TraceBinding};
 use dice::sim::{SimConfig, System, WorkloadSet};
 use dice::workloads::{spec_table, TraceGen};
 
+/// This process's scratch directory, removed when dropped — also when an
+/// error returns early from `main`.
+struct ScratchDir(std::path::PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = spec_table()
         .into_iter()
         .find(|w| w.name == "soplex")
         .unwrap();
-    let dir = std::env::temp_dir().join("dice-replay-demo");
-    std::fs::create_dir_all(&dir)?;
+    let dir =
+        ScratchDir(std::env::temp_dir().join(format!("dice-replay-demo-{}", std::process::id())));
+    std::fs::create_dir_all(&dir.0)?;
 
     // 1. Record one stream per core into a single trace file.
-    let path = dir.join("soplex.dtf");
+    let path = dir.0.join("soplex.dtf");
     let mut w = DtfWriter::create(&path, 8, true)?;
     for core in 0..8u32 {
         let mut gen = TraceGen::with_scale(&spec, core, 0xd1ce, 512);
