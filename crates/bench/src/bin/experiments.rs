@@ -35,8 +35,6 @@
 //!        --cell-timeout S  per-cell wall-clock budget in seconds, positive,
 //!                       fractions allowed; cells over budget report as
 //!                       timed out, the sweep goes on
-//!        --retries N    retry a panicked cell up to N times before
-//!                       recording it as failed
 //!        --diagnostics  run every cell at TraceLevel::Decisions and append
 //!                       per-run decision diagnostics (CIP confusion
 //!                       matrices, bandwidth-bloat split, phase cycles)
@@ -1370,7 +1368,6 @@ fn main() {
     runner_cfg.jobs = flags.count("--jobs", runner_cfg.jobs);
     runner_cfg.cache_dir = flags.value("--cache-dir").map(PathBuf::from);
     runner_cfg.cell_timeout = flags.duration("--cell-timeout", Unit::Seconds);
-    runner_cfg.retries = flags.number("--retries", runner_cfg.retries);
     let diagnostics = flags.switch("--diagnostics");
     if diagnostics {
         ctx.obs.trace_level = TraceLevel::Decisions;

@@ -2,16 +2,13 @@
 //!
 //! ```text
 //! dice-fabric worker      [--port P] [--conn-workers N] [--cache DIR]
-//!                         [--cell-timeout SECS] [--retries N]
-//!                         [--inject KIND] [--verbose]
+//!                         [--cell-timeout SECS] [--inject KIND]
+//!                         [--verbose]
 //! dice-fabric coordinator [--port P] --worker ADDR [--worker ADDR ...]
-//!                         [--conn-workers N] [--vnodes N] [--capacity N]
+//!                         [--conn-workers N] [--capacity N]
 //!                         [--scatter-width N] [--retries N]
 //!                         [--backoff-ms MS] [--cell-timeout SECS]
-//!                         [--journal PATH] [--hedge-ms MS]
-//!                         [--breaker-threshold N] [--breaker-open-ms MS]
-//!                         [--probe-budget N] [--probe-connect-ms MS]
-//!                         [--probe-read-ms MS]
+//!                         [--journal PATH]
 //! ```
 //!
 //! Both roles bind 127.0.0.1 (`--port 0` = ephemeral) and report the
@@ -22,9 +19,13 @@
 //! (`cell-panic`, `cell-timeout`, …) on every cell it runs — the fault
 //! drill the fabric-recovery tests are built on.
 //!
-//! `--cell-timeout` takes seconds, fractions allowed. A malformed flag,
-//! a zero count or a zero duration exits 2 with one stderr line naming
-//! it, before anything binds.
+//! `--cell-timeout` takes seconds, fractions allowed: on a worker it is
+//! each cell's watchdog budget, on the coordinator each dispatch's socket
+//! budget. The coordinator's `--retries` bounds its re-scatter rounds; a
+//! worker never retries a cell. Ring size, breaker and probe timings are
+//! constants (see `dice_fabric::coordinator`). A malformed flag, a zero
+//! count or a zero duration exits 2 with one stderr line naming it,
+//! before anything binds.
 
 use std::io::Write;
 
@@ -60,7 +61,6 @@ fn run_worker(mut flags: Flags) -> i32 {
     config.net.conn_workers = flags.count("--conn-workers", config.net.conn_workers);
     config.runner.cache_dir = flags.value("--cache").map(Into::into);
     config.runner.cell_timeout = flags.duration("--cell-timeout", Unit::Seconds);
-    config.runner.retries = flags.number("--retries", config.runner.retries);
     config.inject = flags.value("--inject").map(|kind| {
         FaultKind::parse(&kind)
             .unwrap_or_else(|| flags.refuse(format!("--inject {kind:?} is not a fault kind")))
@@ -90,7 +90,6 @@ fn run_coordinator(mut flags: Flags) -> i32 {
     config.net.port = flags.number("--port", config.net.port);
     config.net.conn_workers = flags.count("--conn-workers", config.net.conn_workers);
     config.workers = flags.values("--worker");
-    config.vnodes = flags.count("--vnodes", config.vnodes);
     config.capacity = flags.count("--capacity", config.capacity);
     config.scatter_width = flags.count("--scatter-width", config.scatter_width);
     config.retry_rounds = flags.number("--retries", config.retry_rounds);
@@ -99,16 +98,6 @@ fn run_coordinator(mut flags: Flags) -> i32 {
     let cell_timeout = flags.duration("--cell-timeout", Unit::Seconds);
     config.cell_timeout = cell_timeout.unwrap_or(config.cell_timeout);
     config.journal = flags.value("--journal").map(Into::into);
-    config.hedge_after = flags.duration("--hedge-ms", Unit::Millis);
-    let breaker = &mut config.breaker;
-    breaker.failure_threshold = flags.count("--breaker-threshold", breaker.failure_threshold);
-    let open_base = flags.duration("--breaker-open-ms", Unit::Millis);
-    breaker.open_base = open_base.unwrap_or(breaker.open_base);
-    breaker.probe_budget = flags.count("--probe-budget", breaker.probe_budget);
-    let probe_connect = flags.duration("--probe-connect-ms", Unit::Millis);
-    config.probe_connect = probe_connect.unwrap_or(config.probe_connect);
-    let probe_read = flags.duration("--probe-read-ms", Unit::Millis);
-    config.probe_read = probe_read.unwrap_or(config.probe_read);
     flags.finish();
     if config.workers.is_empty() {
         flags.refuse("at least one --worker ADDR is required");

@@ -4,14 +4,15 @@
 //! error — correct for a killed process, catastrophic behind a flaky
 //! network where every node occasionally drops a connection. The
 //! [`Breaker`] separates the two: dispatch failures accumulate while the
-//! breaker is **closed**; at the failure threshold it **opens** (the node
-//! leaves the placement ring, taking no new cells) for a jittered
-//! interval; when the interval expires it goes **half-open** and a single
-//! health probe decides — success re-closes it (the node rejoins the
-//! ring), failure re-opens it for a longer jittered interval. A node only
-//! becomes *dead* when its probe budget is exhausted or a probe proves
-//! the process is gone (connection refused — see the connect-vs-read
-//! split in `dice_serve::client`).
+//! breaker is **closed**; at the second consecutive failure it **opens**
+//! (the node leaves the placement ring, taking no new cells) for a
+//! jittered interval of 100 ms to 5 s; when the interval expires it goes
+//! **half-open** and a single health probe decides — success re-closes
+//! it (the node rejoins the ring), failure re-opens it for a longer
+//! jittered interval. A node only becomes *dead* after five failed
+//! probes in a row, or when a probe proves the process is gone
+//! (connection refused — see the connect-vs-read split in
+//! `dice_serve::client`).
 //!
 //! Backoff everywhere in this module is **decorrelated jitter**
 //! (`sleep = uniform(base, min(cap, prev * 3))`): a fleet of workers
@@ -25,30 +26,15 @@ use std::time::{Duration, Instant};
 
 use crate::seeded::SeededRng;
 
-/// Breaker tuning knobs.
-#[derive(Debug, Clone)]
-pub struct BreakerConfig {
-    /// Consecutive dispatch failures that trip a closed breaker.
-    pub failure_threshold: u32,
-    /// First open interval (jitter never goes below this).
-    pub open_base: Duration,
-    /// Ceiling on the jittered open interval.
-    pub open_cap: Duration,
-    /// Consecutive failed health probes before the node is given up on
-    /// (declared dead by the coordinator).
-    pub probe_budget: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self {
-            failure_threshold: 2,
-            open_base: Duration::from_millis(100),
-            open_cap: Duration::from_secs(5),
-            probe_budget: 5,
-        }
-    }
-}
+/// Consecutive dispatch failures that trip a closed breaker.
+const FAILURE_THRESHOLD: u32 = 2;
+/// First open interval (jitter never goes below this).
+const OPEN_BASE: Duration = Duration::from_millis(100);
+/// Ceiling on the jittered open interval.
+const OPEN_CAP: Duration = Duration::from_secs(5);
+/// Consecutive failed health probes before the node is given up on
+/// (declared dead by the coordinator).
+const PROBE_BUDGET: u32 = 5;
 
 /// The three classic breaker states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +50,6 @@ enum State {
 /// A per-node circuit breaker (see the module docs for the lifecycle).
 #[derive(Debug, Clone)]
 pub struct Breaker {
-    config: BreakerConfig,
     state: State,
     /// Consecutive dispatch failures while closed.
     failures: u32,
@@ -82,15 +67,13 @@ pub struct Breaker {
 impl Breaker {
     /// A closed breaker. `seed` makes the jitter sequence reproducible.
     #[must_use]
-    pub fn new(config: BreakerConfig, seed: u64) -> Breaker {
-        let prev_interval = config.open_base;
+    pub fn new(seed: u64) -> Breaker {
         Breaker {
-            config,
             state: State::Closed,
             failures: 0,
             failed_probes: 0,
             reopen_at: None,
-            prev_interval,
+            prev_interval: OPEN_BASE,
             opened_total: 0,
             rng: SeededRng::new(seed),
         }
@@ -125,7 +108,7 @@ impl Breaker {
         self.failures = 0;
         self.failed_probes = 0;
         self.reopen_at = None;
-        self.prev_interval = self.config.open_base;
+        self.prev_interval = OPEN_BASE;
     }
 
     /// Records a failed dispatch. Returns `true` when this failure trips
@@ -134,7 +117,7 @@ impl Breaker {
         match self.state {
             State::Closed => {
                 self.failures += 1;
-                if self.failures >= self.config.failure_threshold {
+                if self.failures >= FAILURE_THRESHOLD {
                     self.open(now);
                     return true;
                 }
@@ -168,7 +151,7 @@ impl Breaker {
     /// the breaker's patience and the caller should declare it dead.
     pub fn probe_failed(&mut self, now: Instant) -> bool {
         self.failed_probes += 1;
-        if self.failed_probes >= self.config.probe_budget {
+        if self.failed_probes >= PROBE_BUDGET {
             return true;
         }
         self.open(now);
@@ -176,12 +159,7 @@ impl Breaker {
     }
 
     fn open(&mut self, now: Instant) {
-        let interval = decorrelated(
-            &mut self.rng,
-            self.config.open_base,
-            self.config.open_cap,
-            self.prev_interval,
-        );
+        let interval = decorrelated(&mut self.rng, OPEN_BASE, OPEN_CAP, self.prev_interval);
         self.prev_interval = interval;
         self.reopen_at = Some(now + interval);
         self.state = State::Open;
@@ -239,29 +217,31 @@ impl JitteredBackoff {
 mod tests {
     use super::*;
 
-    fn cfg() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 2,
-            open_base: Duration::from_millis(100),
-            open_cap: Duration::from_secs(2),
-            probe_budget: 3,
+    /// Past any open interval the breaker can draw.
+    const PAST_CAP: Duration = OPEN_CAP.saturating_add(Duration::from_millis(1));
+
+    /// A breaker tripped open at `t0`.
+    fn tripped(seed: u64, t0: Instant) -> Breaker {
+        let mut b = Breaker::new(seed);
+        for _ in 1..FAILURE_THRESHOLD {
+            assert!(!b.record_failure(t0), "tripped below the threshold");
         }
+        assert!(b.record_failure(t0), "the threshold failure trips");
+        b
     }
 
     #[test]
     fn trips_at_threshold_and_recloses_on_probe() {
         let t0 = Instant::now();
-        let mut b = Breaker::new(cfg(), 1);
-        assert!(b.is_closed());
-        assert!(!b.record_failure(t0), "first failure must not trip");
-        assert!(b.record_failure(t0), "second failure trips");
+        assert!(Breaker::new(1).is_closed());
+        let mut b = tripped(1, t0);
         assert_eq!(b.state_str(), "open");
         assert_eq!(b.opened_total(), 1);
 
         // Not due before the (jittered) interval's lower bound.
-        assert!(!b.probe_due(t0));
+        assert!(!b.probe_due(t0 + OPEN_BASE - Duration::from_millis(1)));
         // Certainly due after the cap.
-        assert!(b.probe_due(t0 + Duration::from_secs(3)));
+        assert!(b.probe_due(t0 + PAST_CAP));
         assert_eq!(b.state_str(), "half_open");
         b.probe_succeeded();
         assert!(b.is_closed());
@@ -270,8 +250,10 @@ mod tests {
     #[test]
     fn success_resets_the_failure_streak() {
         let t0 = Instant::now();
-        let mut b = Breaker::new(cfg(), 2);
-        assert!(!b.record_failure(t0));
+        let mut b = Breaker::new(2);
+        for _ in 1..FAILURE_THRESHOLD {
+            assert!(!b.record_failure(t0));
+        }
         b.record_success();
         assert!(!b.record_failure(t0), "streak must reset on success");
     }
@@ -279,45 +261,40 @@ mod tests {
     #[test]
     fn probe_budget_exhaustion_gives_up() {
         let t0 = Instant::now();
-        let mut b = Breaker::new(cfg(), 3);
-        b.record_failure(t0);
-        b.record_failure(t0);
-        let mut gave_up = false;
+        let mut b = tripped(3, t0);
         let mut t = t0;
-        for _ in 0..10 {
-            t += Duration::from_secs(3);
+        for probe in 1..=PROBE_BUDGET {
+            t += PAST_CAP;
             assert!(b.probe_due(t));
-            if b.probe_failed(t) {
-                gave_up = true;
-                break;
-            }
+            assert_eq!(
+                b.probe_failed(t),
+                probe == PROBE_BUDGET,
+                "gave up at the wrong probe ({probe} of {PROBE_BUDGET})"
+            );
         }
-        assert!(gave_up, "probe budget must exhaust");
     }
 
     #[test]
     fn open_intervals_stay_within_bounds_and_jitter() {
-        let c = cfg();
-        let mut b = Breaker::new(c.clone(), 4);
-        let t0 = Instant::now();
+        let mut t = Instant::now();
+        let mut b = tripped(4, t);
         let mut intervals = Vec::new();
-        let mut t = t0;
-        b.record_failure(t);
-        b.record_failure(t);
         for _ in 0..50 {
             let at = b.reopen_at.expect("open breaker has a deadline");
             let interval = at - t;
-            assert!(interval >= c.open_base, "below base: {interval:?}");
-            assert!(interval <= c.open_cap, "above cap: {interval:?}");
+            assert!(interval >= OPEN_BASE, "below base: {interval:?}");
+            assert!(interval <= OPEN_CAP, "above cap: {interval:?}");
             intervals.push(interval);
             t = at + Duration::from_millis(1);
             assert!(b.probe_due(t));
-            assert!(!b.probe_failed(t) || b.state_str() == "half_open");
-            if b.state_str() == "half_open" {
-                // Budget exhausted; restart the cycle.
+            if b.probe_failed(t) {
+                // Budget exhausted (the breaker stays half-open); restart
+                // the cycle.
+                assert_eq!(b.state_str(), "half_open");
                 b.probe_succeeded();
-                b.record_failure(t);
-                b.record_failure(t);
+                for _ in 0..FAILURE_THRESHOLD {
+                    b.record_failure(t);
+                }
             }
         }
         let first = intervals[0];

@@ -10,16 +10,20 @@
 //! objects back. Beside the sweep API the coordinator answers
 //! `GET /v1/fabric/membership` and `POST /v1/fabric/nodes/:name/drain`.
 //!
-//! Failure handling, per gather result:
+//! Each cell of a scatter round is one `POST /v1/cells` on its ring
+//! owner, and each result is applied the moment it arrives: a finished
+//! cell is journaled and announced while the round's slower dispatches
+//! are still out. Failure handling, per gather result:
 //!
 //! * **transport error / protocol violation / unexpected status** — a
 //!   dispatch failure against the node's circuit [`Breaker`]. At the
-//!   failure threshold the breaker trips: the node leaves the ring
-//!   (version bump) and an immediate health probe classifies the damage
-//!   — **connection refused** means the process is gone (the node is
-//!   declared dead), anything else keeps the breaker open for a
-//!   jittered interval after which half-open probes decide whether it
-//!   rejoins the ring or (probe budget exhausted) dies. The cell stays
+//!   second consecutive failure the breaker trips: the node leaves the
+//!   ring (version bump) and an immediate health probe classifies the
+//!   damage — **connection refused** means the process is gone (the node
+//!   is declared dead), anything else keeps the breaker open for a
+//!   jittered interval of 100 ms to 5 s, after which half-open probes
+//!   decide whether it rejoins the ring or, after five failed probes,
+//!   dies. A probe allows 1 s to connect and 2 s to read. The cell stays
 //!   pending either way; the next round re-hashes it onto survivors.
 //! * **HTTP 503** — the node is probed: a draining worker is removed
 //!   from the ring (its in-flight cells still answer), a merely busy one
@@ -32,10 +36,7 @@
 //!   direct run would.
 //!
 //! Rounds are bounded (`retry_rounds`) with decorrelated-jitter backoff
-//! ([`JitteredBackoff`], seeded per sweep). Optionally each dispatch is
-//! **hedged**: if the primary worker has not answered within
-//! `hedge_after`, a second request goes to the next distinct ring owner
-//! and the first usable response wins (`fabric.hedge.*` metrics).
+//! ([`JitteredBackoff`], seeded per sweep).
 //!
 //! When a `journal` path is configured every accepted spec, finalized
 //! cell and sweep completion is appended to a write-ahead [`Journal`]
@@ -62,7 +63,7 @@ use std::time::{Duration, Instant};
 
 use dice_obs::{labeled, Histogram, Json, MetricRegistry};
 use dice_runner::{cell_key, Cell, CellOutcome, SweepResult};
-use dice_serve::client::{http_post_timeout, http_probe, ProbeError};
+use dice_serve::client::{http_post_timeout, http_probe, ClientResponse, ProbeError};
 use dice_serve::http::{Request, Response};
 use dice_serve::net::{NetConfig, NetServer};
 use dice_serve::{
@@ -70,7 +71,7 @@ use dice_serve::{
 };
 use dice_sim::EngineCounters;
 
-use crate::breaker::{Breaker, BreakerConfig, JitteredBackoff};
+use crate::breaker::{Breaker, JitteredBackoff};
 use crate::journal::{Journal, JournalRecord, Recovery};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::wire::{cell_spec, open_run_object, parse_run_object, render_run_object};
@@ -81,6 +82,17 @@ use crate::wire::{cell_spec, open_run_object, parse_run_object, render_run_objec
 /// report is not canonical.
 const SYNTHETIC_ERROR: &str = "fabric: no live worker completed this cell";
 
+/// TCP connect budget for health probes: a refused connect within it
+/// proves the process is gone.
+const PROBE_CONNECT: Duration = Duration::from_secs(1);
+/// Read budget for health probes: blowing it means alive but slow.
+const PROBE_READ: Duration = Duration::from_secs(2);
+
+/// One `GET /healthz` health probe against `addr`.
+fn probe(addr: &str) -> Result<ClientResponse, ProbeError> {
+    http_probe(addr, "/healthz", PROBE_CONNECT, PROBE_READ)
+}
+
 /// Coordinator construction knobs.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
@@ -88,8 +100,6 @@ pub struct CoordinatorConfig {
     pub net: NetConfig,
     /// Worker addresses (`host:port`), named `w0`, `w1`, … by position.
     pub workers: Vec<String>,
-    /// Virtual nodes per worker on the placement ring.
-    pub vnodes: usize,
     /// Maximum queued + running sweeps before submissions get 429 (also
     /// the number of sweeps scattered at once).
     pub capacity: usize,
@@ -105,16 +115,6 @@ pub struct CoordinatorConfig {
     /// Socket timeout for one scattered cell; a worker that blows it
     /// counts a dispatch failure against its breaker.
     pub cell_timeout: Duration,
-    /// Per-worker circuit breaker tuning.
-    pub breaker: BreakerConfig,
-    /// TCP connect budget for health probes (a refused connect within
-    /// this window proves the process is gone).
-    pub probe_connect: Duration,
-    /// Read budget for health probes (blown = alive but slow).
-    pub probe_read: Duration,
-    /// When set, a dispatch unanswered for this long gets a hedged
-    /// duplicate on the next distinct ring owner; first response wins.
-    pub hedge_after: Option<Duration>,
     /// When set, accepted sweeps and finalized cells are appended to a
     /// write-ahead journal at this path and replayed on restart.
     pub journal: Option<PathBuf>,
@@ -125,17 +125,12 @@ impl Default for CoordinatorConfig {
         Self {
             net: NetConfig::default(),
             workers: Vec::new(),
-            vnodes: DEFAULT_VNODES,
             capacity: 16,
             scatter_width: 8,
             retry_rounds: 3,
             backoff: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(1),
             cell_timeout: Duration::from_secs(120),
-            breaker: BreakerConfig::default(),
-            probe_connect: Duration::from_secs(1),
-            probe_read: Duration::from_secs(2),
-            hedge_after: None,
             journal: None,
         }
     }
@@ -270,12 +265,11 @@ impl Scatter {
 
         let mut membership = Membership {
             nodes: Vec::new(),
-            ring: HashRing::new(config.vnodes),
+            ring: HashRing::new(DEFAULT_VNODES),
         };
         for (i, addr) in config.workers.iter().enumerate() {
             let name = format!("w{i}");
-            let state = match http_probe(addr, "/healthz", config.probe_connect, config.probe_read)
-            {
+            let state = match probe(addr) {
                 Ok(r) if r.status == 200 => NodeState::Healthy,
                 Ok(_) => NodeState::Draining,
                 Err(_) => NodeState::Dead,
@@ -284,7 +278,7 @@ impl Scatter {
                 membership.ring.add(&name);
             }
             membership.nodes.push(Node {
-                breaker: Breaker::new(config.breaker.clone(), i as u64 + 1),
+                breaker: Breaker::new(i as u64 + 1),
                 name,
                 addr: addr.clone(),
                 state,
@@ -487,12 +481,7 @@ impl Scatter {
     /// dead, 503 marks it draining, anything else burns probe budget.
     fn probe_node(&self, name: &str, addr: &str) {
         self.count("fabric.probe.sent");
-        let result = http_probe(
-            addr,
-            "/healthz",
-            self.cfg.probe_connect,
-            self.cfg.probe_read,
-        );
+        let result = probe(addr);
         if let Err(e) = &result {
             let mut reg = self.metrics.lock().expect("metrics poisoned");
             let id = reg.counter(&labeled("fabric.probe_failures", &[("kind", e.kind_str())]));
@@ -661,59 +650,23 @@ fn fetch_cell(addr: &str, body: &str, timeout: Duration) -> Fetch {
     }
 }
 
-/// One planned dispatch: `(item index, node, addr, hedge (node, addr))`.
-type Assignment = (usize, String, String, Option<(String, String)>);
+/// One planned dispatch of a scatter round.
+struct Dispatch {
+    /// The item it settles.
+    idx: usize,
+    /// The ring owner it goes to, and that node's address.
+    node: String,
+    addr: String,
+    /// The single-cell spec it posts, and its span label.
+    body: String,
+    label: String,
+}
 
 impl Scatter {
     /// Applies `f` to node `name`'s membership entry, if there is one.
     fn node<T>(&self, name: &str, f: impl FnOnce(&mut Node) -> T) -> Option<T> {
         let mut m = self.membership.lock().expect("membership poisoned");
         m.node_mut(name).map(f)
-    }
-
-    /// Dispatches one cell with optional hedging: if the primary worker has
-    /// not answered within `hedge_after`, a duplicate goes to the hedge
-    /// target and the first usable (200 + body) response wins. Returns the
-    /// node whose response was used.
-    fn dispatch_cell(
-        &self,
-        body: &str,
-        node: &str,
-        addr: &str,
-        hedge: Option<&(String, String)>,
-    ) -> (String, Fetch) {
-        let timeout = self.cfg.cell_timeout;
-        let (Some(delay), Some((hedge_node, hedge_addr))) = (self.cfg.hedge_after, hedge) else {
-            return (node.to_owned(), fetch_cell(addr, body, timeout));
-        };
-        let (tx, rx) = mpsc::channel::<Fetch>();
-        let primary_addr = addr.to_owned();
-        let primary_body = body.to_owned();
-        std::thread::spawn(move || {
-            let _ = tx.send(fetch_cell(&primary_addr, &primary_body, timeout));
-        });
-        match rx.recv_timeout(delay) {
-            Ok(fetch) => (node.to_owned(), fetch),
-            Err(mpsc::RecvTimeoutError::Disconnected) => (node.to_owned(), Fetch::Transport),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                self.count("fabric.hedge.dispatched");
-                let hedged = fetch_cell(hedge_addr, body, timeout);
-                // The primary may have raced us while the hedge ran; a real
-                // answer from it beats anything, a real answer from the
-                // hedge beats waiting.
-                if let Ok(fetch @ Fetch::Body(_)) = rx.try_recv() {
-                    return (node.to_owned(), fetch);
-                }
-                if matches!(hedged, Fetch::Body(_)) {
-                    self.count("fabric.hedge.wins");
-                    return (hedge_node.clone(), hedged);
-                }
-                match rx.recv_timeout(timeout) {
-                    Ok(fetch) => (node.to_owned(), fetch),
-                    Err(_) => (node.to_owned(), Fetch::Transport),
-                }
-            }
-        }
     }
 
     /// Runs one sweep: scatter rounds until every unique cell has an
@@ -804,7 +757,7 @@ impl Scatter {
                 .lock()
                 .expect("membership poisoned")
                 .snapshot();
-            let mut assignments: Vec<Assignment> = Vec::new();
+            let mut dispatches: Vec<Dispatch> = Vec::new();
             for idx in pending {
                 let tried: Vec<&str> = items[idx].tried.iter().map(String::as_str).collect();
                 let placed = ring
@@ -812,25 +765,21 @@ impl Scatter {
                     .and_then(|node| addrs.get(node).map(|addr| (node.to_owned(), addr.clone())));
                 match placed {
                     Some((node, addr)) => {
-                        // The hedge target is the next distinct owner — the
-                        // node a re-scatter would pick anyway, just asked
-                        // `hedge_after` early.
-                        let hedge = self.cfg.hedge_after.and_then(|_| {
-                            let mut excluded = tried.clone();
-                            excluded.push(node.as_str());
-                            ring.owner_excluding(items[idx].key, &excluded)
-                                .and_then(|h| {
-                                    addrs.get(h).map(|haddr| (h.to_owned(), haddr.clone()))
-                                })
+                        let cell = &items[idx].cell;
+                        dispatches.push(Dispatch {
+                            body: cell_spec(&spec, &cell.tag, &cell.workload.name),
+                            label: format!("cell:{}/{}@{node}", cell.tag, cell.workload.name),
+                            idx,
+                            node,
+                            addr,
                         });
-                        assignments.push((idx, node, addr, hedge));
                     }
                     // Every surviving node already failed this cell (or
                     // the ring is empty).
                     None => gather.fall_back(&mut items[idx]),
                 }
             }
-            if assignments.is_empty() {
+            if dispatches.is_empty() {
                 round += 1;
                 continue;
             }
@@ -840,53 +789,40 @@ impl Scatter {
                 .as_ref()
                 .map(dice_obs::SpanGuard::ctx)
                 .unwrap_or_default();
+            let timeout = self.cfg.cell_timeout;
             let next = AtomicUsize::new(0);
-            let width = self.cfg.scatter_width.clamp(1, assignments.len());
-            let (tx, rx) = mpsc::channel::<(usize, String, Fetch)>();
-            let mut results: Vec<(usize, String, Fetch)> = Vec::with_capacity(assignments.len());
+            let width = self.cfg.scatter_width.clamp(1, dispatches.len());
+            let (tx, rx) = mpsc::channel::<(usize, Fetch)>();
             std::thread::scope(|s| {
                 for _ in 0..width {
                     let tx = tx.clone();
-                    let next = &next;
-                    let assignments = &assignments;
-                    let items = &items;
-                    let round_ctx = &round_ctx;
-                    let spec = &spec;
+                    let (next, dispatches, round_ctx) = (&next, &dispatches, &round_ctx);
                     s.spawn(move || loop {
                         let slot = next.fetch_add(1, Ordering::SeqCst);
-                        let Some((idx, node, addr, hedge)) = assignments.get(slot) else {
+                        let Some(d) = dispatches.get(slot) else {
                             break;
                         };
-                        let cell = &items[*idx].cell;
-                        let _span = round_ctx.span(&format!(
-                            "cell:{}/{}@{}",
-                            cell.tag, cell.workload.name, node
-                        ));
-                        let body = cell_spec(spec, &cell.tag, &cell.workload.name);
-                        let (used, fetch) = self.dispatch_cell(&body, node, addr, hedge.as_ref());
-                        if tx.send((slot, used, fetch)).is_err() {
+                        let _span = round_ctx.span(&d.label);
+                        let fetch = fetch_cell(&d.addr, &d.body, timeout);
+                        if tx.send((slot, fetch)).is_err() {
                             break;
                         }
                     });
                 }
                 drop(tx);
-                for msg in rx {
-                    results.push(msg);
+                // The spawning thread applies each result as it arrives
+                // (the dispatches own their bodies, so `items` is free to
+                // borrow mutably here): a finished cell is journaled and
+                // announced without waiting for the round's slowest one.
+                for (slot, fetch) in rx {
+                    let d = &dispatches[slot];
+                    self.count_node("fabric.cells_dispatched", &d.node);
+                    self.node(&d.node, |n| n.dispatched += 1);
+                    gather.apply(&mut items[d.idx], &d.node, &d.addr, fetch);
                 }
             });
             drop(round_span);
 
-            for (slot, node, fetch) in results {
-                let idx = assignments[slot].0;
-                self.count_node("fabric.cells_dispatched", &node);
-                let addr = self
-                    .node(&node, |n| {
-                        n.dispatched += 1;
-                        n.addr.clone()
-                    })
-                    .unwrap_or_default();
-                gather.apply(&mut items[idx], &node, &addr, fetch);
-            }
             round += 1;
         }
 
@@ -895,10 +831,8 @@ impl Scatter {
         // terminates with a typed reason instead of hanging or passing off
         // non-canonical bytes as canonical.
         let mut outcomes = BTreeMap::new();
-        let mut retried = 0usize;
         let mut synthetic = 0usize;
         for item in &mut items {
-            retried += item.tried.len();
             let outcome = item.outcome.take().unwrap_or(CellOutcome::Failed {
                 error: "fabric: cell never gathered".to_owned(),
             });
@@ -921,7 +855,6 @@ impl Scatter {
                 jobs: self.cfg.scatter_width,
                 wall: started.elapsed(),
                 cell_wall_ms: Histogram::new(),
-                retried,
                 cache_discarded: 0,
                 cancelled: 0,
                 steals: 0,
@@ -954,11 +887,7 @@ impl Gather<'_> {
                 // tell them apart. A draining node leaves the ring (its
                 // in-flight cells still answer); a busy one stays and the
                 // cell simply retries next round.
-                let cfg = &scatter.cfg;
-                let draining = !matches!(
-                    http_probe(addr, "/healthz", cfg.probe_connect, cfg.probe_read),
-                    Ok(ref r) if r.status == 200
-                );
+                let draining = !matches!(probe(addr), Ok(ref r) if r.status == 200);
                 if draining {
                     let mut m = scatter.membership.lock().expect("membership poisoned");
                     m.retire(node, NodeState::Draining);

@@ -29,7 +29,7 @@ pub mod seeded;
 pub mod wire;
 pub mod worker;
 
-pub use breaker::{Breaker, BreakerConfig, JitteredBackoff};
+pub use breaker::{Breaker, JitteredBackoff};
 pub use chaos::{ChaosConfig, ChaosHandle, ChaosProxy, NetFault, ALL_FAULTS};
 pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle, NodeState};
 pub use journal::{Journal, JournalRecord, Recovery};

@@ -34,8 +34,8 @@ pub struct WorkerConfig {
     /// Accept pool (port, cell parallelism, backlog).
     pub net: NetConfig,
     /// Runner configuration for cell execution (cache dir, per-cell
-    /// watchdog budget, panic retries). `jobs` is irrelevant — each
-    /// request runs exactly one cell.
+    /// watchdog budget). `jobs` is irrelevant — each request runs
+    /// exactly one cell, once.
     pub runner: RunnerConfig,
     /// Fault drill: arm this injector on every received cell. The
     /// injection feeds the cell's cache key, so drilled results never

@@ -169,7 +169,6 @@ fn storm_seed(template: &ChaosConfig, start: u64) -> u64 {
 fn boot_chaos_coordinator(
     workers: &[&TestWorker],
     proxies: &[&TestProxy],
-    hedge_after: Option<Duration>,
     retry_rounds: usize,
 ) -> TestCoordinator {
     assert_eq!(workers.len(), proxies.len());
@@ -184,7 +183,6 @@ fn boot_chaos_coordinator(
         backoff_cap: Duration::from_millis(200),
         cell_timeout: Duration::from_secs(15),
         retry_rounds,
-        hedge_after,
         ..CoordinatorConfig::default()
     })
     .expect("bind coordinator");
@@ -305,7 +303,7 @@ fn clean_proxies_preserve_byte_identity() {
         upstream: w1.addr.clone(),
         ..template
     });
-    let coordinator = boot_chaos_coordinator(&[&w0, &w1], &[&p0, &p1], None, 3);
+    let coordinator = boot_chaos_coordinator(&[&w0, &w1], &[&p0, &p1], 3);
     let (report, degraded) = run_under_chaos(&coordinator.addr, &spec, Duration::from_secs(60));
     assert_eq!(degraded, None, "a clean pipe must not degrade");
     assert_eq!(report, direct, "proxy altered bytes at percent=0");
@@ -337,7 +335,7 @@ fn every_fault_kind_terminates_with_identity_or_typed_degrade() {
             seed: clean_boot_seed(&template, 100 * i as u64 + 51),
             ..template
         });
-        let coordinator = boot_chaos_coordinator(&[&w0, &w1], &[&p0, &p1], None, 3);
+        let coordinator = boot_chaos_coordinator(&[&w0, &w1], &[&p0, &p1], 3);
         let (report, degraded) =
             run_under_chaos(&coordinator.addr, &spec, Duration::from_secs(120));
         assert_chaos_invariant(name, &report, degraded.as_deref(), &direct);
@@ -346,7 +344,7 @@ fn every_fault_kind_terminates_with_identity_or_typed_degrade() {
 }
 
 #[test]
-fn full_fault_mix_with_hedging_terminates() {
+fn full_fault_mix_terminates() {
     let spec = spec_text(43);
     let direct = direct_report(&spec, scratch("mix-direct"));
     let w0 = TestWorker::boot(scratch("mix-w0"));
@@ -367,15 +365,7 @@ fn full_fault_mix_with_hedging_terminates() {
         seed: clean_boot_seed(&template, 2_001),
         ..template
     });
-    // Hedging on: an unanswered dispatch gets a duplicate on the other
-    // worker after 300ms, which is exactly the medicine for latency and
-    // slow-read schedules.
-    let coordinator = boot_chaos_coordinator(
-        &[&w0, &w1],
-        &[&p0, &p1],
-        Some(Duration::from_millis(300)),
-        3,
-    );
+    let coordinator = boot_chaos_coordinator(&[&w0, &w1], &[&p0, &p1], 3);
     let (report, degraded) = run_under_chaos(&coordinator.addr, &spec, Duration::from_secs(120));
     assert_chaos_invariant("mix", &report, degraded.as_deref(), &direct);
     coordinator.shutdown();
@@ -400,7 +390,7 @@ fn refuse_storm_degrades_with_typed_outcome() {
         seed: storm_seed(&template, 1),
         ..template
     });
-    let coordinator = boot_chaos_coordinator(&[&worker], &[&proxy], None, 0);
+    let coordinator = boot_chaos_coordinator(&[&worker], &[&proxy], 0);
     let (report, degraded) = run_under_chaos(&coordinator.addr, &spec, Duration::from_secs(60));
     let reason = degraded.expect("a total refuse storm must degrade the sweep");
     assert!(

@@ -10,17 +10,22 @@
 //! 2. A subprocess test SIGKILLs a real `dice-fabric coordinator` the
 //!    moment its journal shows a completed cell, restarts it on the same
 //!    journal, and demands the same byte-identical report.
+//!
+//! A third test shows that a finished cell reaches the journal while its
+//! scatter round's slower dispatches are still out, so a kill mid-round
+//! loses none of the cells that round finished.
 
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use dice_core::FaultKind;
 use dice_fabric::{
-    render_run_object, Coordinator, CoordinatorConfig, CoordinatorHandle, Journal, JournalRecord,
-    Worker, WorkerConfig,
+    render_run_object, Coordinator, CoordinatorConfig, CoordinatorHandle, HashRing, Journal,
+    JournalRecord, Worker, WorkerConfig, DEFAULT_VNODES,
 };
 use dice_obs::Json;
-use dice_runner::{Runner, RunnerConfig};
+use dice_runner::{cell_key, Runner, RunnerConfig};
 use dice_serve::net::NetConfig;
 use dice_serve::{http_get, http_post, render_runs, sse_data_lines, sweep_key, SweepSpec};
 
@@ -56,6 +61,20 @@ fn slow_spec_text(seed: u64) -> String {
     )
 }
 
+/// An 8-cell spec: two organizations on four workloads.
+fn wide_spec_text(seed: u64) -> String {
+    format!(
+        r#"{{"orgs":["base","dice36"],"workloads":["gcc","mcf","lbm","soplex"],"scale":4096,"warmup":50,"measure":150,"seed":{seed}}}"#
+    )
+}
+
+/// Whether the journal at `path` holds `needle` (its records are JSON
+/// text inside checksummed frames).
+fn journal_holds(path: &std::path::Path, needle: &[u8]) -> bool {
+    let bytes = std::fs::read(path).unwrap_or_default();
+    bytes.windows(needle.len()).any(|w| w == needle)
+}
+
 /// What a direct single-node `dice-runner` invocation renders for `spec`.
 fn direct_report(spec: &str, cache: Scratch) -> String {
     let spec = SweepSpec::parse(spec).expect("valid spec");
@@ -78,18 +97,31 @@ struct TestWorker {
 
 impl TestWorker {
     fn boot(cache: Scratch) -> Self {
+        Self::boot_with(cache, None)
+    }
+
+    /// A worker whose every cell hangs (the injected `cell-timeout`
+    /// fault) until its `hold` watchdog answers it as timed out. Each
+    /// cell gets a connection worker of its own, so all of them hold at
+    /// once.
+    fn holding(cache: Scratch, hold: Duration) -> Self {
+        Self::boot_with(cache, Some(hold))
+    }
+
+    fn boot_with(cache: Scratch, hold: Option<Duration>) -> Self {
         let worker = Worker::bind(WorkerConfig {
             net: NetConfig {
                 port: 0,
-                conn_workers: 2,
+                conn_workers: if hold.is_some() { 8 } else { 2 },
                 conn_backlog: 16,
             },
             runner: RunnerConfig {
                 jobs: 1,
                 cache_dir: Some(cache.0.clone()),
+                cell_timeout: hold,
                 ..RunnerConfig::default()
             },
-            inject: None,
+            inject: hold.map(|_| FaultKind::CellTimeout),
         })
         .expect("bind worker");
         let addr = worker.local_addr().expect("worker addr").to_string();
@@ -376,14 +408,7 @@ fn sigkilled_coordinator_resumes_to_byte_identical_report() {
     // is provably mid-flight (cells remain) and provably started (one
     // durable result exists).
     let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let bytes = std::fs::read(&journal_path).unwrap_or_default();
-        if bytes
-            .windows(b"\"record\":\"cell\"".len())
-            .any(|w| w == b"\"record\":\"cell\"")
-        {
-            break;
-        }
+    while !journal_holds(&journal_path, br#""record":"cell""#) {
         assert!(Instant::now() < deadline, "no cell ever journaled");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -424,4 +449,70 @@ fn sigkilled_coordinator_resumes_to_byte_identical_report() {
         .filter(|r| matches!(r, JournalRecord::Done { .. }))
         .count();
     assert_eq!((accepted, cells, done), (1, 4, 1), "journal record counts");
+}
+
+/// A scatter round applies each dispatch result as it arrives. With w1
+/// holding every cell it owns, w0's finished cells must reach the
+/// journal within half the hold — while w1's dispatches are still out —
+/// rather than when the round's slowest dispatch returns. The held cells
+/// then time out on w1, complete on w0 next round, and the report is
+/// still the direct run's bytes.
+#[test]
+fn finished_cells_are_journaled_while_the_round_is_still_out() {
+    const HOLD: Duration = Duration::from_secs(5);
+    let spec = wide_spec_text(34);
+    // The ring the coordinator builds splits the sweep: w1 holds some
+    // cells and w0 finishes the others.
+    let mut ring = HashRing::new(DEFAULT_VNODES);
+    ring.add("w0");
+    ring.add("w1");
+    let cells = SweepSpec::parse(&spec).expect("valid spec").to_cells();
+    let held = cells
+        .iter()
+        .filter(|c| ring.owner(cell_key(&c.cfg, &c.workload)) == Some("w1"))
+        .count();
+    assert!(
+        (1..cells.len()).contains(&held),
+        "w1 owns {held} of {} cells",
+        cells.len()
+    );
+
+    let direct = direct_report(&spec, scratch("hold-direct"));
+    let journal_dir = scratch("hold-journal");
+    let journal_path = journal_dir.0.join("sweep.journal");
+    let w0 = TestWorker::boot(scratch("hold-w0"));
+    let w1 = TestWorker::holding(scratch("hold-w1"), HOLD);
+    let coordinator = TestCoordinator::boot(&[&w0, &w1], journal_path.clone());
+    let submitted = Instant::now();
+    let resp = http_post(&coordinator.addr, "/v1/sweeps", &spec).expect("POST sweep");
+    assert_eq!(resp.status, 202, "submit body: {}", resp.text());
+    let id = Json::parse(&resp.text())
+        .expect("submit JSON")
+        .get("id")
+        .and_then(Json::as_str)
+        .expect("job id")
+        .to_owned();
+
+    // A completed cell's run object carries its report.
+    while !journal_holds(&journal_path, br#""record":"cell""#)
+        || !journal_holds(&journal_path, br#""report":{"#)
+    {
+        assert!(
+            submitted.elapsed() < HOLD / 2,
+            "no finished cell journaled within {:?}, while w1 still held its cells",
+            HOLD / 2
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let report = await_report(&coordinator.addr, &id, Duration::from_secs(60));
+    assert!(
+        submitted.elapsed() >= HOLD,
+        "the sweep finished before w1 answered its held cells"
+    );
+    assert_eq!(
+        report, direct,
+        "held cells must complete on w0 with the same bytes"
+    );
+    coordinator.shutdown();
 }

@@ -707,8 +707,9 @@ pub fn scan(path: impl AsRef<Path>, strict: bool) -> DiceResult<ScanInfo> {
 
 /// Fully decodes the records of one stream (values included) — the
 /// unpacker's workhorse, and the reference the streamed reader is
-/// compared against in tests. Torn tails are truncated away (recovery
-/// semantics).
+/// compared against in tests. Every frame of the file is checked, the
+/// other streams' too, so damage anywhere fails the read as it fails
+/// [`scan`]. Torn tails are truncated away (recovery semantics).
 ///
 /// # Errors
 ///
@@ -719,8 +720,10 @@ pub fn read_core_records(path: impl AsRef<Path>, file_core: u32) -> DiceResult<V
     let mut frames = FrameCursor::open_stream(path.as_ref(), file_core)?;
     let mut out = Vec::new();
     let mut records = Vec::new();
-    while let FrameStep::Frame { .. } = frames.next(Some(file_core), true, &mut records)? {
-        out.append(&mut records);
+    while let FrameStep::Frame { core, .. } = frames.next(None, true, &mut records)? {
+        if core == file_core {
+            out.append(&mut records);
+        }
     }
     Ok(out)
 }

@@ -80,8 +80,9 @@ pub enum CellOutcome {
         /// Wall time spent on this cell (simulation or cache load).
         wall: Duration,
     },
-    /// The cell panicked (after exhausting any configured retries); the
-    /// sweep continued without it.
+    /// The cell panicked, on its one and only attempt; the sweep
+    /// continued without it. A cell is never retried: its inputs fully
+    /// determine its run, so a retry would panic the same way.
     Failed {
         /// The panic message.
         error: String,
@@ -154,11 +155,6 @@ pub struct RunnerConfig {
     /// its thread is abandoned (the simulator allocates nothing global,
     /// so an abandoned thread can only waste CPU until process exit).
     pub cell_timeout: Option<Duration>,
-    /// Retries for a panicked cell before recording it as
-    /// [`CellOutcome::Failed`] (0 = fail on first panic). Timed-out cells
-    /// are never retried — a deterministic simulator that blew its budget
-    /// once will blow it again.
-    pub retries: u32,
     /// Cooperative cancellation hook. When the flag flips to `true`,
     /// workers finish the cells they already claimed (in-flight work is
     /// never abandoned mid-simulation) but claim no further ones; the
@@ -182,7 +178,6 @@ impl Default for RunnerConfig {
             cache_dir: None,
             verbose: false,
             cell_timeout: None,
-            retries: 0,
             cancel: None,
             trace: TraceCtx::default(),
             progress: None,
@@ -204,9 +199,6 @@ pub struct SweepResult {
     pub wall: Duration,
     /// Per-cell wall-time distribution in milliseconds (completed cells).
     pub cell_wall_ms: Histogram,
-    /// Panicked attempts that were retried (whether or not the retry
-    /// eventually succeeded).
-    pub retried: usize,
     /// Persistent-cache entries discarded as corrupt during this sweep.
     pub cache_discarded: u64,
     /// Cells never started because the [`RunnerConfig::cancel`] flag
@@ -223,7 +215,7 @@ pub struct SweepResult {
     /// cells.
     pub tail_idle_ms: u64,
     /// Event-engine counters summed over the cells this sweep simulated
-    /// (cached cells and failed attempts contribute nothing).
+    /// (cached and failed cells contribute nothing).
     pub engine: EngineCounters,
 }
 
@@ -288,7 +280,6 @@ impl SweepResult {
             ("runner.cached", self.cached() as u64),
             ("runner.failed", self.failed() as u64),
             ("runner.timed_out", self.timed_out() as u64),
-            ("runner.retried", self.retried as u64),
             ("runner.deduped", self.deduped as u64),
             ("runner.cancelled", self.cancelled as u64),
             ("runner.cache_discarded", self.cache_discarded),
@@ -335,16 +326,13 @@ impl SweepResult {
     }
 
     /// A one-line human summary (`N cells: a simulated, b cached, …`).
-    /// Watchdog and retry counts appear only when nonzero, keeping the
+    /// Timeout and cancel counts appear only when nonzero, keeping the
     /// healthy-path wording (which CI greps) stable.
     #[must_use]
     pub fn summary(&self) -> String {
         let mut extras = String::new();
         if self.timed_out() > 0 {
             extras.push_str(&format!(" ({} timed out)", self.timed_out()));
-        }
-        if self.retried > 0 {
-            extras.push_str(&format!(" ({} retried)", self.retried));
         }
         if self.cancelled > 0 {
             extras.push_str(&format!(" ({} cancelled)", self.cancelled));
@@ -428,7 +416,6 @@ impl Runner {
         let total = unique.len();
         let mut outcomes = BTreeMap::new();
         let mut cell_wall_ms = Histogram::new();
-        let mut retried = 0usize;
         let mut engine = EngineCounters::default();
         let discarded_before = self.cache.as_ref().map_or(0, DiskCache::discarded);
         let workers = jobs.min(total.max(1));
@@ -439,7 +426,7 @@ impl Runner {
         // return over the channel), so its claims can be `Relaxed`.
         let claims = AtomicUsize::new(0);
         let mut exits = Vec::with_capacity(workers);
-        let (tx, rx) = mpsc::channel::<(usize, CellOutcome, u32, EngineCounters)>();
+        let (tx, rx) = mpsc::channel::<(usize, CellOutcome, EngineCounters)>();
         let cells = &unique;
 
         std::thread::scope(|scope| {
@@ -463,12 +450,12 @@ impl Runner {
                             .trace
                             .span(&format!("cell:{}/{}", cell.tag, cell.workload.name));
                         let trace = span.as_ref().map(SpanGuard::ctx).unwrap_or_default();
-                        let (outcome, retries, engine) = self.run_cell(cell, &trace);
+                        let (outcome, engine) = self.run_cell(cell, &trace);
                         // Close the cell span before reporting completion
                         // so a progress consumer never observes a finished
                         // cell with an open span.
                         drop(span);
-                        if tx.send((i, outcome, retries, engine)).is_err() {
+                        if tx.send((i, outcome, engine)).is_err() {
                             break;
                         }
                     }
@@ -480,9 +467,8 @@ impl Runner {
             // The spawning thread doubles as the collector so progress
             // streams while workers are busy.
             let mut done = 0usize;
-            while let Ok((i, outcome, retries, cell_engine)) = rx.recv() {
+            while let Ok((i, outcome, cell_engine)) = rx.recv() {
                 done += 1;
-                retried += retries as usize;
                 engine += cell_engine;
                 let cell = &cells[i];
                 if self.config.verbose {
@@ -561,7 +547,6 @@ impl Runner {
             jobs,
             wall: started.elapsed(),
             cell_wall_ms,
-            retried,
             cache_discarded: self.cache.as_ref().map_or(0, DiskCache::discarded) - discarded_before,
             cancelled,
             steals: 0,
@@ -571,12 +556,11 @@ impl Runner {
     }
 
     /// Runs one cell: persistent-cache probe, then a watchdog-supervised,
-    /// unwind-isolated simulation (with bounded retries on panic), then a
-    /// cache write-back. Returns the outcome, how many retries it took and
-    /// the successful simulation's engine counters (zero for a cache hit or
-    /// a failure). `trace` is the cell span's handle; the simulation's
+    /// unwind-isolated simulation, then a cache write-back. Returns the
+    /// outcome and the simulation's engine counters (zero for a cache hit
+    /// or a failure). `trace` is the cell span's handle; the simulation's
     /// phase spans nest under it.
-    fn run_cell(&self, cell: &Cell, trace: &TraceCtx) -> (CellOutcome, u32, EngineCounters) {
+    fn run_cell(&self, cell: &Cell, trace: &TraceCtx) -> (CellOutcome, EngineCounters) {
         let t0 = Instant::now();
         let key = cell_key(&cell.cfg, &cell.workload);
         if let Some(cached) = self.cache.as_ref().and_then(|c| c.load(key)) {
@@ -586,72 +570,41 @@ impl Runner {
                     from_cache: true,
                     wall: t0.elapsed(),
                 },
-                0,
                 EngineCounters::default(),
             );
         }
-        let attempts = self.config.retries.saturating_add(1);
-        let mut last_error = String::new();
-        for attempt in 0..attempts {
-            match self.simulate_once(cell, trace) {
-                Ok((report, engine)) => {
-                    if let Some(cache) = &self.cache {
-                        if let Err(e) = cache.store(key, &cell.tag, &report) {
-                            eprintln!(
-                                "[dice-runner] failed to persist cell {}/{}: {e}",
-                                cell.tag, cell.workload.name
-                            );
-                        }
-                    }
-                    return (
-                        CellOutcome::Completed {
-                            report: Arc::new(report),
-                            from_cache: false,
-                            wall: t0.elapsed(),
-                        },
-                        attempt,
-                        engine,
-                    );
-                }
-                Err(CellFailure::TimedOut(budget)) => {
-                    // Deterministic simulations that blew the budget once
-                    // will blow it again; retrying only multiplies the
-                    // wasted wall time.
-                    return (
-                        CellOutcome::TimedOut { budget },
-                        attempt,
-                        EngineCounters::default(),
-                    );
-                }
-                Err(CellFailure::Panicked(msg)) => {
-                    if attempt + 1 < attempts {
+        match self.simulate(cell, trace) {
+            Ok((report, engine)) => {
+                if let Some(cache) = &self.cache {
+                    if let Err(e) = cache.store(key, &cell.tag, &report) {
                         eprintln!(
-                            "[dice-runner] cell {}/{} panicked ({msg}); retry {}/{}",
-                            cell.tag,
-                            cell.workload.name,
-                            attempt + 1,
-                            attempts - 1
+                            "[dice-runner] failed to persist cell {}/{}: {e}",
+                            cell.tag, cell.workload.name
                         );
                     }
-                    last_error = msg;
                 }
+                (
+                    CellOutcome::Completed {
+                        report: Arc::new(report),
+                        from_cache: false,
+                        wall: t0.elapsed(),
+                    },
+                    engine,
+                )
             }
+            Err(failed) => (failed, EngineCounters::default()),
         }
-        (
-            CellOutcome::Failed { error: last_error },
-            attempts - 1,
-            EngineCounters::default(),
-        )
     }
 
-    /// One simulation attempt. With no budget the attempt runs inline on
+    /// The cell's one simulation: its report, or the `Failed` or
+    /// `TimedOut` outcome it ended in. With no budget it runs inline on
     /// the worker thread; with a budget it runs on a dedicated thread the
     /// watchdog can abandon.
-    fn simulate_once(
+    fn simulate(
         &self,
         cell: &Cell,
         trace: &TraceCtx,
-    ) -> Result<(RunReport, EngineCounters), CellFailure> {
+    ) -> Result<(RunReport, EngineCounters), CellOutcome> {
         let cfg = cell.cfg.clone();
         let workload = cell.workload.clone();
         let trace = trace.clone();
@@ -660,30 +613,22 @@ impl Runner {
             sys.set_trace(trace);
             sys.run_with_engine_stats()
         };
+        let failed = |payload: Box<dyn std::any::Any + Send>| CellOutcome::Failed {
+            error: panic_message(payload.as_ref()),
+        };
         let Some(budget) = self.config.cell_timeout else {
-            return catch_unwind(AssertUnwindSafe(sim))
-                .map_err(|p| CellFailure::Panicked(panic_message(p.as_ref())));
+            return catch_unwind(AssertUnwindSafe(sim)).map_err(failed);
         };
         let (tx, rx) = mpsc::channel();
         // Owned (non-scoped) thread: if the simulation hangs, the watchdog
         // abandons it rather than joining, so the sweep keeps moving. The
         // send can fail only after abandonment, which is fine to ignore.
         std::thread::spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(sim)).map_err(|p| panic_message(p.as_ref()));
-            let _ = tx.send(result);
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(sim)).map_err(failed));
         });
-        match rx.recv_timeout(budget) {
-            Ok(Ok(run)) => Ok(run),
-            Ok(Err(msg)) => Err(CellFailure::Panicked(msg)),
-            Err(_) => Err(CellFailure::TimedOut(budget)),
-        }
+        rx.recv_timeout(budget)
+            .unwrap_or(Err(CellOutcome::TimedOut { budget }))
     }
-}
-
-/// Why one simulation attempt did not produce a report.
-enum CellFailure {
-    Panicked(String),
-    TimedOut(Duration),
 }
 
 /// Best-effort extraction of a panic payload's message.

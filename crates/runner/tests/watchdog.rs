@@ -1,5 +1,5 @@
-//! Watchdog and retry behavior: timed-out cells are reported without
-//! aborting the sweep, and panicked cells get bounded retries.
+//! Watchdog and failure behavior: timed-out cells are reported without
+//! aborting the sweep, and a panicked cell fails on its one attempt.
 
 use std::time::Duration;
 
@@ -30,9 +30,6 @@ fn timed_out_cell_does_not_abort_the_sweep() {
     let runner = Runner::new(RunnerConfig {
         jobs: 2,
         cell_timeout: Some(Duration::from_secs(3)),
-        // Retries must not apply to timeouts — with retries armed, a
-        // retried hang would blow the test's own budget.
-        retries: 3,
         ..RunnerConfig::default()
     })
     .unwrap();
@@ -40,7 +37,6 @@ fn timed_out_cell_does_not_abort_the_sweep() {
     assert_eq!(result.timed_out(), 1);
     assert_eq!(result.simulated(), 1);
     assert_eq!(result.failed(), 0);
-    assert_eq!(result.retried, 0, "timeouts must not be retried");
     match &result.outcomes[&("hung".to_owned(), "gcc".to_owned())] {
         CellOutcome::TimedOut { budget } => {
             assert_eq!(*budget, Duration::from_secs(3));
@@ -63,10 +59,11 @@ fn timed_out_cell_does_not_abort_the_sweep() {
     assert_eq!(reg.counter_value("errors.cell_timeout"), Some(1));
 }
 
-/// A deterministic panic burns through every configured retry, then lands
-/// as `Failed` with the original message; the retry count is reported.
+/// A panic lands as `Failed` with its message on the cell's one attempt
+/// (the simulator is deterministic, so a retry would panic the same way),
+/// and no retry metric exists.
 #[test]
-fn panicked_cell_is_retried_then_failed() {
+fn panicked_cell_fails_on_its_one_attempt() {
     let wl = WorkloadSet::rate(spec("gcc"), 7);
     let bad = tiny_cfg(Organization::UncompressedAlloy)
         .with_inject(FaultPlan::seeded(FaultKind::CellPanic));
@@ -76,14 +73,12 @@ fn panicked_cell_is_retried_then_failed() {
     ];
     let runner = Runner::new(RunnerConfig {
         jobs: 1,
-        retries: 2,
         ..RunnerConfig::default()
     })
     .unwrap();
     let result = runner.run(cells);
     assert_eq!(result.failed(), 1);
     assert_eq!(result.simulated(), 1);
-    assert_eq!(result.retried, 2, "both retries should have been spent");
     match &result.outcomes[&("bad".to_owned(), "gcc".to_owned())] {
         CellOutcome::Failed { error } => assert!(
             error.contains("injected mid-cell panic"),
@@ -101,8 +96,8 @@ fn panicked_cell_is_retried_then_failed() {
     let mut reg = dice_obs::MetricRegistry::new();
     result.register(&mut reg);
     assert_eq!(reg.counter_value("runner.failed"), Some(1));
-    assert_eq!(reg.counter_value("runner.retried"), Some(2));
     assert_eq!(reg.counter_value("errors.cell_panic"), Some(1));
+    assert_eq!(reg.counter_value("runner.retried"), None);
 }
 
 /// The watchdog path (cells on dedicated threads) must not change

@@ -746,7 +746,6 @@ mod tests {
                     jobs: 1,
                     wall: std::time::Duration::ZERO,
                     cell_wall_ms: dice_obs::Histogram::new(),
-                    retried: 0,
                     cache_discarded: 0,
                     cancelled: 0,
                     steals: 0,

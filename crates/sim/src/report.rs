@@ -61,27 +61,13 @@ pub struct IntegrityReport {
     pub faults_injected: u64,
 }
 
-impl IntegrityReport {
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("audits".into(), Json::u64(self.audits)),
-            ("violations".into(), Json::u64(self.violations)),
-            ("l4_sets_refilled".into(), Json::u64(self.l4_sets_refilled)),
-            ("l3_lines_dropped".into(), Json::u64(self.l3_lines_dropped)),
-            ("faults_injected".into(), Json::u64(self.faults_injected)),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Option<Self> {
-        Some(Self {
-            audits: j.get("audits")?.as_u64()?,
-            violations: j.get("violations")?.as_u64()?,
-            l4_sets_refilled: j.get("l4_sets_refilled")?.as_u64()?,
-            l3_lines_dropped: j.get("l3_lines_dropped")?.as_u64()?,
-            faults_injected: j.get("faults_injected")?.as_u64()?,
-        })
-    }
-}
+impl_snapshot!(IntegrityReport {
+    audits: Monotonic,
+    violations: Monotonic,
+    l4_sets_refilled: Monotonic,
+    l3_lines_dropped: Monotonic,
+    faults_injected: Monotonic,
+});
 
 /// Cycle attribution of the measured window by request phase: how long
 /// completed L4 transactions spent probing tags on misses, delivering hit
@@ -287,7 +273,7 @@ impl RunReport {
                     ("cycles".into(), Json::u64(self.energy.cycles)),
                 ]),
             ),
-            ("integrity".into(), self.integrity.to_json()),
+            ("integrity".into(), snapshot_json(&self.integrity)),
             ("latency".into(), self.latency.to_json()),
             (
                 "timeline".into(),
@@ -337,7 +323,7 @@ impl RunReport {
                 mem_joules: energy.get("mem_joules")?.as_f64()?,
                 cycles: energy.get("cycles")?.as_u64()?,
             },
-            integrity: IntegrityReport::from_json(j.get("integrity")?)?,
+            integrity: snapshot_from_json(j.get("integrity")?)?,
             latency: LatencyPanel::from_json(j.get("latency")?)?,
             timeline: j
                 .get("timeline")?
