@@ -21,8 +21,8 @@
 //!
 //! `--cell-timeout` takes seconds, fractions allowed: on a worker it is
 //! each cell's watchdog budget, on the coordinator each dispatch's socket
-//! budget. The coordinator's `--retries` bounds its re-scatter rounds; a
-//! worker never retries a cell. Ring size, breaker and probe timings are
+//! budget. The coordinator's `--retries` bounds its re-dispatches per
+//! cell; a worker never retries a cell. Ring size, breaker and probe timings are
 //! constants (see `dice_fabric::coordinator`). A malformed flag, a zero
 //! count or a zero duration exits 2 with one stderr line naming it,
 //! before anything binds.

@@ -178,13 +178,13 @@ fn decorrelated(rng: &mut SeededRng, base: Duration, cap: Duration, prev: Durati
     Duration::from_micros(rng.between(base_us, hi))
 }
 
-/// Decorrelated-jitter backoff for scatter-round retries.
+/// Decorrelated-jitter backoff before a cell's re-dispatches.
 ///
 /// Replaces the coordinator's old fixed `base × 2ⁿ` schedule: when
 /// several workers fail at once, every pending cell used to wake at the
 /// same instant and hammer the survivors in lockstep. Draws here are
-/// independent per sweep (seeded by the sweep id) and decorrelated
-/// across rounds.
+/// independent per cell (seeded by the sweep id and cell key) and
+/// decorrelated across attempts.
 #[derive(Debug, Clone)]
 pub struct JitteredBackoff {
     base: Duration,

@@ -5,15 +5,18 @@
 //! single-flight dedup, admission bound, status/report/trace documents
 //! and SSE progress as `dice-serve` — whose queue runs each sweep
 //! through a scatter executor instead of a local runner. The executor
-//! places each cell on a worker via the consistent-hash [`HashRing`]
-//! (keyed by the order-independent [`cell_key`]) and gathers the run
-//! objects back. Beside the sweep API the coordinator answers
-//! `GET /v1/fabric/membership` and `POST /v1/fabric/nodes/:name/drain`.
+//! runs the runner's own sweep loop ([`Runner::run_with`]: dedupe,
+//! `scatter_width` claiming threads, the cancel flag, `cell:TAG/WORKLOAD`
+//! spans, progress events and the [`SweepResult`](dice_runner::SweepResult))
+//! over a per-cell function that places the cell on a worker via the
+//! consistent-hash [`HashRing`] (keyed by the order-independent
+//! [`cell_key`]) and posts it there. Beside the sweep API the coordinator
+//! answers `GET /v1/fabric/membership` and
+//! `POST /v1/fabric/nodes/:name/drain`.
 //!
-//! Each cell of a scatter round is one `POST /v1/cells` on its ring
-//! owner, and each result is applied the moment it arrives: a finished
-//! cell is journaled and announced while the round's slower dispatches
-//! are still out. Failure handling, per gather result:
+//! Each attempt at a cell is one `POST /v1/cells` on its ring owner, and
+//! a finished cell is journaled and announced while other cells are
+//! still out. Failure handling, per answer:
 //!
 //! * **transport error / protocol violation / unexpected status** — a
 //!   dispatch failure against the node's circuit [`Breaker`]. At the
@@ -23,30 +26,31 @@
 //!   is declared dead), anything else keeps the breaker open for a
 //!   jittered interval of 100 ms to 5 s, after which half-open probes
 //!   decide whether it rejoins the ring or, after five failed probes,
-//!   dies. A probe allows 1 s to connect and 2 s to read. The cell stays
-//!   pending either way; the next round re-hashes it onto survivors.
+//!   dies. A probe allows 1 s to connect and 2 s to read. Either way the
+//!   cell's next attempt re-hashes it onto the survivors.
 //! * **HTTP 503** — the node is probed: a draining worker is removed
 //!   from the ring (its in-flight cells still answer), a merely busy one
-//!   stays and the cell retries after backoff.
+//!   stays and the cell tries again after backoff.
 //! * **cell-level failure** (the worker answered with an `error` /
-//!   `timed_out_ms` run object) — the cell retries on the next distinct
-//!   surviving node ([`HashRing::owner_excluding`]); once every live
-//!   node has had a go, the last worker-reported outcome is kept, so a
-//!   deterministic simulation panic renders the same error entry a
+//!   `timed_out_ms` run object) — the cell is re-dispatched to the next
+//!   distinct surviving node ([`HashRing::owner_excluding`]); once every
+//!   live node has had a go, the last worker-reported outcome is kept, so
+//!   a deterministic simulation panic renders the same error entry a
 //!   direct run would.
 //!
-//! Rounds are bounded (`retry_rounds`) with decorrelated-jitter backoff
-//! ([`JitteredBackoff`], seeded per sweep).
+//! A cell gets at most `retry_rounds + 1` attempts, with a
+//! decorrelated-jitter sleep ([`JitteredBackoff`], seeded by the sweep
+//! and the cell) before each re-dispatch.
 //!
 //! When a `journal` path is configured every accepted spec, finalized
 //! cell and sweep completion is appended to a write-ahead [`Journal`]
 //! (fsync'd before the client sees the 202). A coordinator killed
 //! mid-sweep replays the journal on restart, resumes only the missing
-//! cells, and renders the same bytes — crash recovery rides on the same
-//! identity that makes fabric reports `cmp`-equal to direct runs.
+//! cells (a replayed cell counts as a cache hit), and renders the same
+//! bytes — crash recovery rides on the same identity that makes fabric
+//! reports `cmp`-equal to direct runs.
 //!
-//! The executor hands the queue a [`SweepResult`] rebuilt from the
-//! gathered outcomes, and the queue renders it through the same
+//! The queue renders the sweep's result through the same
 //! [`render_runs`](dice_serve::render_runs) path a direct `dice-runner`
 //! invocation uses — byte-identical output is the invariant the
 //! end-to-end tests `cmp` for. When the fabric itself had to synthesize
@@ -54,20 +58,19 @@
 //! completes with a typed `degraded` reason instead of pretending the
 //! bytes are canonical.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dice_obs::{labeled, Histogram, Json, MetricRegistry};
-use dice_runner::{cell_key, Cell, CellOutcome, SweepResult};
+use dice_obs::{labeled, Json, MetricRegistry, TraceCtx};
+use dice_runner::{cell_key, Cell, CellOutcome, CellProgress, ProgressSink, Runner, RunnerConfig};
 use dice_serve::client::{http_post_timeout, http_probe, ClientResponse, ProbeError};
 use dice_serve::http::{Request, Response};
 use dice_serve::net::{NetConfig, NetServer};
 use dice_serve::{
-    EventLog, Executed, Handle, JobQueue, Server, SweepExecutor, SweepRun, SweepSpec,
+    render_event, Executed, Handle, JobQueue, Server, SweepExecutor, SweepRun, SweepSpec,
 };
 use dice_sim::EngineCounters;
 
@@ -103,14 +106,14 @@ pub struct CoordinatorConfig {
     /// Maximum queued + running sweeps before submissions get 429 (also
     /// the number of sweeps scattered at once).
     pub capacity: usize,
-    /// Parallel cell dispatches per sweep.
+    /// Cells dispatched at once per sweep (the sweep loop's threads).
     pub scatter_width: usize,
-    /// Re-scatter rounds after the first (bounded retries).
+    /// Re-dispatches per cell after its first attempt (bounded retries).
     pub retry_rounds: usize,
-    /// Base for the decorrelated-jitter backoff between re-scatter
-    /// rounds (draws live in `[backoff, backoff_cap]`).
+    /// Base for the decorrelated-jitter backoff before a cell's
+    /// re-dispatches (draws live in `[backoff, backoff_cap]`).
     pub backoff: Duration,
-    /// Ceiling on the jittered re-scatter backoff.
+    /// Ceiling on the jittered re-dispatch backoff.
     pub backoff_cap: Duration,
     /// Socket timeout for one scattered cell; a worker that blows it
     /// counts a dispatch failure against its breaker.
@@ -175,16 +178,14 @@ struct Membership {
 }
 
 impl Membership {
-    /// The ring (healthy members only) plus a name → address map, cloned
-    /// so scatter rounds never hold the membership lock across HTTP.
-    fn snapshot(&self) -> (HashRing, HashMap<String, String>) {
-        let addrs = self
-            .nodes
-            .iter()
-            .filter(|n| n.state == NodeState::Healthy)
-            .map(|n| (n.name.clone(), n.addr.clone()))
-            .collect();
-        (self.ring.clone(), addrs)
+    /// The ring owner of `key` among the nodes not in `tried`, and its
+    /// address, copied out so no dispatch holds the membership lock
+    /// across HTTP.
+    fn place(&self, key: u64, tried: &[String]) -> Option<(String, String)> {
+        let tried: Vec<&str> = tried.iter().map(String::as_str).collect();
+        let name = self.ring.owner_excluding(key, &tried)?;
+        let node = self.nodes.iter().find(|n| n.name == name)?;
+        Some((node.name.clone(), node.addr.clone()))
     }
 
     fn node_mut(&mut self, name: &str) -> Option<&mut Node> {
@@ -312,7 +313,7 @@ impl Scatter {
         }
         let mut specs: BTreeMap<u64, &Json> = BTreeMap::new();
         let mut cell_runs: HashMap<u64, Vec<&Json>> = HashMap::new();
-        let mut finished: HashSet<u64> = HashSet::new();
+        let mut finished = Vec::new();
         for record in &recovery.records {
             match record {
                 JournalRecord::Accepted { sweep, spec } => {
@@ -321,13 +322,14 @@ impl Scatter {
                 JournalRecord::Cell { sweep, run } => {
                     cell_runs.entry(*sweep).or_default().push(run);
                 }
-                JournalRecord::Done { sweep, .. } => {
-                    finished.insert(*sweep);
-                }
+                JournalRecord::Done { sweep, .. } => finished.push(*sweep),
             }
         }
+        for id in &finished {
+            specs.remove(id);
+        }
         let mut replayed = self.replayed.lock().expect("replayed poisoned");
-        for (&id, &spec) in specs.iter().filter(|(id, _)| !finished.contains(id)) {
+        for (id, spec) in specs {
             let spec = match SweepSpec::from_json(spec) {
                 Ok(spec) => spec,
                 Err(e) => {
@@ -337,10 +339,11 @@ impl Scatter {
                 }
             };
             // Last write wins per cell: a crash between append and ack can
-            // journal the same cell twice with identical payloads.
+            // journal the same cell twice with identical payloads. A
+            // replayed cell counts as a cache hit.
             let mut done_cells = Replayed::new();
             for run in cell_runs.get(&id).into_iter().flatten() {
-                match parse_run_object(run) {
+                match parse_run_object(run, true) {
                     Ok((tag, workload, outcome)) => {
                         done_cells.insert((tag, workload), outcome);
                     }
@@ -457,7 +460,6 @@ impl Scatter {
             m.ring.remove(name);
             addr
         };
-        self.count("fabric.breaker.opened");
         self.count_node("fabric.breaker_opened", name);
         // The trip tells us dispatches fail; the probe tells us *why*.
         // Refused means the process is gone — no point waiting out the
@@ -522,8 +524,8 @@ impl Scatter {
     }
 
     /// Probes every open breaker whose jittered interval has expired
-    /// (run at each scatter-round start so tripped nodes can rejoin the
-    /// ring mid-sweep).
+    /// (run before each re-dispatch so tripped nodes can rejoin the ring
+    /// mid-sweep).
     fn probe_due_breakers(&self) {
         let due: Vec<(String, String)> = {
             let mut m = self.membership.lock().expect("membership poisoned");
@@ -545,16 +547,84 @@ impl Scatter {
 }
 
 impl SweepExecutor for Scatter {
-    /// Scatter rounds until every unique cell has an outcome, then the
-    /// gathered outcomes as the runner's [`SweepResult`]. Journal-replayed
-    /// cells are never re-dispatched.
+    /// Runs the sweep through the runner's sweep loop with
+    /// [`Scatter::run_cell`] per cell, registers its `runner.*` metrics
+    /// and journals its completion. A journal-replayed cell returns at
+    /// once as a cache hit, never re-dispatched nor re-journaled.
     fn execute(&self, run: SweepRun) -> Result<Executed, String> {
         let replayed = self
             .replayed
             .lock()
             .expect("replayed poisoned")
-            .remove(&run.id);
-        Ok(self.scatter(run, replayed.map(|(_, cells)| cells).unwrap_or_default()))
+            .remove(&run.id)
+            .map(|(_, cells)| cells)
+            .unwrap_or_default();
+        let cells = run.spec.to_cells();
+        if !replayed.is_empty() {
+            let event = Json::Obj(vec![
+                ("event".into(), Json::str("resumed")),
+                ("replayed".into(), Json::u64(replayed.len() as u64)),
+                ("total".into(), Json::u64(cells.len() as u64)),
+            ]);
+            run.events.push(event.render());
+        }
+        // The node that answered each cell ("" for none), for its progress
+        // event: the runner emits that event after `run_cell` returned.
+        let answered: Arc<Mutex<HashMap<(String, String), String>>> = Arc::default();
+        let (events, nodes) = (run.events, Arc::clone(&answered));
+        let runner = Runner::new(RunnerConfig {
+            jobs: self.cfg.scatter_width,
+            cancel: Some(run.cancel),
+            trace: run.trace,
+            progress: Some(ProgressSink::new(move |p: CellProgress| {
+                let memo = (p.tag.clone(), p.workload.clone());
+                let node = nodes.lock().expect("answered poisoned").remove(&memo);
+                events.push(render_event(&p, Some(&node.unwrap_or_default())));
+            })),
+            ..RunnerConfig::default()
+        })
+        .map_err(|e| format!("runner setup: {e}"))?;
+        let result = runner.run_with(cells, |cell, trace| {
+            let started = Instant::now();
+            let (mut outcome, node) = match replayed.get(&cell.memo_key()) {
+                Some(outcome) => (outcome.clone(), String::new()),
+                None => self.run_cell(run.id, &run.spec, cell, trace),
+            };
+            if let CellOutcome::Completed { wall, .. } = &mut outcome {
+                *wall = started.elapsed();
+            }
+            answered
+                .lock()
+                .expect("answered poisoned")
+                .insert(cell.memo_key(), node);
+            (outcome, EngineCounters::default())
+        });
+        result.register(&mut self.metrics.lock().expect("metrics poisoned"));
+
+        // Cells whose final outcome the fabric had to synthesize
+        // (`fabric:` errors) make the sweep *degraded*: it still
+        // terminates with a typed reason instead of hanging or passing off
+        // non-canonical bytes as canonical.
+        let synthetic = result
+            .outcomes
+            .values()
+            .filter(|o| matches!(o, CellOutcome::Failed { error } if error.starts_with("fabric:")))
+            .count();
+        let degraded = (synthetic > 0).then(|| {
+            format!(
+                "{synthetic} of {} cells completed on no live worker (fabric-synthesized failures)",
+                result.outcomes.len()
+            )
+        });
+        // A cancelled sweep stays open in the journal, so a restarted
+        // coordinator resumes the cells it skipped.
+        if result.cancelled == 0 {
+            self.journal_append(&JournalRecord::Done {
+                sweep: run.id,
+                degraded: degraded.clone(),
+            });
+        }
+        Ok(Executed { result, degraded })
     }
 
     fn refusal(&self) -> Option<String> {
@@ -608,21 +678,7 @@ impl Coordinator {
     }
 }
 
-/// One scatter unit: a unique cell, where it has been tried, and how it
-/// ended.
-struct Item {
-    cell: Cell,
-    /// Ring placement key ([`cell_key`] over config + workload).
-    key: u64,
-    /// Nodes that answered with a cell-level failure for this cell.
-    tried: Vec<String>,
-    /// Last worker-reported failure and the node that reported it, kept
-    /// if every retry avenue runs out.
-    fallback: Option<(CellOutcome, String)>,
-    outcome: Option<CellOutcome>,
-}
-
-/// What one dispatched cell request came back as.
+/// What one cell request came back as.
 enum Fetch {
     /// Connect/read/write failure — a dispatch failure for the breaker.
     Transport,
@@ -650,18 +706,6 @@ fn fetch_cell(addr: &str, body: &str, timeout: Duration) -> Fetch {
     }
 }
 
-/// One planned dispatch of a scatter round.
-struct Dispatch {
-    /// The item it settles.
-    idx: usize,
-    /// The ring owner it goes to, and that node's address.
-    node: String,
-    addr: String,
-    /// The single-cell spec it posts, and its span label.
-    body: String,
-    label: String,
-}
-
 impl Scatter {
     /// Applies `f` to node `name`'s membership entry, if there is one.
     fn node<T>(&self, name: &str, f: impl FnOnce(&mut Node) -> T) -> Option<T> {
@@ -669,301 +713,128 @@ impl Scatter {
         m.node_mut(name).map(f)
     }
 
-    /// Runs one sweep: scatter rounds until every unique cell has an
-    /// outcome, then the outcomes reassembled into exactly the structure
-    /// a direct runner invocation produces. `replayed` carries the
-    /// journal's outcomes; those cells are never re-dispatched.
-    fn scatter(&self, run: SweepRun, mut replayed: Replayed) -> Executed {
-        let SweepRun {
-            id,
-            spec,
-            trace,
-            events,
-            ..
-        } = run;
-        let started = Instant::now();
-
-        // Dedupe duplicate memo keys up front, exactly like the runner does
-        // (first declaration wins; the count feeds the summary line).
-        let cells = spec.to_cells();
-        let declared = cells.len();
-        let mut seen = HashSet::new();
-        let mut items: Vec<Item> = Vec::with_capacity(declared);
-        let mut resumed = 0usize;
-        for cell in cells {
-            if !seen.insert(cell.memo_key()) {
-                continue;
-            }
-            let key = cell_key(&cell.cfg, &cell.workload);
-            // A journal-replayed outcome settles the cell without dispatch
-            // (and without re-journaling it).
-            let outcome = replayed.remove(&cell.memo_key());
-            resumed += usize::from(outcome.is_some());
-            items.push(Item {
-                cell,
-                key,
-                tried: Vec::new(),
-                fallback: None,
-                outcome,
-            });
-        }
-        let deduped = declared - items.len();
-        let total = items.len();
-        let mut gather = Gather {
-            scatter: self,
-            id,
-            events,
-            total,
-            seq: 0,
-        };
-        if resumed > 0 {
-            let event = Json::Obj(vec![
-                ("event".into(), Json::str("resumed")),
-                ("replayed".into(), Json::u64(resumed as u64)),
-                ("total".into(), Json::u64(total as u64)),
-            ])
-            .render();
-            gather.events.push(event);
-        }
-
-        let mut backoff = JitteredBackoff::new(self.cfg.backoff, self.cfg.backoff_cap, id);
-        let mut round = 0usize;
-        loop {
-            let pending: Vec<usize> = (0..items.len())
-                .filter(|&i| items[i].outcome.is_none())
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            if round > self.cfg.retry_rounds {
-                for idx in pending {
-                    gather.fall_back(&mut items[idx]);
-                }
-                break;
-            }
-            if round > 0 {
-                self.count("fabric.rescatter_rounds");
-                // Decorrelated jitter, seeded by the sweep id: concurrent
-                // sweeps retrying after the same worker failure wake at
-                // different instants instead of storming the survivors.
+    /// One cell of sweep `id` on the fleet: at most `retry_rounds + 1`
+    /// attempts, each one `POST /v1/cells` to the cell's ring owner among
+    /// the nodes that have not answered it with a failure, with a
+    /// jittered sleep and a probe of due breakers before each
+    /// re-dispatch. Returns the outcome, journaled, and the node that
+    /// answered it: the first completion, else the last worker-reported
+    /// failure (what a direct run renders), else a fabric-synthesized
+    /// failure and no node. `trace` is the cell's span; each attempt
+    /// opens a `dispatch@NODE` span under it.
+    fn run_cell(
+        &self,
+        id: u64,
+        spec: &SweepSpec,
+        cell: &Cell,
+        trace: &TraceCtx,
+    ) -> (CellOutcome, String) {
+        let key = cell_key(&cell.cfg, &cell.workload);
+        let body = cell_spec(spec, &cell.tag, &cell.workload.name);
+        // Decorrelated jitter, seeded by sweep and cell: cells retrying
+        // after the same worker failure wake at different instants
+        // instead of storming the survivors.
+        let mut backoff = JitteredBackoff::new(self.cfg.backoff, self.cfg.backoff_cap, id ^ key);
+        let mut tried = Vec::new();
+        let mut answer = None;
+        for attempt in 0..=self.cfg.retry_rounds {
+            if attempt > 0 {
+                self.count("fabric.redispatches");
                 std::thread::sleep(backoff.next_delay());
+                // Give tripped breakers whose open interval has expired
+                // their half-open probe, so nodes can rejoin the ring
+                // mid-sweep.
+                self.probe_due_breakers();
             }
-            // Give tripped breakers whose open interval has expired their
-            // half-open probe, so nodes can rejoin the ring mid-sweep.
-            self.probe_due_breakers();
-
-            let (ring, addrs) = self
+            let placed = self
                 .membership
                 .lock()
                 .expect("membership poisoned")
-                .snapshot();
-            let mut dispatches: Vec<Dispatch> = Vec::new();
-            for idx in pending {
-                let tried: Vec<&str> = items[idx].tried.iter().map(String::as_str).collect();
-                let placed = ring
-                    .owner_excluding(items[idx].key, &tried)
-                    .and_then(|node| addrs.get(node).map(|addr| (node.to_owned(), addr.clone())));
-                match placed {
-                    Some((node, addr)) => {
-                        let cell = &items[idx].cell;
-                        dispatches.push(Dispatch {
-                            body: cell_spec(&spec, &cell.tag, &cell.workload.name),
-                            label: format!("cell:{}/{}@{node}", cell.tag, cell.workload.name),
-                            idx,
-                            node,
-                            addr,
-                        });
-                    }
-                    // Every surviving node already failed this cell (or
-                    // the ring is empty).
-                    None => gather.fall_back(&mut items[idx]),
+                .place(key, &tried);
+            // None: every surviving node already failed this cell (or the
+            // ring is empty).
+            let Some((node, addr)) = placed else {
+                break;
+            };
+            let _span = trace.span(&format!("dispatch@{node}"));
+            match self.dispatch(cell, &node, &addr, &body) {
+                Some(outcome @ CellOutcome::Completed { .. }) => {
+                    answer = Some((outcome, node));
+                    break;
                 }
+                // A cell-level failure, kept in case no other node
+                // completes the cell.
+                Some(outcome) => {
+                    tried.push(node.clone());
+                    answer = Some((outcome, node));
+                }
+                None => {}
             }
-            if dispatches.is_empty() {
-                round += 1;
-                continue;
-            }
-
-            let round_span = trace.span(&format!("scatter round {round}"));
-            let round_ctx = round_span
-                .as_ref()
-                .map(dice_obs::SpanGuard::ctx)
-                .unwrap_or_default();
-            let timeout = self.cfg.cell_timeout;
-            let next = AtomicUsize::new(0);
-            let width = self.cfg.scatter_width.clamp(1, dispatches.len());
-            let (tx, rx) = mpsc::channel::<(usize, Fetch)>();
-            std::thread::scope(|s| {
-                for _ in 0..width {
-                    let tx = tx.clone();
-                    let (next, dispatches, round_ctx) = (&next, &dispatches, &round_ctx);
-                    s.spawn(move || loop {
-                        let slot = next.fetch_add(1, Ordering::SeqCst);
-                        let Some(d) = dispatches.get(slot) else {
-                            break;
-                        };
-                        let _span = round_ctx.span(&d.label);
-                        let fetch = fetch_cell(&d.addr, &d.body, timeout);
-                        if tx.send((slot, fetch)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                // The spawning thread applies each result as it arrives
-                // (the dispatches own their bodies, so `items` is free to
-                // borrow mutably here): a finished cell is journaled and
-                // announced without waiting for the round's slowest one.
-                for (slot, fetch) in rx {
-                    let d = &dispatches[slot];
-                    self.count_node("fabric.cells_dispatched", &d.node);
-                    self.node(&d.node, |n| n.dispatched += 1);
-                    gather.apply(&mut items[d.idx], &d.node, &d.addr, fetch);
-                }
-            });
-            drop(round_span);
-
-            round += 1;
         }
-
-        // Cells whose final outcome the fabric had to synthesize
-        // (`fabric:` errors) make the sweep *degraded*: it still
-        // terminates with a typed reason instead of hanging or passing off
-        // non-canonical bytes as canonical.
-        let mut outcomes = BTreeMap::new();
-        let mut synthetic = 0usize;
-        for item in &mut items {
-            let outcome = item.outcome.take().unwrap_or(CellOutcome::Failed {
-                error: "fabric: cell never gathered".to_owned(),
-            });
-            if matches!(&outcome, CellOutcome::Failed { error } if error.starts_with("fabric:")) {
-                synthetic += 1;
-            }
-            outcomes.insert(item.cell.memo_key(), outcome);
-        }
-        let degraded = (synthetic > 0).then(|| {
-            format!("{synthetic} of {total} cells completed on no live worker (fabric-synthesized failures)")
+        let (outcome, node) = answer.unwrap_or_else(|| {
+            let error = SYNTHETIC_ERROR.to_owned();
+            (CellOutcome::Failed { error }, String::new())
         });
-        self.journal_append(&JournalRecord::Done {
+        self.journal_append(&JournalRecord::Cell {
             sweep: id,
-            degraded: degraded.clone(),
+            run: render_run_object(&cell.tag, &cell.workload.name, &outcome),
         });
-        Executed {
-            result: SweepResult {
-                outcomes,
-                deduped,
-                jobs: self.cfg.scatter_width,
-                wall: started.elapsed(),
-                cell_wall_ms: Histogram::new(),
-                cache_discarded: 0,
-                cancelled: 0,
-                steals: 0,
-                tail_idle_ms: 0,
-                engine: EngineCounters::default(),
-            },
-            degraded,
-        }
+        (outcome, node)
     }
-}
 
-/// One sweep's gather state: finalized cells are journaled and announced
-/// on the job's event log in completion order.
-struct Gather<'a> {
-    scatter: &'a Scatter,
-    id: u64,
-    events: EventLog,
-    total: usize,
-    seq: usize,
-}
-
-impl Gather<'_> {
-    /// Applies one gather result to its item and the membership table.
-    fn apply(&mut self, item: &mut Item, node: &str, addr: &str, fetch: Fetch) {
-        let scatter = self.scatter;
-        match fetch {
-            Fetch::Transport | Fetch::BadBody => scatter.dispatch_failed(node),
+    /// One `POST /v1/cells` of `body` to `node`, its answer recorded
+    /// against the node's breaker and counters: the outcome the worker
+    /// reported for `cell`, or `None` when the attempt brought no usable
+    /// answer.
+    fn dispatch(&self, cell: &Cell, node: &str, addr: &str, body: &str) -> Option<CellOutcome> {
+        self.count_node("fabric.cells_dispatched", node);
+        self.node(node, |n| n.dispatched += 1);
+        match fetch_cell(addr, body, self.cfg.cell_timeout) {
             Fetch::Status(503) => {
-                // Draining worker or merely a full accept backlog — probe to
-                // tell them apart. A draining node leaves the ring (its
+                // Draining worker or merely a full accept backlog — probe
+                // to tell them apart. A draining node leaves the ring (its
                 // in-flight cells still answer); a busy one stays and the
-                // cell simply retries next round.
-                let draining = !matches!(probe(addr), Ok(ref r) if r.status == 200);
-                if draining {
-                    let mut m = scatter.membership.lock().expect("membership poisoned");
+                // cell simply tries again.
+                if !matches!(probe(addr), Ok(ref r) if r.status == 200) {
+                    let mut m = self.membership.lock().expect("membership poisoned");
                     m.retire(node, NodeState::Draining);
                 }
             }
-            Fetch::Status(_) => scatter.dispatch_failed(node),
+            Fetch::Transport | Fetch::Status(_) | Fetch::BadBody => self.dispatch_failed(node),
             Fetch::Body(doc) => {
                 // Two gates before the body is believed: the envelope
                 // checksum (bytes arrived as sent) and the cell identity
                 // (the worker answered for the right cell).
-                let expected = item.cell.memo_key();
-                let parsed = open_run_object(&doc).and_then(parse_run_object);
+                let parsed =
+                    open_run_object(&doc).and_then(|(run, cached)| parse_run_object(run, cached));
                 match parsed {
-                    Ok((tag, wl, outcome)) if tag == expected.0 && wl == expected.1 => {
-                        scatter.dispatch_answered(node);
-                        if let CellOutcome::Completed { .. } = outcome {
-                            scatter.node(node, |n| n.completed += 1);
-                            scatter.count_node("fabric.cells_completed", node);
-                            self.finalize(item, outcome, node);
+                    Ok((tag, wl, outcome)) if tag == cell.tag && wl == cell.workload.name => {
+                        self.dispatch_answered(node);
+                        let completed = matches!(outcome, CellOutcome::Completed { .. });
+                        self.node(node, |n| {
+                            if completed {
+                                n.completed += 1;
+                            } else {
+                                n.failed += 1;
+                            }
+                        });
+                        let counter = if completed {
+                            "fabric.cells_completed"
                         } else {
-                            // Cell-level failure: remember it, try the next
-                            // distinct surviving node next round.
-                            scatter.node(node, |n| n.failed += 1);
-                            scatter.count_node("fabric.cells_failed", node);
-                            item.tried.push(node.to_owned());
-                            item.fallback = Some((outcome, node.to_owned()));
-                        }
+                            "fabric.cells_failed"
+                        };
+                        self.count_node(counter, node);
+                        return Some(outcome);
                     }
                     // Wrong cell, bad checksum, or unparseable: protocol
                     // violation — a dispatch failure for the breaker.
                     _ => {
-                        scatter.count("fabric.envelope_rejected");
-                        scatter.dispatch_failed(node);
+                        self.count("fabric.envelope_rejected");
+                        self.dispatch_failed(node);
                     }
                 }
             }
         }
-    }
-
-    /// Settles an item no live worker will still complete: its last
-    /// worker-reported outcome (what a direct run would render), or a
-    /// synthesized failure if no worker ever completed it.
-    fn fall_back(&mut self, item: &mut Item) {
-        let (outcome, node) = item.fallback.take().unwrap_or_else(|| {
-            let error = SYNTHETIC_ERROR.to_owned();
-            (CellOutcome::Failed { error }, String::new())
-        });
-        self.finalize(item, outcome, &node);
-    }
-
-    /// Records a final outcome for an item, journals it, and emits its
-    /// progress event.
-    fn finalize(&mut self, item: &mut Item, outcome: CellOutcome, node: &str) {
-        // Journal before the in-memory finalize: a crash between the two
-        // replays the cell (idempotent), the reverse order would lose it.
-        self.scatter.journal_append(&JournalRecord::Cell {
-            sweep: self.id,
-            run: render_run_object(&item.cell.tag, &item.cell.workload.name, &outcome),
-        });
-        self.seq += 1;
-        let status = match &outcome {
-            CellOutcome::Completed { .. } => "completed",
-            CellOutcome::Failed { .. } => "failed",
-            CellOutcome::TimedOut { .. } => "timed_out",
-        };
-        let event = Json::Obj(vec![
-            ("event".into(), Json::str("cell")),
-            ("seq".into(), Json::u64(self.seq as u64)),
-            ("total".into(), Json::u64(self.total as u64)),
-            ("tag".into(), Json::str(&item.cell.tag)),
-            ("workload".into(), Json::str(&item.cell.workload.name)),
-            ("status".into(), Json::str(status)),
-            ("node".into(), Json::str(node)),
-        ])
-        .render();
-        self.events.push(event);
-        item.outcome = Some(outcome);
+        None
     }
 }

@@ -2,18 +2,19 @@
 //!
 //! One **coordinator** is `dice-serve`'s sweep service — its job queue
 //! and HTTP layer (`POST /v1/sweeps`, status/report/trace, SSE progress)
-//! — with a scatter executor in place of the local runner: it expands
-//! the spec to cells, places each cell on a **worker** via a
-//! consistent-hash ring with virtual nodes ([`ring::HashRing`], keyed by
-//! the order-independent [`dice_runner::cell_key`]), and gathers the
-//! per-cell run objects back into a report **byte-identical** to what a
-//! direct single-node `dice-runner` invocation renders — that identity
-//! is the fabric's correctness contract, `cmp`-checked in CI.
+//! — with a scatter executor in place of the local runner: it runs the
+//! runner's sweep loop over the spec's cells, places each cell on a
+//! **worker** via a consistent-hash ring with virtual nodes
+//! ([`ring::HashRing`], keyed by the order-independent
+//! [`dice_runner::cell_key`]), and gathers the per-cell run objects back
+//! into a report **byte-identical** to what a direct single-node
+//! `dice-runner` invocation renders — that identity is the fabric's
+//! correctness contract, `cmp`-checked in CI.
 //!
 //! Workers are thin: one `POST /v1/cells` runs one cell through the
 //! runner engine and its local persistent cache. Worker death and
-//! cell-level failures re-hash pending cells onto surviving nodes with
-//! bounded retry rounds and backoff; graceful drain takes a node off the
+//! cell-level failures re-hash a cell onto surviving nodes with a
+//! bounded number of re-dispatches and backoff; graceful drain takes a node off the
 //! ring while its in-flight cells still answer. The membership endpoint
 //! exposes the ring version so operators can watch the ring churn.
 

@@ -22,20 +22,22 @@
 //! byte-identical to direct ones.
 //!
 //! Since the chaos work, the run object travels inside a **checksummed
-//! envelope**: `{"sum":"<16-hex fnv1a64 of run.render()>","run":{…}}`.
+//! envelope**: `{"sum":"<16-hex>","cached":BOOL,"run":{…}}`, where the
+//! sum is fnv1a64 over `run.render()` followed by one byte, 1 when the
+//! worker answered from its `DiskCache` and 0 when it simulated.
 //! A network that merely tears a response produces unparseable bytes the
 //! coordinator already rejects; a network that *flips* bytes can produce
 //! JSON that still parses but carries a wrong number — the one corruption
 //! mode that would silently poison a report. The envelope closes it:
 //! [`open_run_object`] re-renders the received run and compares
 //! checksums, so a garbled-but-parseable body is a typed dispatch
-//! failure, never a wrong report.
+//! failure, never a wrong report (nor a wrong cache-hit count).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use dice_obs::Json;
-use dice_runner::{fnv1a64, CellOutcome};
+use dice_obs::{fnv1a64, fnv1a64_extend, Json};
+use dice_runner::CellOutcome;
 pub use dice_serve::render_run_object;
 use dice_serve::SweepSpec;
 use dice_sim::RunReport;
@@ -55,45 +57,58 @@ pub fn cell_spec(spec: &SweepSpec, tag: &str, workload: &str) -> String {
     .render()
 }
 
+/// The envelope checksum over `run` and the `cached` flag.
+fn envelope_sum(run: &Json, cached: bool) -> u64 {
+    fnv1a64_extend(fnv1a64(run.render().as_bytes()), &[u8::from(cached)])
+}
+
 /// Wraps a run object in the checksummed envelope a worker ships back:
-/// `{"sum": "<16-hex fnv1a64 of run.render()>", "run": {…}}`.
+/// `{"sum": "<16-hex>", "cached": BOOL, "run": {…}}`.
 #[must_use]
-pub fn seal_run_object(run: Json) -> Json {
-    let sum = fnv1a64(run.render().as_bytes());
+pub fn seal_run_object(run: Json, cached: bool) -> Json {
+    let sum = envelope_sum(&run, cached);
     Json::Obj(vec![
         ("sum".to_owned(), Json::str(format!("{sum:016x}"))),
+        ("cached".to_owned(), Json::Bool(cached)),
         ("run".to_owned(), run),
     ])
 }
 
-/// Verifies an envelope's checksum and yields the run object inside.
+/// Verifies an envelope's checksum and yields the run object inside and
+/// whether the worker answered from its cache.
 ///
 /// # Errors
 ///
-/// A human-readable description: missing/ill-typed `sum` or `run`, or a
-/// checksum mismatch (bytes were corrupted in flight but still parsed).
-pub fn open_run_object(doc: &Json) -> Result<&Json, String> {
+/// A human-readable description: missing/ill-typed `sum`, `cached` or
+/// `run`, or a checksum mismatch (bytes were corrupted in flight but
+/// still parsed).
+pub fn open_run_object(doc: &Json) -> Result<(&Json, bool), String> {
     let sum = doc
         .get("sum")
         .and_then(Json::as_str)
         .ok_or("cell envelope missing \"sum\"")?;
     let sum = u64::from_str_radix(sum, 16).map_err(|_| "cell envelope \"sum\" is not hex")?;
+    let cached = match doc.get("cached") {
+        Some(Json::Bool(cached)) => *cached,
+        _ => return Err("cell envelope missing \"cached\"".to_owned()),
+    };
     let run = doc.get("run").ok_or("cell envelope missing \"run\"")?;
-    if fnv1a64(run.render().as_bytes()) != sum {
+    if envelope_sum(run, cached) != sum {
         return Err("cell envelope checksum mismatch (response corrupted in flight)".to_owned());
     }
-    Ok(run)
+    Ok((run, cached))
 }
 
-/// Parses a worker's run object back into `(tag, workload, outcome)`.
+/// Parses a run object back into `(tag, workload, outcome)`; a completed
+/// outcome gets `from_cache: cached`.
 ///
 /// # Errors
 ///
 /// A human-readable description of what is malformed. `wall` on the
-/// rebuilt outcome is zero and `from_cache` false — the canonical
-/// document excludes scheduling incidentals, so neither affects the
-/// rendered report.
-pub fn parse_run_object(doc: &Json) -> Result<(String, String, CellOutcome), String> {
+/// rebuilt outcome is zero: the coordinator sets its own measured time.
+/// Neither field affects the rendered report, which excludes scheduling
+/// incidentals.
+pub fn parse_run_object(doc: &Json, cached: bool) -> Result<(String, String, CellOutcome), String> {
     let tag = doc
         .get("tag")
         .and_then(Json::as_str)
@@ -109,7 +124,7 @@ pub fn parse_run_object(doc: &Json) -> Result<(String, String, CellOutcome), Str
             RunReport::from_json(report).ok_or("run object carries an unparseable report")?;
         CellOutcome::Completed {
             report: Arc::new(report),
-            from_cache: false,
+            from_cache: cached,
             wall: Duration::ZERO,
         }
     } else if let Some(error) = doc.get("error").and_then(Json::as_str) {
@@ -163,7 +178,7 @@ mod tests {
         ] {
             let doc = render_run_object("base", "gcc", &outcome);
             assert!(doc.get(probe).is_some());
-            let (tag, wl, back) = parse_run_object(&doc).expect("round trip");
+            let (tag, wl, back) = parse_run_object(&doc, false).expect("round trip");
             assert_eq!((tag.as_str(), wl.as_str()), ("base", "gcc"));
             assert_eq!(
                 render_run_object("base", "gcc", &back).render(),
@@ -174,18 +189,21 @@ mod tests {
 
     #[test]
     fn sealed_envelopes_open_clean() {
-        let run = render_run_object(
-            "base",
-            "gcc",
-            &CellOutcome::Failed {
-                error: "boom".into(),
-            },
-        );
-        let rendered = run.render();
-        let sealed = seal_run_object(run);
-        let wire = Json::parse(&sealed.render()).expect("envelope parses");
-        let opened = open_run_object(&wire).expect("checksum holds");
-        assert_eq!(opened.render(), rendered);
+        for cached in [false, true] {
+            let run = render_run_object(
+                "base",
+                "gcc",
+                &CellOutcome::Failed {
+                    error: "boom".into(),
+                },
+            );
+            let rendered = run.render();
+            let sealed = seal_run_object(run, cached);
+            let wire = Json::parse(&sealed.render()).expect("envelope parses");
+            let (opened, was_cached) = open_run_object(&wire).expect("checksum holds");
+            assert_eq!(opened.render(), rendered);
+            assert_eq!(was_cached, cached);
+        }
     }
 
     #[test]
@@ -197,13 +215,16 @@ mod tests {
                 budget: Duration::from_millis(1234),
             },
         );
-        let sealed = seal_run_object(run).render();
-        // A garble that keeps the JSON parseable: flip one body digit.
-        let tampered = sealed.replace("1234", "1235");
-        assert_ne!(sealed, tampered, "tamper target must exist");
-        let doc = Json::parse(&tampered).expect("still parses");
-        let err = open_run_object(&doc).expect_err("checksum must catch the flip");
-        assert!(err.contains("checksum"), "unexpected error: {err}");
+        let sealed = seal_run_object(run, false).render();
+        // Garbles that keep the JSON parseable: flip one body digit, or
+        // the cache flag.
+        for (from, to) in [("1234", "1235"), ("\"cached\":false", "\"cached\":true")] {
+            let tampered = sealed.replace(from, to);
+            assert_ne!(sealed, tampered, "tamper target must exist");
+            let doc = Json::parse(&tampered).expect("still parses");
+            let err = open_run_object(&doc).expect_err("checksum must catch the flip");
+            assert!(err.contains("checksum"), "unexpected error: {err}");
+        }
     }
 
     #[test]
@@ -227,7 +248,7 @@ mod tests {
             r#"{"tag":"base","workload":"gcc","report":{"nope":1}}"#,
         ] {
             let doc = Json::parse(bad).expect("test JSON");
-            assert!(parse_run_object(&doc).is_err(), "accepted: {bad}");
+            assert!(parse_run_object(&doc, false).is_err(), "accepted: {bad}");
         }
     }
 }

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 
 use dice_core::{FaultKind, FaultPlan};
 use dice_obs::MetricRegistry;
-use dice_runner::{CellOutcome, Runner, RunnerConfig};
+use dice_runner::{Runner, RunnerConfig};
 use dice_serve::http::{Request, Response};
 use dice_serve::net::{Drain, Handled, NetConfig, NetServer};
 use dice_serve::SweepSpec;
@@ -166,26 +166,16 @@ fn run_cell(request: &Request, shared: &Arc<WorkerShared>) -> Response {
     };
     let memo = cell.memo_key();
     let mut result = runner.run(vec![cell]);
+    result.register(&mut shared.metrics.lock().expect("metrics poisoned"));
+    let cached = result.cached() == 1;
     let Some(outcome) = result.outcomes.remove(&memo) else {
         return Response::error(500, "cell produced no outcome");
     };
-
-    let mut reg = shared.metrics.lock().expect("metrics poisoned");
-    let id = reg.counter(match &outcome {
-        CellOutcome::Completed {
-            from_cache: true, ..
-        } => "worker.cells_cached",
-        CellOutcome::Completed { .. } => "worker.cells_simulated",
-        CellOutcome::Failed { .. } => "worker.cells_failed",
-        CellOutcome::TimedOut { .. } => "worker.cells_timed_out",
-    });
-    reg.inc(id);
-    drop(reg);
 
     // Sealed in a checksummed envelope so a network that garbles bytes
     // into still-parseable JSON cannot poison the coordinator's report.
     Response::json(
         200,
-        seal_run_object(render_run_object(&memo.0, &memo.1, &outcome)).render(),
+        seal_run_object(render_run_object(&memo.0, &memo.1, &outcome), cached).render(),
     )
 }

@@ -193,6 +193,16 @@ fn run_sweep(addr: &str, spec: &str) -> (String, String) {
     (id, report.text())
 }
 
+/// The status document's `summary` line for job `id`.
+fn summary(addr: &str, id: &str) -> String {
+    let status = http_get(addr, &format!("/v1/sweeps/{id}")).expect("GET status");
+    let doc = Json::parse(&status.text()).expect("status JSON");
+    doc.get("summary")
+        .and_then(Json::as_str)
+        .expect("summary")
+        .to_owned()
+}
+
 #[test]
 fn fabric_report_is_byte_identical_cold_and_warm() {
     let spec = spec_text(11);
@@ -204,20 +214,30 @@ fn fabric_report_is_byte_identical_cold_and_warm() {
             .collect();
         let refs: Vec<&TestWorker> = nodes.iter().collect();
         let coordinator = TestCoordinator::boot(&refs);
-        let (_, cold) = run_sweep(&coordinator.addr, &spec);
+        let (id, cold) = run_sweep(&coordinator.addr, &spec);
         assert_eq!(
             cold, direct,
             "cold fabric report diverged ({workers} workers)"
         );
+        let cold_summary = summary(&coordinator.addr, &id);
+        assert!(
+            cold_summary.contains(" 4 simulated, 0 cached,"),
+            "cold summary ({workers} workers): {cold_summary}"
+        );
         coordinator.shutdown();
 
         // Same worker fleet, warm caches, fresh coordinator: still the
-        // same bytes.
+        // same bytes, and every cell answered from a worker's cache.
         let coordinator = TestCoordinator::boot(&refs);
-        let (_, warm) = run_sweep(&coordinator.addr, &spec);
+        let (id, warm) = run_sweep(&coordinator.addr, &spec);
         assert_eq!(
             warm, direct,
             "warm fabric report diverged ({workers} workers)"
+        );
+        let warm_summary = summary(&coordinator.addr, &id);
+        assert!(
+            warm_summary.contains(" 0 simulated, 4 cached,"),
+            "warm summary ({workers} workers): {warm_summary}"
         );
         coordinator.shutdown();
     }
@@ -377,7 +397,7 @@ fn progress_events_stream_with_node_attribution() {
         assert_eq!(doc.get("event").and_then(Json::as_str), Some("cell"));
         assert_eq!(doc.get("seq").and_then(Json::as_u64), Some(i as u64 + 1));
         assert_eq!(doc.get("total").and_then(Json::as_u64), Some(4));
-        assert_eq!(doc.get("status").and_then(Json::as_str), Some("completed"));
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("simulated"));
         assert_eq!(doc.get("node").and_then(Json::as_str), Some("w0"));
     }
     let end = Json::parse(&events[4]).expect("end JSON");

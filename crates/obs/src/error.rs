@@ -1,82 +1,33 @@
 //! The workspace-wide typed error hierarchy.
 //!
 //! Every fallible path in the DICE reproduction — trace parsing, config
-//! validation, on-disk cache decoding, runtime invariant audits, runner
-//! cells — reports a [`DiceError`] instead of panicking. Errors carry
-//! enough structured context (path, line, set index, cell tag) to be
-//! actionable without a backtrace, and each maps to an [`ErrorClass`]
-//! with a stable per-class counter name so sweeps can aggregate failure
-//! modes in the [`MetricRegistry`](crate::MetricRegistry).
+//! validation, file I/O, runtime invariant audits — reports a
+//! [`DiceError`] instead of panicking. Errors carry enough structured
+//! context (path, line, set index, field) to be actionable without a
+//! backtrace, and each maps to an [`ErrorClass`] so a caller or test can
+//! tell failure modes apart without parsing messages. A runner cell's
+//! panic or timeout is not one of these: it is the cell's
+//! `CellOutcome`, counted as `runner.failed` / `runner.timed_out`.
 //!
 //! Hand-rolled like the rest of `dice-obs`: no `thiserror`, no
 //! dependencies.
 
 use std::fmt;
 
-use crate::registry::MetricRegistry;
-
 /// Result alias used across the workspace.
 pub type DiceResult<T> = Result<T, DiceError>;
 
-/// Coarse error classification, one obs counter per class.
+/// Coarse error classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ErrorClass {
     /// Malformed or truncated trace/spec input.
     TraceParse,
     /// Invalid configuration (empty workload set, bad flag value, …).
     Config,
-    /// Unreadable or corrupt on-disk result-cache entry.
-    CacheEntry,
     /// A runtime invariant audit found corrupted simulator state.
     Invariant,
     /// An underlying I/O operation failed.
     Io,
-    /// A runner cell panicked mid-simulation.
-    CellPanic,
-    /// A runner cell exceeded its wall-clock budget.
-    CellTimeout,
-}
-
-impl ErrorClass {
-    /// Every class, in counter-registration order.
-    pub const ALL: [ErrorClass; 7] = [
-        ErrorClass::TraceParse,
-        ErrorClass::Config,
-        ErrorClass::CacheEntry,
-        ErrorClass::Invariant,
-        ErrorClass::Io,
-        ErrorClass::CellPanic,
-        ErrorClass::CellTimeout,
-    ];
-
-    /// Stable short name (`trace_parse`, `invariant`, …).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ErrorClass::TraceParse => "trace_parse",
-            ErrorClass::Config => "config",
-            ErrorClass::CacheEntry => "cache_entry",
-            ErrorClass::Invariant => "invariant",
-            ErrorClass::Io => "io",
-            ErrorClass::CellPanic => "cell_panic",
-            ErrorClass::CellTimeout => "cell_timeout",
-        }
-    }
-
-    /// The obs-registry counter name for this class
-    /// (`errors.trace_parse`, …).
-    #[must_use]
-    pub fn metric_name(self) -> &'static str {
-        match self {
-            ErrorClass::TraceParse => "errors.trace_parse",
-            ErrorClass::Config => "errors.config",
-            ErrorClass::CacheEntry => "errors.cache_entry",
-            ErrorClass::Invariant => "errors.invariant",
-            ErrorClass::Io => "errors.io",
-            ErrorClass::CellPanic => "errors.cell_panic",
-            ErrorClass::CellTimeout => "errors.cell_timeout",
-        }
-    }
 }
 
 /// A structured, classified error. All context is owned `String`s so the
@@ -100,13 +51,6 @@ pub enum DiceError {
         /// Why it was rejected.
         reason: String,
     },
-    /// An on-disk result-cache entry could not be used.
-    CacheEntry {
-        /// Path of the rejected entry.
-        path: String,
-        /// Why it was rejected.
-        reason: String,
-    },
     /// A runtime invariant audit detected corrupted state.
     Invariant {
         /// Where the audit ran (`"l4 set 12"`, `"l3"`, …).
@@ -121,20 +65,6 @@ pub enum DiceError {
         /// Stringified `std::io::Error`.
         reason: String,
     },
-    /// A runner cell panicked.
-    CellPanic {
-        /// `"tag/workload"` identifier of the cell.
-        cell: String,
-        /// Extracted panic message.
-        message: String,
-    },
-    /// A runner cell exceeded its wall-clock budget.
-    CellTimeout {
-        /// `"tag/workload"` identifier of the cell.
-        cell: String,
-        /// The budget that was exceeded, in milliseconds.
-        budget_ms: u64,
-    },
 }
 
 impl DiceError {
@@ -147,17 +77,14 @@ impl DiceError {
         }
     }
 
-    /// The class this error belongs to (selects its obs counter).
+    /// The class this error belongs to.
     #[must_use]
     pub fn class(&self) -> ErrorClass {
         match self {
             DiceError::TraceParse { .. } => ErrorClass::TraceParse,
             DiceError::Config { .. } => ErrorClass::Config,
-            DiceError::CacheEntry { .. } => ErrorClass::CacheEntry,
             DiceError::Invariant { .. } => ErrorClass::Invariant,
             DiceError::Io { .. } => ErrorClass::Io,
-            DiceError::CellPanic { .. } => ErrorClass::CellPanic,
-            DiceError::CellTimeout { .. } => ErrorClass::CellTimeout,
         }
     }
 }
@@ -171,20 +98,11 @@ impl fmt::Display for DiceError {
             DiceError::Config { field, reason } => {
                 write!(f, "invalid config `{field}`: {reason}")
             }
-            DiceError::CacheEntry { path, reason } => {
-                write!(f, "unusable cache entry {path}: {reason}")
-            }
             DiceError::Invariant { context, detail } => {
                 write!(f, "invariant violated in {context}: {detail}")
             }
             DiceError::Io { context, reason } => {
                 write!(f, "io error while {context}: {reason}")
-            }
-            DiceError::CellPanic { cell, message } => {
-                write!(f, "cell {cell} panicked: {message}")
-            }
-            DiceError::CellTimeout { cell, budget_ms } => {
-                write!(f, "cell {cell} exceeded its {budget_ms} ms budget")
             }
         }
     }
@@ -192,34 +110,9 @@ impl fmt::Display for DiceError {
 
 impl std::error::Error for DiceError {}
 
-/// Pre-register one counter per [`ErrorClass`] so sweeps report zeroes
-/// for classes that never fired (absent counters read as "not measured").
-pub fn register_error_counters(reg: &mut MetricRegistry) {
-    for class in ErrorClass::ALL {
-        reg.counter(class.metric_name());
-    }
-}
-
-/// Bump the per-class counter for `err`.
-pub fn record_error(reg: &mut MetricRegistry, err: &DiceError) {
-    let id = reg.counter(err.class().metric_name());
-    reg.inc(id);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_class_has_distinct_names() {
-        let mut names: Vec<_> = ErrorClass::ALL.iter().map(|c| c.metric_name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), ErrorClass::ALL.len());
-        for c in ErrorClass::ALL {
-            assert_eq!(c.metric_name(), format!("errors.{}", c.name()));
-        }
-    }
 
     #[test]
     fn display_includes_context() {
@@ -234,12 +127,12 @@ mod tests {
         );
         assert_eq!(e.class(), ErrorClass::TraceParse);
 
-        let e = DiceError::CellTimeout {
-            cell: "dice36/gcc".into(),
-            budget_ms: 1500,
+        let e = DiceError::Config {
+            field: "jobs".into(),
+            reason: "must be nonzero".into(),
         };
-        assert!(e.to_string().contains("1500 ms"));
-        assert_eq!(e.class(), ErrorClass::CellTimeout);
+        assert_eq!(e.to_string(), "invalid config `jobs`: must be nonzero");
+        assert_eq!(e.class(), ErrorClass::Config);
     }
 
     #[test]
@@ -249,20 +142,6 @@ mod tests {
         assert_eq!(e.class(), ErrorClass::Io);
         assert!(e.to_string().contains("read trace /x"));
         assert!(e.to_string().contains("gone"));
-    }
-
-    #[test]
-    fn errors_feed_per_class_counters() {
-        let mut reg = MetricRegistry::new();
-        register_error_counters(&mut reg);
-        let e = DiceError::Config {
-            field: "jobs".into(),
-            reason: "must be nonzero".into(),
-        };
-        record_error(&mut reg, &e);
-        record_error(&mut reg, &e);
-        assert_eq!(reg.counter_value("errors.config"), Some(2));
-        assert_eq!(reg.counter_value("errors.io"), Some(0));
     }
 
     #[test]

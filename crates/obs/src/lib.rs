@@ -23,7 +23,7 @@
 //! - [`render_prometheus`] — Prometheus text exposition of a whole
 //!   registry (served by `dice-serve`'s `/metrics`);
 //! - [`DiceError`] / [`ErrorClass`] — the workspace-wide typed error
-//!   hierarchy, with one obs counter per class via [`record_error`];
+//!   hierarchy;
 //! - [`cli::Flags`] — the one command-line reader of every binary, which
 //!   refuses a malformed line the same way everywhere;
 //! - [`fnv1a64`] — the one FNV-1a behind cache keys, job ids, `.dtf`
@@ -52,7 +52,7 @@ mod span;
 mod trace;
 
 pub use chrome::validate_chrome_trace;
-pub use error::{record_error, register_error_counters, DiceError, DiceResult, ErrorClass};
+pub use error::{DiceError, DiceResult, ErrorClass};
 pub use hist::Histogram;
 pub use json::{Json, JsonError};
 pub use panel::{LatencyPanel, RequestClass};

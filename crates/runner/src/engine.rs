@@ -7,6 +7,8 @@
 //! back to front, and a worker exits when none is left. A cell simulates
 //! for tens of milliseconds, so a claim is cheap beside it. End-of-sweep
 //! idle time is reported as [`SweepResult::tail_idle_ms`].
+//! [`Runner::run_with`] is the same loop over a caller's per-cell
+//! function; the fabric coordinator runs its remote dispatch through it.
 //!
 //! Three properties the harness depends on:
 //!
@@ -296,33 +298,6 @@ impl SweepResult {
         reg.set_gauge(id, self.jobs as f64);
         let h = reg.histogram("runner.cell_wall_ms");
         reg.merge_histogram(h, &self.cell_wall_ms);
-
-        // Per-class error counters (`errors.*`): the sweep's failures
-        // expressed in the shared DiceError taxonomy.
-        dice_obs::register_error_counters(reg);
-        for ((tag, wl), outcome) in &self.outcomes {
-            let err = match outcome {
-                CellOutcome::Completed { .. } => continue,
-                CellOutcome::Failed { error } => dice_obs::DiceError::CellPanic {
-                    cell: format!("{tag}/{wl}"),
-                    message: error.clone(),
-                },
-                CellOutcome::TimedOut { budget } => dice_obs::DiceError::CellTimeout {
-                    cell: format!("{tag}/{wl}"),
-                    budget_ms: budget.as_millis() as u64,
-                },
-            };
-            dice_obs::record_error(reg, &err);
-        }
-        for _ in 0..self.cache_discarded {
-            dice_obs::record_error(
-                reg,
-                &dice_obs::DiceError::CacheEntry {
-                    path: String::new(),
-                    reason: String::new(),
-                },
-            );
-        }
     }
 
     /// A one-line human summary (`N cells: a simulated, b cached, …`).
@@ -380,12 +355,28 @@ impl Runner {
     }
 
     /// Executes `cells` across the worker pool and returns every unique
-    /// cell's outcome. Duplicate `(tag, workload)` cells are collapsed
-    /// (first occurrence wins); a duplicate whose configuration hashes
-    /// differently from the kept one is a harness bug and gets a stderr
-    /// warning.
+    /// cell's outcome: [`run_with`](Self::run_with) over the runner's own
+    /// cell path (persistent-cache probe, then an unwind-isolated,
+    /// watchdog-supervised simulation, then a cache write-back).
     #[must_use]
     pub fn run(&self, cells: Vec<Cell>) -> SweepResult {
+        self.run_with(cells, |cell, trace| self.run_cell(cell, trace))
+    }
+
+    /// The sweep loop, over a caller's per-cell function: `run_cell`
+    /// runs once per unique cell, on a worker thread, under the cell's
+    /// `cell:TAG/WORKLOAD` span (its argument is that span's handle), and
+    /// returns the cell's outcome and engine counters. Duplicate
+    /// `(tag, workload)` cells are collapsed first (first occurrence
+    /// wins); a duplicate whose configuration hashes differently from the
+    /// kept one is a harness bug and gets a stderr warning. The cancel
+    /// flag, progress sink, verbose lines and every [`SweepResult`]
+    /// statistic work the same whatever `run_cell` does.
+    #[must_use]
+    pub fn run_with<F>(&self, cells: Vec<Cell>, run_cell: F) -> SweepResult
+    where
+        F: Fn(&Cell, &TraceCtx) -> (CellOutcome, EngineCounters) + Sync,
+    {
         let started = Instant::now();
         let jobs = self.config.jobs.max(1);
 
@@ -433,7 +424,7 @@ impl Runner {
             let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 let tx = tx.clone();
-                let claims = &claims;
+                let (claims, run_cell) = (&claims, &run_cell);
                 let cancel = self.config.cancel.clone();
                 handles.push(scope.spawn(move || {
                     loop {
@@ -450,7 +441,7 @@ impl Runner {
                             .trace
                             .span(&format!("cell:{}/{}", cell.tag, cell.workload.name));
                         let trace = span.as_ref().map(SpanGuard::ctx).unwrap_or_default();
-                        let (outcome, engine) = self.run_cell(cell, &trace);
+                        let (outcome, engine) = run_cell(cell, &trace);
                         // Close the cell span before reporting completion
                         // so a progress consumer never observes a finished
                         // cell with an open span.
@@ -471,42 +462,26 @@ impl Runner {
                 done += 1;
                 engine += cell_engine;
                 let cell = &cells[i];
+                let (status, wall_ms) = match &outcome {
+                    CellOutcome::Completed {
+                        from_cache, wall, ..
+                    } => {
+                        let wall_ms = wall.as_millis() as u64;
+                        cell_wall_ms.record(wall_ms);
+                        (if *from_cache { "cached" } else { "simulated" }, wall_ms)
+                    }
+                    CellOutcome::Failed { .. } => ("failed", 0),
+                    CellOutcome::TimedOut { budget } => ("timed_out", budget.as_millis() as u64),
+                };
                 if self.config.verbose {
-                    let status = match &outcome {
-                        CellOutcome::Completed {
-                            from_cache: true, ..
-                        } => "cache".to_owned(),
-                        CellOutcome::Completed { wall, .. } => {
-                            format!("sim {:.1}s", wall.as_secs_f64())
-                        }
-                        CellOutcome::Failed { .. } => "FAILED".to_owned(),
-                        CellOutcome::TimedOut { budget } => {
-                            format!("TIMED OUT after {:.1}s", budget.as_secs_f64())
-                        }
-                    };
                     eprintln!(
-                        "  [runner {done}/{total}] {:<12} {:<10} ({status})",
-                        cell.tag, cell.workload.name
+                        "  [runner {done}/{total}] {:<12} {:<10} ({status} {:.1}s)",
+                        cell.tag,
+                        cell.workload.name,
+                        wall_ms as f64 / 1000.0
                     );
                 }
-                if let CellOutcome::Completed { wall, .. } = &outcome {
-                    cell_wall_ms.record(wall.as_millis() as u64);
-                }
                 if let Some(sink) = &self.config.progress {
-                    let (status, wall_ms) = match &outcome {
-                        CellOutcome::Completed {
-                            from_cache: true,
-                            wall,
-                            ..
-                        } => ("cached", wall.as_millis() as u64),
-                        CellOutcome::Completed { wall, .. } => {
-                            ("simulated", wall.as_millis() as u64)
-                        }
-                        CellOutcome::Failed { .. } => ("failed", 0),
-                        CellOutcome::TimedOut { budget } => {
-                            ("timed_out", budget.as_millis() as u64)
-                        }
-                    };
                     sink.emit(CellProgress {
                         seq: done,
                         total,

@@ -56,7 +56,7 @@ fn timed_out_cell_does_not_abort_the_sweep() {
     let mut reg = dice_obs::MetricRegistry::new();
     result.register(&mut reg);
     assert_eq!(reg.counter_value("runner.timed_out"), Some(1));
-    assert_eq!(reg.counter_value("errors.cell_timeout"), Some(1));
+    assert_eq!(reg.counter_value("errors.cell_timeout"), None);
 }
 
 /// A panic lands as `Failed` with its message on the cell's one attempt
@@ -96,7 +96,7 @@ fn panicked_cell_fails_on_its_one_attempt() {
     let mut reg = dice_obs::MetricRegistry::new();
     result.register(&mut reg);
     assert_eq!(reg.counter_value("runner.failed"), Some(1));
-    assert_eq!(reg.counter_value("errors.cell_panic"), Some(1));
+    assert_eq!(reg.counter_value("errors.cell_panic"), None);
     assert_eq!(reg.counter_value("runner.retried"), None);
 }
 

@@ -186,7 +186,7 @@ impl SweepExecutor for Local {
         cfg.trace = run.trace;
         let events = run.events;
         cfg.progress = Some(ProgressSink::new(move |p: CellProgress| {
-            events.push(render_event(&p));
+            events.push(render_event(&p, None));
         }));
         let runner = Runner::new(cfg).map_err(|e| format!("runner setup: {e}"))?;
         let result = runner.run(run.spec.to_cells());
@@ -620,9 +620,11 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// Renders one [`CellProgress`] as the JSON object pushed to the job's
-/// event log (and streamed over SSE).
-fn render_event(p: &CellProgress) -> String {
-    Json::Obj(vec![
+/// event log (and streamed over SSE). `node` names the fabric worker
+/// that answered the cell; an in-process sweep's events have none.
+#[must_use]
+pub fn render_event(p: &CellProgress, node: Option<&str>) -> String {
+    let mut pairs = vec![
         ("event".into(), Json::str("cell")),
         ("seq".into(), Json::u64(p.seq as u64)),
         ("total".into(), Json::u64(p.total as u64)),
@@ -630,8 +632,11 @@ fn render_event(p: &CellProgress) -> String {
         ("workload".into(), Json::str(&p.workload)),
         ("status".into(), Json::str(p.status)),
         ("wall_ms".into(), Json::u64(p.wall_ms)),
-    ])
-    .render()
+    ];
+    if let Some(node) = node {
+        pairs.push(("node".into(), Json::str(node)));
+    }
+    Json::Obj(pairs).render()
 }
 
 /// Runs one sweep through the executor under its own [`TraceCtx`] and

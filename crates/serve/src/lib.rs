@@ -51,7 +51,8 @@ pub use client::{
     ProbeError,
 };
 pub use jobs::{
-    EventLog, Executed, JobQueue, JobQueueConfig, JobState, Submission, SweepExecutor, SweepRun,
+    render_event, EventLog, Executed, JobQueue, JobQueueConfig, JobState, Submission,
+    SweepExecutor, SweepRun,
 };
 pub use net::{Handled, NetConfig, NetServer};
 pub use promcheck::validate_prometheus;
