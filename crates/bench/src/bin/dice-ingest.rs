@@ -10,7 +10,7 @@
 //!   gen     generate a synthetic multi-core trace and pack it
 //!             --out PATH      output .dtf file (required)
 //!             --spec NAME     workload spec driving the generator (mcf)
-//!             --cores N       independent streams, positive (8)
+//!             --cores N       independent streams, 1 to 1024 (8)
 //!             --records N     records per stream, positive (100000)
 //!             --seed N        generator seed (53709)
 //!             --scale N       footprint scale divisor, a power of two
@@ -44,7 +44,7 @@ use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
 use dice_core::Organization;
-use dice_ingest::{pack_records, scan, DtfWriter, TraceBinding};
+use dice_ingest::{pack_records, scan, DtfWriter, TraceBinding, MAX_CORES};
 use dice_obs::cli::Flags;
 use dice_obs::{DiceError, DiceResult, Json};
 use dice_runner::{Cell, Runner, RunnerConfig};
@@ -70,6 +70,9 @@ fn cmd_gen(flags: &mut Flags) {
     let out = PathBuf::from(flags.required("--out"));
     let spec = spec_flag(flags);
     let cores = flags.count("--cores", 8_u32);
+    if cores > MAX_CORES {
+        flags.refuse(format!("--cores must be at most {MAX_CORES}"));
+    }
     let records = flags.number("--records", 100_000);
     let seed = flags.number("--seed", 0xd1cd);
     let scale = flags.number("--scale", 256);

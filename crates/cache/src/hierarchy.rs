@@ -1,27 +1,20 @@
-//! The on-chip three-level hierarchy: private L1/L2 per core, shared L3.
+//! The on-chip level the simulator drives: the shared L3.
 //!
-//! Misses fill all levels (paper §3.1: "Cache misses fill all levels of the
-//! hierarchy"). Dirty victims cascade downward — L1 → L2 → L3 — and dirty
-//! L3 victims are returned to the caller, which forwards them to the DRAM
-//! L4 as writebacks.
+//! The simulator's record streams are post-L2 (DESIGN.md §3, §7.4), so the
+//! paper's private L1/L2 are already folded into each stream and only the
+//! shared L3 is modelled here. Dirty L3 victims queue up until the caller
+//! drains them; the L4 controller turns each into a DRAM-cache write.
 
-use crate::set_assoc::{Eviction, SetAssocCache};
+use crate::set_assoc::SetAssocCache;
 use crate::stats::CacheStats;
 use crate::LineAddr;
 
-/// Sizing of the SRAM hierarchy.
+/// Sizing of the shared L3.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierarchyConfig {
-    /// Number of cores (each gets a private L1 and L2).
+    /// Number of cores sharing the L3. It sizes nothing: the L3 is
+    /// `l3_bytes` however many cores feed it.
     pub cores: usize,
-    /// Private L1 data cache capacity in bytes.
-    pub l1_bytes: usize,
-    /// L1 associativity.
-    pub l1_ways: usize,
-    /// Private L2 capacity in bytes.
-    pub l2_bytes: usize,
-    /// L2 associativity.
-    pub l2_ways: usize,
     /// Shared L3 capacity in bytes.
     pub l3_bytes: usize,
     /// L3 associativity.
@@ -29,167 +22,48 @@ pub struct HierarchyConfig {
 }
 
 impl HierarchyConfig {
-    /// The paper's Table 2 configuration: 8 cores, 32 KB/256 KB private
-    /// L1/L2 (8-way each), 8 MB shared L3 (16-way; 1 MB per core).
+    /// The paper's Table 2 L3: 8 cores sharing 8 MB, 16-way (1 MB per
+    /// core).
     #[must_use]
     pub fn paper_8core() -> Self {
         Self {
             cores: 8,
-            l1_bytes: 32 << 10,
-            l1_ways: 8,
-            l2_bytes: 256 << 10,
-            l2_ways: 8,
             l3_bytes: 8 << 20,
             l3_ways: 16,
         }
     }
-
-    /// A proportionally scaled-down hierarchy for fast experiments:
-    /// capacities divided by `factor` (associativities kept).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero or does not divide the capacities into
-    /// power-of-two set counts.
-    #[must_use]
-    pub fn paper_8core_scaled(factor: usize) -> Self {
-        assert!(
-            factor > 0 && factor.is_power_of_two(),
-            "scale factor must be a power of two"
-        );
-        let base = Self::paper_8core();
-        Self {
-            l1_bytes: base.l1_bytes / factor,
-            l2_bytes: base.l2_bytes / factor,
-            l3_bytes: base.l3_bytes / factor,
-            ..base
-        }
-    }
 }
 
-/// Which level serviced a demand access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HitLevel {
-    /// Private L1 hit.
-    L1,
-    /// Private L2 hit.
-    L2,
-    /// Shared L3 hit.
-    L3,
-}
-
-/// The three SRAM levels, with per-core private L1/L2.
+/// The shared L3 and its queue of dirty victims.
 #[derive(Debug, Clone)]
 pub struct SramHierarchy {
-    l1: Vec<SetAssocCache>,
-    l2: Vec<SetAssocCache>,
     l3: SetAssocCache,
     /// Dirty L3 victims awaiting pickup by the L4 controller.
     pending_writebacks: Vec<LineAddr>,
 }
 
 impl SramHierarchy {
-    /// Builds the hierarchy described by `cfg`, all caches empty.
+    /// Builds the L3 described by `cfg`, empty.
     #[must_use]
     pub fn new(cfg: &HierarchyConfig) -> Self {
         Self {
-            l1: (0..cfg.cores)
-                .map(|_| SetAssocCache::new(cfg.l1_bytes, cfg.l1_ways))
-                .collect(),
-            l2: (0..cfg.cores)
-                .map(|_| SetAssocCache::new(cfg.l2_bytes, cfg.l2_ways))
-                .collect(),
             l3: SetAssocCache::new(cfg.l3_bytes, cfg.l3_ways),
             pending_writebacks: Vec::new(),
         }
     }
 
-    /// Services a demand access from `core`. Returns the hit level, or
-    /// `None` on an L3 miss (the caller must fetch from L4/memory and then
-    /// call [`fill`](Self::fill)).
-    ///
-    /// On an L2 or L3 hit the line is promoted into the upper levels,
-    /// cascading victims downward.
-    pub fn access(&mut self, core: usize, addr: LineAddr, is_write: bool) -> Option<HitLevel> {
-        if self.l1[core].access(addr, is_write) {
-            return Some(HitLevel::L1);
-        }
-        if self.l2[core].access(addr, false) {
-            self.promote_to_l1(core, addr, is_write);
-            return Some(HitLevel::L2);
-        }
-        if self.l3.access(addr, false) {
-            self.promote_to_l2(core, addr);
-            self.promote_to_l1(core, addr, is_write);
-            return Some(HitLevel::L3);
-        }
-        None
-    }
-
-    /// Fills `addr` into all levels after an L4/memory fetch (write misses
-    /// allocate dirty in L1, as write-allocate requires).
-    pub fn fill(&mut self, core: usize, addr: LineAddr, is_write: bool) {
-        self.install_l3(addr, false);
-        self.promote_to_l2(core, addr);
-        self.promote_to_l1(core, addr, is_write);
-    }
-
-    /// Installs `addr` into the shared L3 only — the path DICE uses for the
-    /// *extra* line obtained free from a compressed-pair L4 hit (§6.4: both
-    /// lines are installed in L3, improving its hit rate).
-    pub fn fill_l3_only(&mut self, addr: LineAddr) {
-        self.install_l3(addr, false);
-    }
-
-    /// Probes only the shared L3 (the entry point when the simulator drives
-    /// the hierarchy with a post-L2 miss stream; see DESIGN.md §3). Returns
-    /// `true` on a hit, updating recency and dirtiness.
+    /// Probes the shared L3 with one post-L2 record. Returns `true` on a
+    /// hit, updating recency and dirtiness; on a miss the caller fetches
+    /// from L4/memory and then calls [`l3_fill`](Self::l3_fill).
     pub fn l3_access(&mut self, addr: LineAddr, is_write: bool) -> bool {
         self.l3.access(addr, is_write)
     }
 
-    /// Installs `addr` into the shared L3 with explicit dirtiness; dirty
-    /// victims are queued for [`take_writebacks`](Self::take_writebacks).
+    /// Installs `addr` into the shared L3 with explicit dirtiness — a
+    /// demand fill, or the extra line a compressed-pair L4 hit delivers
+    /// free (§6.4). A dirty victim is queued for
+    /// [`drain_writebacks_into`](Self::drain_writebacks_into).
     pub fn l3_fill(&mut self, addr: LineAddr, dirty: bool) {
-        self.install_l3(addr, dirty);
-    }
-
-    fn promote_to_l1(&mut self, core: usize, addr: LineAddr, is_write: bool) {
-        if let Some(v) = self.l1[core].install(addr, is_write) {
-            if v.dirty {
-                // Dirty L1 victim: write through to L2 (allocating).
-                self.absorb_into_l2(core, v);
-            }
-        }
-    }
-
-    fn promote_to_l2(&mut self, core: usize, addr: LineAddr) {
-        if let Some(v) = self.l2[core].install(addr, false) {
-            if v.dirty {
-                self.absorb_into_l3(v);
-            }
-        }
-    }
-
-    fn absorb_into_l2(&mut self, core: usize, wb: Eviction) {
-        if self.l2[core].contains(wb.addr) {
-            self.l2[core].access(wb.addr, true);
-        } else if let Some(v) = self.l2[core].install(wb.addr, true) {
-            if v.dirty {
-                self.absorb_into_l3(v);
-            }
-        }
-    }
-
-    fn absorb_into_l3(&mut self, wb: Eviction) {
-        if self.l3.contains(wb.addr) {
-            self.l3.access(wb.addr, true);
-        } else {
-            self.install_l3(wb.addr, true);
-        }
-    }
-
-    fn install_l3(&mut self, addr: LineAddr, dirty: bool) {
         if let Some(v) = self.l3.install(addr, dirty) {
             if v.dirty {
                 self.pending_writebacks.push(v.addr);
@@ -197,16 +71,8 @@ impl SramHierarchy {
         }
     }
 
-    /// Drains dirty L3 victims produced since the last call; the L4
-    /// controller turns each into a DRAM-cache write.
-    pub fn take_writebacks(&mut self) -> Vec<LineAddr> {
-        std::mem::take(&mut self.pending_writebacks)
-    }
-
-    /// [`take_writebacks`](Self::take_writebacks) into a caller-owned
-    /// buffer, so a reused buffer makes the steady-state drain
-    /// allocation-free (`take_writebacks` hands out a fresh `Vec` each
-    /// call).
+    /// Moves the dirty L3 victims queued since the last drain into `out`,
+    /// so a reused buffer keeps the steady-state drain allocation-free.
     pub fn drain_writebacks_into(&mut self, out: &mut Vec<LineAddr>) {
         out.append(&mut self.pending_writebacks);
     }
@@ -223,53 +89,25 @@ impl SramHierarchy {
         self.l3.stats()
     }
 
-    /// Statistics of `core`'s private L1.
-    #[must_use]
-    pub fn l1_stats(&self, core: usize) -> &CacheStats {
-        self.l1[core].stats()
-    }
-
-    /// Statistics of `core`'s private L2.
-    #[must_use]
-    pub fn l2_stats(&self, core: usize) -> &CacheStats {
-        self.l2[core].stats()
-    }
-
-    /// Resets statistics on every level (end of warm-up).
+    /// Resets the L3's statistics (end of warm-up).
     pub fn reset_stats(&mut self) {
-        for c in &mut self.l1 {
-            c.reset_stats();
-        }
-        for c in &mut self.l2 {
-            c.reset_stats();
-        }
         self.l3.reset_stats();
     }
 
-    /// Audits every level's structural invariants (see
+    /// Audits the L3's structural invariants (see
     /// [`SetAssocCache::audit`]), wrapping each finding in a typed
-    /// [`DiceError::Invariant`](dice_obs::DiceError) whose context names
-    /// the level (`l3`, `l1[2]`, …). A clean hierarchy returns an empty
-    /// vector.
+    /// [`DiceError::Invariant`](dice_obs::DiceError) whose context is
+    /// `l3`. A clean L3 returns an empty vector.
     #[must_use]
     pub fn audit(&self) -> Vec<dice_obs::DiceError> {
-        let mut out = Vec::new();
-        let mut collect = |context: String, cache: &SetAssocCache| {
-            for (set, detail) in cache.audit() {
-                out.push(dice_obs::DiceError::Invariant {
-                    context: context.clone(),
-                    detail: format!("set {set}: {detail}"),
-                });
-            }
-        };
-        for (i, c) in self.l1.iter().enumerate() {
-            collect(format!("l1[{i}]"), c);
-        }
-        for (i, c) in self.l2.iter().enumerate() {
-            collect(format!("l2[{i}]"), c);
-        }
-        collect("l3".to_owned(), &self.l3);
-        out
+        self.l3
+            .audit()
+            .into_iter()
+            .map(|(set, detail)| dice_obs::DiceError::Invariant {
+                context: "l3".to_owned(),
+                detail: format!("set {set}: {detail}"),
+            })
+            .collect()
     }
 
     /// Fault injector: flips a set-index bit of one resident L3 tag (see
@@ -294,112 +132,47 @@ impl SramHierarchy {
 mod tests {
     use super::*;
 
+    /// 16 sets × 4 ways.
     fn tiny() -> SramHierarchy {
         SramHierarchy::new(&HierarchyConfig {
             cores: 2,
-            l1_bytes: 4 * 64,
-            l1_ways: 2,
-            l2_bytes: 16 * 64,
-            l2_ways: 2,
             l3_bytes: 64 * 64,
             l3_ways: 4,
         })
     }
 
     #[test]
-    fn cold_miss_then_fill_then_l1_hit() {
-        let mut h = tiny();
-        assert_eq!(h.access(0, 42, false), None);
-        h.fill(0, 42, false);
-        assert_eq!(h.access(0, 42, false), Some(HitLevel::L1));
-    }
-
-    #[test]
-    fn shared_l3_serves_other_core() {
-        let mut h = tiny();
-        h.fill(0, 42, false);
-        // Core 1 never touched the line: private levels miss, shared L3 hits.
-        assert_eq!(h.access(1, 42, false), Some(HitLevel::L3));
-        // And it is promoted into core 1's private levels.
-        assert_eq!(h.access(1, 42, false), Some(HitLevel::L1));
-    }
-
-    #[test]
-    fn l1_eviction_falls_to_l2() {
-        let mut h = tiny();
-        // L1 has 2 sets × 2 ways. Fill set 0 (even addresses) thrice.
-        h.fill(0, 0, false);
-        h.fill(0, 2, false);
-        h.fill(0, 4, false); // evicts line 0 from L1
-        assert_eq!(h.access(0, 0, false), Some(HitLevel::L2));
-    }
-
-    #[test]
     fn dirty_l3_victims_surface_as_writebacks() {
         let mut h = tiny();
-        // Make a line dirty, then flood L3's set with conflicting installs.
-        h.fill(0, 0, true);
-        // Push it out of L1 and L2 via conflicting fills, then out of L3.
-        // L3 has 16 sets × 4 ways; lines congruent mod 16 collide.
-        for i in 1..=40u64 {
-            h.fill(0, i * 16, false);
+        // A written line, then enough conflicting clean fills to push it
+        // out: lines congruent mod 16 collide.
+        assert!(!h.l3_access(0, true));
+        h.l3_fill(0, true);
+        for i in 1..=4u64 {
+            h.l3_fill(i * 16, false);
         }
-        let wbs = h.take_writebacks();
-        assert!(
-            wbs.contains(&0),
-            "dirty line 0 should be written back, got {wbs:?}"
-        );
-        assert!(h.take_writebacks().is_empty(), "drain empties the queue");
-    }
-
-    #[test]
-    fn fill_l3_only_leaves_private_levels_cold() {
-        let mut h = tiny();
-        h.fill_l3_only(7);
-        assert!(h.l3_contains(7));
-        assert_eq!(h.access(0, 7, false), Some(HitLevel::L3));
-    }
-
-    #[test]
-    fn write_allocates_dirty() {
-        let mut h = tiny();
-        assert_eq!(h.access(0, 3, true), None);
-        h.fill(0, 3, true);
-        // Force the dirty line down the hierarchy and out of L3.
-        for i in 1..=48u64 {
-            h.fill(0, 3 + i * 16, false);
-            // Keep L1/L2 churning so line 3 eventually falls to L3.
-            h.fill(0, 3 + i * 2, false);
-        }
-        let wbs = h.take_writebacks();
-        assert!(
-            wbs.contains(&3),
-            "written line must eventually write back, got {wbs:?}"
-        );
+        let mut wbs = Vec::new();
+        h.drain_writebacks_into(&mut wbs);
+        assert_eq!(wbs, [0], "dirty line 0 should be written back");
+        wbs.clear();
+        h.drain_writebacks_into(&mut wbs);
+        assert!(wbs.is_empty(), "a drain empties the queue");
     }
 
     #[test]
     fn paper_config_shapes() {
-        let cfg = HierarchyConfig::paper_8core();
-        let h = SramHierarchy::new(&cfg);
-        assert_eq!(h.l1.len(), 8);
-        assert_eq!(h.l2.len(), 8);
+        let h = SramHierarchy::new(&HierarchyConfig::paper_8core());
         assert_eq!(h.l3.sets() * h.l3.ways() * 64, 8 << 20);
-    }
-
-    #[test]
-    fn scaled_config_divides_capacity() {
-        let cfg = HierarchyConfig::paper_8core_scaled(16);
-        assert_eq!(cfg.l3_bytes, (8 << 20) / 16);
-        let _ = SramHierarchy::new(&cfg); // constructible
+        assert_eq!(h.l3.ways(), 16);
     }
 
     #[test]
     fn healthy_hierarchy_audits_clean() {
         let mut h = tiny();
         for i in 0..200u64 {
-            h.access(0, i * 3, i % 7 == 0);
-            h.fill(i as usize % 2, i * 3, false);
+            if !h.l3_access(i * 3, i % 7 == 0) {
+                h.l3_fill(i * 3, i % 7 == 0);
+            }
         }
         assert_eq!(h.audit(), vec![]);
     }
@@ -408,7 +181,7 @@ mod tests {
     fn l3_tag_flip_is_detected_and_recoverable() {
         let mut h = tiny();
         for i in 0..64u64 {
-            h.fill_l3_only(i * 2);
+            h.l3_fill(i * 2, false);
         }
         let (_, _, new) = h.l3_inject_tag_flip(99).expect("l3 populated");
         let violations = h.audit();

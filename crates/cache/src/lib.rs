@@ -1,14 +1,15 @@
-//! SRAM cache-hierarchy substrate for the DICE reproduction.
+//! SRAM cache substrate for the DICE reproduction.
 //!
-//! The paper's system (Table 2) has a four-level hierarchy: private 32 KB L1
-//! and 256 KB L2 per core, a shared 8 MB L3, and the 1 GB DRAM L4 this
-//! project is about. This crate provides the on-chip (SRAM) part:
+//! The paper's system (Table 2) has private 32 KB L1 and 256 KB L2 caches
+//! per core, a shared 8 MB L3, and the 1 GB DRAM L4 this project is about.
+//! DICE acts only behind the L3, so the simulator feeds it post-L2 record
+//! streams (DESIGN.md §3, §7.4): the private levels are folded into each
+//! stream, and each record probes the shared L3. This crate provides:
 //!
 //! * [`SetAssocCache`] — a generic set-associative, write-back,
 //!   write-allocate cache with true-LRU replacement,
-//! * [`SramHierarchy`] — per-core L1/L2 plus a shared L3, with dirty
-//!   evictions cascading downward and L3 victims surfaced to the caller
-//!   (they become L4 writebacks),
+//! * [`SramHierarchy`] — the shared L3, with its dirty victims queued for
+//!   the caller (they become L4 writebacks),
 //! * [`prefetch`] — the L3 fetch-policy baselines of the paper's Table 7
 //!   (next-line prefetch and 128 B wide fetch).
 //!
@@ -19,10 +20,13 @@
 //! ```
 //! use dice_cache::{HierarchyConfig, SramHierarchy};
 //!
-//! let mut h = SramHierarchy::new(&HierarchyConfig::paper_8core());
-//! assert!(h.access(0, 0x40, false).is_none()); // cold miss goes to L4
-//! h.fill(0, 0x40, false);
-//! assert!(h.access(0, 0x40, false).is_some()); // now a hit
+//! let mut l3 = SramHierarchy::new(&HierarchyConfig::paper_8core());
+//! assert!(!l3.l3_access(0x40, true)); // a post-L2 write misses cold...
+//! l3.l3_fill(0x40, true); // ...and the L4 fetch fills it dirty
+//! assert!(l3.l3_access(0x40, false)); // now a hit
+//! let mut writebacks = Vec::new();
+//! l3.drain_writebacks_into(&mut writebacks);
+//! assert!(writebacks.is_empty()); // nothing evicted yet
 //! ```
 
 #![forbid(unsafe_code)]
@@ -33,7 +37,7 @@ pub mod prefetch;
 mod set_assoc;
 mod stats;
 
-pub use hierarchy::{HierarchyConfig, HitLevel, SramHierarchy};
+pub use hierarchy::{HierarchyConfig, SramHierarchy};
 pub use prefetch::L3FetchPolicy;
 pub use set_assoc::{Eviction, SetAssocCache};
 pub use stats::CacheStats;

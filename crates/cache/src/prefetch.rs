@@ -36,13 +36,6 @@ impl L3FetchPolicy {
             L3FetchPolicy::Wide128 => Some(addr ^ 1),
         }
     }
-
-    /// The extra (non-demand) line addresses this policy requests alongside
-    /// a demand miss on `addr`. The demand line itself is not included.
-    #[must_use]
-    pub fn extra_fetches(self, addr: LineAddr) -> Vec<LineAddr> {
-        self.extra_fetch(addr).into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -51,19 +44,19 @@ mod tests {
 
     #[test]
     fn demand_fetches_nothing_extra() {
-        assert!(L3FetchPolicy::Demand.extra_fetches(10).is_empty());
+        assert_eq!(L3FetchPolicy::Demand.extra_fetch(10), None);
     }
 
     #[test]
     fn next_line_fetches_successor() {
-        assert_eq!(L3FetchPolicy::NextLine.extra_fetches(10), vec![11]);
-        assert_eq!(L3FetchPolicy::NextLine.extra_fetches(11), vec![12]);
+        assert_eq!(L3FetchPolicy::NextLine.extra_fetch(10), Some(11));
+        assert_eq!(L3FetchPolicy::NextLine.extra_fetch(11), Some(12));
     }
 
     #[test]
     fn wide_fetch_returns_pair_sibling() {
-        assert_eq!(L3FetchPolicy::Wide128.extra_fetches(10), vec![11]);
-        assert_eq!(L3FetchPolicy::Wide128.extra_fetches(11), vec![10]);
+        assert_eq!(L3FetchPolicy::Wide128.extra_fetch(10), Some(11));
+        assert_eq!(L3FetchPolicy::Wide128.extra_fetch(11), Some(10));
     }
 
     #[test]

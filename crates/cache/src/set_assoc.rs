@@ -3,7 +3,7 @@
 use crate::stats::CacheStats;
 use crate::LineAddr;
 
-/// A victim produced by an install or invalidation.
+/// A victim produced by an install.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
     /// Line address of the evicted block.
@@ -169,23 +169,6 @@ impl SetAssocCache {
         })
     }
 
-    /// Removes `addr` if resident, returning it (used for invalidations).
-    pub fn invalidate(&mut self, addr: LineAddr) -> Option<Eviction> {
-        let set = self.set_of(addr);
-        let idx = self.slots(set).iter().position(|w| w.addr == addr)?;
-        let base = set * self.ways;
-        let last = self.occ[set] as usize - 1;
-        let v = self.ways_store[base + idx];
-        // Swap the last valid slot into the hole (order is immaterial:
-        // addresses are unique and recency lives in the stamps).
-        self.ways_store[base + idx] = self.ways_store[base + last];
-        self.occ[set] -= 1;
-        Some(Eviction {
-            addr: v.addr,
-            dirty: v.dirty,
-        })
-    }
-
     /// Number of valid lines currently resident.
     #[must_use]
     pub fn valid_lines(&self) -> usize {
@@ -340,8 +323,15 @@ mod tests {
         let mut c = SetAssocCache::new(2 * 64, 2);
         c.install(7, true);
         c.install(7, false); // re-install must not clear dirtiness
-        let v = c.invalidate(7).expect("resident");
-        assert!(v.dirty);
+        c.install(8, false);
+        let v = c.install(9, false).expect("eviction");
+        assert_eq!(
+            v,
+            Eviction {
+                addr: 7,
+                dirty: true
+            }
+        );
     }
 
     #[test]
@@ -350,30 +340,6 @@ mod tests {
         c.install(5, false);
         c.install(5, false);
         assert_eq!(c.valid_lines(), 1);
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = SetAssocCache::new(4 * 64, 4);
-        c.install(9, false);
-        assert!(c.invalidate(9).is_some());
-        assert!(!c.contains(9));
-        assert!(c.invalidate(9).is_none());
-    }
-
-    #[test]
-    fn invalidate_middle_way_keeps_the_rest() {
-        let mut c = SetAssocCache::new(4 * 64, 4); // 1 set, 4 ways
-        assert_eq!(c.sets(), 1);
-        for a in [10, 20, 30, 40] {
-            c.install(a, false);
-        }
-        assert!(c.invalidate(20).is_some());
-        assert_eq!(c.valid_lines(), 3);
-        assert!(c.contains(10) && c.contains(30) && c.contains(40));
-        // The freed slot is reusable without an eviction.
-        assert_eq!(c.install(50, false), None);
-        assert_eq!(c.valid_lines(), 4);
     }
 
     #[test]

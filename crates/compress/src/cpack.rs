@@ -75,7 +75,7 @@ pub struct CpackLine {
 impl CpackLine {
     /// Compresses `line`. Like FPC, the worst case (all raw words) exceeds
     /// the raw line; callers fall back to uncompressed storage above
-    /// [`LINE_BYTES`](crate::LINE_BYTES).
+    /// [`LINE_BYTES`].
     #[must_use]
     pub fn compress(line: &LineData) -> Self {
         let mut dict = Dict::default();

@@ -118,8 +118,8 @@ impl FpcLine {
     /// Compresses `line`. Always succeeds; incompressible words are emitted
     /// raw, so the worst case is 16 × (3+32) bits = 70 B, i.e. *larger* than
     /// the line. Callers compare [`size`](Self::size) against
-    /// [`LINE_BYTES`](crate::LINE_BYTES) and fall back to storing the line
-    /// uncompressed (the hybrid wrapper does this automatically).
+    /// [`LINE_BYTES`] and fall back to storing the line uncompressed (the
+    /// hybrid wrapper does this automatically).
     #[must_use]
     pub fn compress(line: &LineData) -> Self {
         let words = words_of_line(line);
@@ -216,8 +216,8 @@ impl FpcLine {
 /// the bit-stream.
 ///
 /// This is the simulator's hot path: capacity accounting only ever needs
-/// sizes, so the kernel sums the per-word bit widths ([`classify`] plus the
-/// zero-run rule) instead of packing payload bits through a [`BitWriter`].
+/// sizes, so the kernel sums the per-word bit widths (`classify` plus the
+/// zero-run rule) instead of packing payload bits through a `BitWriter`.
 /// The contract — enforced by a property test — is exact equality with
 /// `FpcLine::compress(line).size()` for every input.
 #[must_use]

@@ -69,16 +69,6 @@ impl Compressed {
             Repr::Bdi(b) => b.size(),
         }
     }
-
-    /// Access the BDI representation, if BDI won — used by paired
-    /// compression to attempt base sharing.
-    #[must_use]
-    pub fn as_bdi(&self) -> Option<&BdiLine> {
-        match &self.repr {
-            Repr::Bdi(b) => Some(b),
-            _ => None,
-        }
-    }
 }
 
 /// Compresses `line` with the better of FPC and BDI (raw if neither helps).

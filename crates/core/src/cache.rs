@@ -73,12 +73,6 @@ pub struct DramCacheConfig {
 }
 
 impl DramCacheConfig {
-    /// The paper's 1 GB cache with the given organization.
-    #[must_use]
-    pub fn paper_1gb(organization: Organization) -> Self {
-        Self::with_capacity(organization, 1 << 30)
-    }
-
     /// A cache of `capacity_bytes` (power-of-two line count required).
     #[must_use]
     pub fn with_capacity(organization: Organization, capacity_bytes: u64) -> Self {
@@ -728,9 +722,10 @@ impl DramCacheController {
     }
 
     /// Audits every set against the compressed-set invariants (see
-    /// [`crate::audit`]): tag uniqueness, ≤ 72 B occupancy re-derived from
-    /// the honest size oracle, the 28-line format cap, BAI/TSI flag
-    /// consistency, and single-line residency for uncompressed sets.
+    /// [`InvariantKind`](crate::InvariantKind)): tag uniqueness, ≤ 72 B
+    /// occupancy re-derived from the honest size oracle, the 28-line
+    /// format cap, BAI/TSI flag consistency, and single-line residency for
+    /// uncompressed sets.
     ///
     /// Read-only: auditing never changes contents, recency or statistics,
     /// so an audited run is cycle-identical to an unaudited one.

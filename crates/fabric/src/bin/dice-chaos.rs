@@ -9,13 +9,15 @@
 //! (`refuse`, `latency`, `slow-read`, `truncate`, `garble`) from a
 //! seeded per-connection schedule — same `--seed`, same faults, every
 //! run. Repeat `--fault` to restrict the menu; omit it for all five.
-//! `--percent 0` makes a clean (but still observable) pipe.
+//! `--percent` (0 to 100) is the share of connections faulted; `--percent
+//! 0` makes a clean (but still observable) pipe.
 //!
 //! Binds 127.0.0.1 (`--port 0` = ephemeral) and announces
 //! `dice-chaos listening on 127.0.0.1:PORT` on stdout for scripts.
 //! SIGTERM/SIGINT stops accepting and prints the per-fault injection
-//! tally before exiting. A malformed flag or a zero duration exits 2
-//! with one stderr line naming it, before anything binds.
+//! tally before exiting. A malformed flag, a zero duration or a
+//! `--percent` above 100 exits 2 with one stderr line naming it, before
+//! anything binds.
 
 use std::io::Write;
 
@@ -33,6 +35,9 @@ fn main() {
     config.port = flags.number("--port", config.port);
     config.seed = flags.number("--seed", config.seed);
     config.percent = flags.number("--percent", config.percent);
+    if config.percent > 100 {
+        flags.refuse("--percent must be at most 100");
+    }
     let faults: Vec<NetFault> = flags
         .values("--fault")
         .iter()

@@ -142,12 +142,6 @@ impl MetricRegistry {
         self.hists[id.0].1.merge(h);
     }
 
-    /// Current value of a counter handle.
-    #[must_use]
-    pub fn counter_value_of(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
     /// Current value of the counter `name`, if registered.
     #[must_use]
     pub fn counter_value(&self, name: &str) -> Option<u64> {

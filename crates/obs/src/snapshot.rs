@@ -26,8 +26,9 @@ pub enum FieldKind {
 
 /// A struct of named `u64` counters supporting snapshot arithmetic.
 ///
-/// Implement with [`impl_snapshot!`]; the field order of `FIELDS`, `field`
-/// and `set_field` must agree (the macro guarantees it).
+/// Implement with [`impl_snapshot!`](crate::impl_snapshot); the field
+/// order of `FIELDS`, `field` and `set_field` must agree (the macro
+/// guarantees it).
 pub trait Snapshot: Clone {
     /// Field names and kinds, in `field`-index order.
     const FIELDS: &'static [(&'static str, FieldKind)];

@@ -67,13 +67,6 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's full-scale configuration (1 GB L4, Table 2) with the
-    /// given cache organization.
-    #[must_use]
-    pub fn paper(organization: Organization) -> Self {
-        Self::scaled(organization, 1)
-    }
-
     /// A 1/`scale` system: L4 and L3 capacities and workload footprints all
     /// divided by `scale`, keeping every ratio of the paper's configuration
     /// (`scale` must pass [`SimConfig::check_bounds`]).

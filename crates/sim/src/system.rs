@@ -232,7 +232,6 @@ impl System {
             cores: cfg.cores,
             l3_bytes: cfg.l3_bytes,
             l3_ways: cfg.l3_ways,
-            ..HierarchyConfig::paper_8core()
         };
         let cores = sources
             .into_iter()

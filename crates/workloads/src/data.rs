@@ -181,7 +181,7 @@ pub struct MixDataModel {
 impl MixDataModel {
     /// One profile per core region. The region of a line is
     /// `line / CORE_REGION_LINES`, i.e. `line >> region_shift` with the
-    /// shift derived from [`crate::trace::CORE_REGION_LINES`] — the single
+    /// shift derived from `trace::CORE_REGION_LINES` — the single
     /// source of truth for the per-core address-space stride.
     #[must_use]
     pub fn new(profiles: Vec<ValueProfile>, seed: u64) -> Self {

@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | [`compress`] | `dice-compress` | FPC, BDI, hybrid, paired compression |
 //! | [`dram`] | `dice-dram` | DRAM timing/energy model (banks, rows, buses) |
-//! | [`cache`] | `dice-cache` | SRAM hierarchy (L1/L2/L3), prefetch baselines |
+//! | [`cache`] | `dice-cache` | the shared SRAM L3, prefetch baselines |
 //! | [`core`] | `dice-core` | the DICE DRAM-cache controller + baselines |
 //! | [`sim`] | `dice-sim` | 8-core trace-driven system simulator |
 //! | [`workloads`] | `dice-workloads` | synthetic SPEC/GAP workload generators |
